@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 computed, 1 negative answer for yes/no queries, 2 usage or
-parse error, 3 budget exceeded.  Reports are line oriented `key: value`.
+parse error, 3 budget exceeded, 4 internal error (a bug, never an
+answer).  Reports are line oriented `key: value`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+
+
+class OracleDisagreement(RuntimeError):
+    """The extension checker and the brute-force oracle answered differently."""
 
 
 @dataclass
@@ -123,7 +129,7 @@ def _cmd_aut_extend(args, cfg, out):
         out(f"oracle: {'true' if oracle else 'false'}")
         if oracle != ok:
             out("disagreement: checker and oracle differ")
-            raise AssertionError("checker/oracle disagreement")
+            raise OracleDisagreement(f"checker says {ok}, oracle says {oracle}")
     return EXIT_OK if ok else EXIT_NO
 
 
@@ -291,6 +297,13 @@ def main(argv=None, stdout=None) -> int:
     except (DehnBudgetError, coding.CodingBudgetError, randomgraph.PrimeBudgetError) as exc:
         out(f"budget-error: {exc}")
         return EXIT_BUDGET
+    except Exception as exc:
+        # imported only here: every call of the CLI would pay for it
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        out(f"internal-error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

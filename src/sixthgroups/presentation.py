@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from .words import (
     EMPTY,
+    Letter,
     Word,
     concat,
     cyclic_permutations,
@@ -32,7 +33,29 @@ DEFAULT_DEHN_BUDGET = 10_000
 
 
 class DehnBudgetError(RuntimeError):
-    pass
+    """Dehn's algorithm needed more steps than its budget allows.
+
+    Carries the budget, the steps used and the input word; the message
+    shows only the first letters of the word and its length.
+    """
+
+    PREVIEW_LETTERS = 8
+
+    def __init__(self, budget: int, used: int, word: Word):
+        self.budget = budget
+        self.used = used
+        self.word = word
+        shown = format_word(word[: self.PREVIEW_LETTERS])
+        if len(word) > self.PREVIEW_LETTERS:
+            shown += " …"
+        super().__init__(
+            f"Dehn step budget {budget} exceeded (used {used} of {budget}) "
+            f"on {shown} ({len(word)} letters)"
+        )
+
+
+class AlphabetError(ValueError):
+    """A word or relator uses a generator outside the presentation's alphabet."""
 
 
 def primitive_root(w: Word) -> Tuple[Word, int]:
@@ -129,20 +152,26 @@ class _TrieNode:
 class Presentation:
     """A group presentation with a prefix trie for fast Dehn steps.
 
-    Immutable after construction; the normal-form cache only memoizes
-    pure results.
+    Immutable after construction.  Dehn's algorithm makes one resumable
+    left-to-right pass: each step is spliced into the word in place, free
+    reduction runs only at the two seams of the splice, and the scan
+    resumes one relator length left of the lowest letter the step changed.
     """
 
     def __init__(self, alphabet_size: int, relators: RelatorSet):
+        self._letters = frozenset(range(-alphabet_size, alphabet_size + 1)) - {0}
         for r in relators.relators:
-            for c in r:
-                if abs(c) - 1 >= alphabet_size:
-                    raise ValueError(
-                        f"relator {format_word(r)} uses generator outside "
-                        f"alphabet of size {alphabet_size}"
-                    )
+            if not self._letters.issuperset(r):
+                raise AlphabetError(
+                    f"relator {format_word(r)} uses generator outside "
+                    f"alphabet of size {alphabet_size}"
+                )
         self.alphabet_size = alphabet_size
         self.relators = relators
+        lengths = [len(r) for r in relators.relators]
+        self._max_relator_len = max(lengths, default=0)
+        # a Dehn step rewrites more than half of a relator
+        self._min_step_len = min(lengths, default=0) // 2 + 1
         self._root = _TrieNode()
         for r in relators.sorted_relators():
             node = self._root
@@ -151,7 +180,6 @@ class Presentation:
                 if node.min_len is None or len(r) < node.min_len:
                     node.min_len = len(r)
                     node.best = r
-        self._nf_cache: Dict[Word, Word] = {}
 
     def __repr__(self):
         return (
@@ -159,12 +187,14 @@ class Presentation:
             f"|R|={len(self.relators.relators)})"
         )
 
-    def _find_dehn_step(self, w: Word):
-        """Leftmost, then longest subword u that is a prefix of some relator
-        r with |u| > |r|/2.  Returns (pos, length, relator) or None."""
+    def _find_dehn_step(self, w: Sequence[Letter], start: int):
+        """Leftmost (from start), then longest subword u that is a prefix of
+        some relator r with |u| > |r|/2.  Returns (pos, length, relator) or
+        None."""
         n = len(w)
-        for i in range(n):
-            node = self._root
+        root = self._root
+        for i in range(start, n - self._min_step_len + 1):
+            node = root
             hit = None
             for d in range(i, n):
                 node = node.children.get(w[d])
@@ -177,29 +207,52 @@ class Presentation:
                 return i, hit[0], hit[1]
         return None
 
+    def _alphabet_error(self, w: Sequence[Letter]) -> AlphabetError:
+        bad = next(c for c in w if c not in self._letters)
+        return AlphabetError(
+            f"letter {format_word((bad,)) if bad else bad} is outside the "
+            f"alphabet g0..g{self.alphabet_size - 1} of size {self.alphabet_size}"
+        )
+
     def dehn_reduce(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> Word:
-        """Run Dehn's algorithm to a fixed point.  Empty iff w = 1 in G."""
-        w = reduce_word(w)
-        cached = self._nf_cache.get(w)
-        if cached is not None:
-            return cached
-        orig = w
+        """Run Dehn's algorithm to a fixed point.  Empty iff w = 1 in G.
+
+        Each step rewrites the leftmost, then longest, more-than-half
+        relator prefix.  After a step the scan resumes one relator length
+        left of the first letter the step changed: a step further left
+        would lie wholly inside letters that did not change, where the
+        previous scan found none.
+        """
+        if not self._letters.issuperset(w):
+            raise self._alphabet_error(w)
+        word = list(reduce_word(w))
+        max_len = self._max_relator_len
         steps = 0
-        while True:
-            step = self._find_dehn_step(w)
-            if step is None:
-                break
+        start = 0
+        while (step := self._find_dehn_step(word, start)) is not None:
             steps += 1
             if steps > budget:
-                raise DehnBudgetError(
-                    f"Dehn step budget {budget} exceeded on {format_word(orig)}"
-                )
+                raise DehnBudgetError(budget, budget, w)
             i, length, r = step
-            # r = u . s with u the matched prefix; replace u by s^{-1}.
-            complement = invert_word(r[length:])
-            w = reduce_word(w[:i] + complement + w[i + length :])
-        self._nf_cache[orig] = w
-        return w
+            # r = u . s with u the matched prefix; replace u by s^{-1}.  The
+            # prefix word[:i], the complement and the suffix word[i+length:]
+            # are each freely reduced, so letters cancel only at the seams.
+            comp = invert_word(r[length:])
+            a, b = i, i + length
+            lo, hi = 0, len(comp)
+            while lo < hi and a > 0 and word[a - 1] == -comp[lo]:
+                a -= 1
+                lo += 1
+            while lo < hi and b < len(word) and comp[hi - 1] == -word[b]:
+                hi -= 1
+                b += 1
+            if lo == hi:
+                while a > 0 and b < len(word) and word[a - 1] == -word[b]:
+                    a -= 1
+                    b += 1
+            word[a:b] = comp[lo:hi]
+            start = max(0, a - max_len)
+        return tuple(word)
 
     def is_identity(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> bool:
         return self.dehn_reduce(w, budget) == EMPTY

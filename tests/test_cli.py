@@ -2,8 +2,10 @@ import io
 
 import pytest
 
+from sixthgroups import coding, graphs
 from sixthgroups.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_NO,
     EXIT_OK,
     EXIT_USAGE,
@@ -66,6 +68,9 @@ def test_wp(k2):
     assert code == EXIT_OK
     assert "identity: false" in out
     assert "normal-form: G0 G0 G0" in out
+    code, out = run("wp", k2, "g5 g0")
+    assert code == EXIT_USAGE
+    assert out.startswith("error: ") and "g5" in out and "normal-form" not in out
 
 
 def test_order(k2, tmp_path):
@@ -77,6 +82,9 @@ def test_order(k2, tmp_path):
     e2.write_text(E2_TEXT)
     code, out = run("order", str(e2), "g0 g1")
     assert code == EXIT_OK and "order: 13" in out
+    code, out = run("order", k2, "g5")
+    assert code == EXIT_USAGE
+    assert out.splitlines() == ["error: letter g5 is outside the alphabet g0..g1 of size 2"]
 
 
 def test_code_listing(k2):
@@ -183,3 +191,24 @@ def test_budget_exit(k2):
     code, out = run("--dehn-budget", "1", "wp", k2, " ".join(["g0 g1"] * 40))
     assert code == EXIT_BUDGET
     assert "budget-error:" in out
+    assert "budget 1 " in out and "(80 letters)" in out
+    assert len(out.strip()) < 200
+
+
+def test_internal_errors_exit_4(k2, tmp_path, monkeypatch, capsys):
+    def broken(g):
+        raise AssertionError("planted bug")
+
+    monkeypatch.setattr(graphs, "is_rigid", broken)
+    code, out = run("rigid", k2)
+    assert code == EXIT_INTERNAL
+    assert out.splitlines() == ["internal-error: AssertionError: planted bug"]
+    assert "Traceback" in capsys.readouterr().err
+    # a checker/oracle disagreement is an internal error, not a "no"
+    monkeypatch.setattr(coding, "oracle_aut_extends", lambda ct, s, bound: False)
+    sfile = tmp_path / "s.map"
+    sfile.write_text("1 4\n")
+    code, out = run("aut-extend", k2, str(sfile), "--oracle")
+    assert code == EXIT_INTERNAL
+    assert "disagreement: checker and oracle differ" in out
+    assert "internal-error: OracleDisagreement:" in out

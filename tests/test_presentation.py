@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sixthgroups.graphs import graph
 from sixthgroups.presentation import (
     INFINITE,
+    AlphabetError,
     DehnBudgetError,
     Presentation,
     check_c16,
@@ -14,7 +18,14 @@ from sixthgroups.presentation import (
     symmetrize,
 )
 from sixthgroups.reduction import relators_from_graph
-from sixthgroups.words import EMPTY, invert_word, parse_word, power, reduce_word
+from sixthgroups.words import (
+    EMPTY,
+    format_word,
+    invert_word,
+    parse_word,
+    power,
+    reduce_word,
+)
 
 K2 = graph(2, [(0, 1)])
 E2 = graph(2, [])
@@ -24,6 +35,38 @@ Z7 = relators_from_graph(graph(1, []))
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda c: c != 0)
 words = st.lists(letters, max_size=10).map(lambda w: reduce_word(tuple(w)))
+
+
+def _naive_dehn_reduce(pres, w):
+    """Reference Dehn's algorithm: rescan from position 0 and freely reduce
+    the whole word after every step.  Returns (normal form, steps)."""
+
+    def find_step(w):
+        n = len(w)
+        for i in range(n):
+            node = pres._root
+            hit = None
+            for d in range(i, n):
+                node = node.children.get(w[d])
+                if node is None:
+                    break
+                length = d - i + 1
+                if 2 * length > node.min_len:
+                    hit = (length, node.best)
+            if hit is not None:
+                return i, hit[0], hit[1]
+        return None
+
+    w = reduce_word(w)
+    steps = 0
+    while True:
+        step = find_step(w)
+        if step is None:
+            return w, steps
+        steps += 1
+        i, length, r = step
+        complement = invert_word(r[length:])
+        w = reduce_word(w[:i] + complement + w[i + length :])
 
 
 def test_primitive_root():
@@ -158,11 +201,87 @@ def test_order_power_law():
 
 
 def test_dehn_budget():
-    # fresh presentation: cached normal forms are returned without
-    # consuming budget
     fresh = relators_from_graph(graph(1, []))
     with pytest.raises(DehnBudgetError):
         fresh.dehn_reduce(power((1,), 4), budget=0)
+    # a successful reduction leaves nothing behind that a second call of
+    # the same word could use to skip its steps
+    assert fresh.dehn_reduce(power((1,), 4)) == (-1, -1, -1)
+    with pytest.raises(DehnBudgetError):
+        fresh.dehn_reduce(power((1,), 4), budget=0)
+
+
+def test_dehn_budget_error_names_budget_and_truncates():
+    w = power((1, 2), 40)
+    with pytest.raises(DehnBudgetError) as info:
+        P_K2.dehn_reduce(w, budget=2)
+    err = info.value
+    assert (err.budget, err.used, err.word) == (2, 2, w)
+    assert str(err) == (
+        "Dehn step budget 2 exceeded (used 2 of 2) "
+        "on g0 g1 g0 g1 g0 g1 g0 g1 … (80 letters)"
+    )
+    with pytest.raises(DehnBudgetError, match=r"on g0 g0 g0 g0 \(4 letters\)$"):
+        Z7.dehn_reduce(power((1,), 4), budget=0)
+
+
+def test_letters_outside_alphabet_rejected():
+    g5 = parse_word("g5")
+    for call in (
+        lambda: P_K2.dehn_reduce(g5),
+        lambda: P_K2.dehn_reduce(parse_word("g0 G5 g1")),
+        lambda: P_K2.equal(g5, EMPTY),
+        lambda: P_K2.order(g5),
+    ):
+        with pytest.raises(AlphabetError, match="[gG]5 .*size 2"):
+            call()
+    assert issubclass(AlphabetError, ValueError)
+    # the last generator of the alphabet is accepted
+    assert P_K2.dehn_reduce(parse_word("G1")) == (-2,)
+
+
+def _random_graph(rng, n):
+    pairs = itertools.combinations(range(n), 2)
+    return graph(n, [p for p in pairs if rng.random() < 0.5])
+
+
+def _noisy_relator_product(rng, pres, target_len):
+    """Conjugated relators and conjugated relator prefixes multiplied
+    together, with random letters inserted at random places; about
+    target_len letters.  Prefixes longer than half a relator start Dehn
+    steps whose complements can cancel into their neighbours."""
+    rels = pres.relators.sorted_relators()
+    n = pres.alphabet_size
+    raw = []
+    while len(raw) < target_len:
+        conj = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 4))]
+        r = rng.choice(rels)
+        if rng.random() < 0.3:
+            r = r[: rng.randint(1, len(r))]
+        raw += conj + list(r) + [-c for c in reversed(conj)]
+    for _ in range(rng.randint(0, max(1, target_len // 50))):
+        raw.insert(rng.randint(0, len(raw)), rng.choice((1, -1)) * rng.randint(1, n))
+    return tuple(raw)
+
+
+def test_dehn_reduce_matches_naive_rescan():
+    rng = random.Random(20170213)
+    for n in range(1, 9):
+        pres = relators_from_graph(_random_graph(rng, n))
+        for target_len in (10, 60, 300, 900, 2000):
+            w = _noisy_relator_product(rng, pres, target_len)
+            expected, steps = _naive_dehn_reduce(pres, w)
+            assert pres.dehn_reduce(w) == expected, (n, format_word(w))
+            assert pres.dehn_reduce(w, budget=steps) == expected
+            if steps:
+                with pytest.raises(DehnBudgetError):
+                    pres.dehn_reduce(w, budget=steps - 1)
+            small = rng.randint(0, 12)
+            if steps > small:
+                with pytest.raises(DehnBudgetError):
+                    pres.dehn_reduce(w, budget=small)
+            else:
+                assert pres.dehn_reduce(w, budget=small) == expected
 
 
 def test_presentation_from_seeds():
