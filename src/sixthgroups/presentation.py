@@ -258,6 +258,10 @@ class Presentation:
         return self.dehn_reduce(w, budget) == EMPTY
 
     def equal(self, w1: Word, w2: Word, budget: int = DEFAULT_DEHN_BUDGET) -> bool:
+        # concat cancels at the seam, which could hide an outside letter
+        for w in (w1, w2):
+            if not self._letters.issuperset(w):
+                raise self._alphabet_error(w)
         return self.is_identity(concat(w1, invert_word(w2)), budget)
 
     def cyclic_dehn_reduce(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> Word:

@@ -9,18 +9,16 @@ of primes dividing some member of A.
 
 Vertex values grow roughly like iterated nth-primes under the greedy
 embedding, so nth_prime carries an index budget; exceeding it raises
-PrimeBudgetError rather than silently stalling.  Primes handed out are
-remembered so that indices of huge primes met again as factors can be
-recovered without re-sieving.
+PrimeBudgetError rather than silently stalling.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
+from itertools import compress
 from typing import Dict, Iterable, List, Set
-
-import numpy as np
 
 from .graphs import Graph
 
@@ -33,9 +31,9 @@ class PrimeBudgetError(RuntimeError):
     pass
 
 
-_primes: np.ndarray = np.array([], dtype=np.int64)
+# All primes up to _sieve_limit, ascending; the sieve only ever grows.
+_primes = array("q")
 _sieve_limit = 0
-_index_of: Dict[int, int] = {}
 
 
 def _extend_sieve(limit: int) -> None:
@@ -45,12 +43,12 @@ def _extend_sieve(limit: int) -> None:
     if limit > _MAX_SIEVE:
         raise PrimeBudgetError(f"sieve limit {limit} exceeds {_MAX_SIEVE}")
     limit = min(max(limit, 1 << 16, _sieve_limit * 2), _MAX_SIEVE)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = False
-    _primes = np.flatnonzero(flags).astype(np.int64)
+            flags[p * p :: p] = bytes((limit - p * p) // p + 1)
+    _primes = array("q", compress(range(limit + 1), flags))
     _sieve_limit = limit
 
 
@@ -66,25 +64,23 @@ def nth_prime(i: int, max_index: int = DEFAULT_MAX_PRIME_INDEX) -> int:
     while i >= len(_primes):
         # p_i < (i+1)(ln(i+1) + ln ln(i+1)) for i >= 5; pad generously.
         guess = int((i + 1) * (math.log(i + 2) + math.log(math.log(i + 3)) + 2))
-        _extend_sieve(max(guess, 1 << 16))
-    p = int(_primes[i])
-    _index_of[p] = i
-    return p
+        _extend_sieve(guess)
+    return _primes[i]
 
 
 def prime_index(p: int) -> int:
-    """Index i with p_i = p.  Works for sieved primes and for primes
-    previously produced by nth_prime; raises ValueError on composites
-    and PrimeBudgetError when p is an unknown prime out of sieve range."""
-    if p in _index_of:
-        return _index_of[p]
+    """Index i with p_i = p.  Raises ValueError on composites and
+    PrimeBudgetError on primes beyond the sieve limit; every prime that
+    nth_prime returns lies within it."""
     if p > _MAX_SIEVE:
-        raise PrimeBudgetError(f"cannot locate index of unknown prime {p}")
+        raise PrimeBudgetError(
+            f"cannot locate index of unknown prime {p}: it exceeds the "
+            f"sieve limit {_MAX_SIEVE}"
+        )
     _extend_sieve(p)
     i = bisect_left(_primes, p)
-    if i >= len(_primes) or int(_primes[i]) != p:
+    if i >= len(_primes) or _primes[i] != p:
         raise ValueError(f"{p} is not prime")
-    _index_of[p] = i
     return i
 
 
@@ -93,13 +89,16 @@ def prime_factors(y: int) -> List[int]:
     if y < 2:
         return []
     root = math.isqrt(y)
-    _extend_sieve(max(min(root + 1, _MAX_SIEVE), 1 << 16))
-    if root >= _sieve_limit:
-        raise PrimeBudgetError(f"refusing to factor {y}: too large")
+    if root >= _MAX_SIEVE:
+        raise PrimeBudgetError(
+            f"refusing to factor {y}: its square root exceeds the sieve "
+            f"limit {_MAX_SIEVE}"
+        )
+    _extend_sieve(root + 1)
     out = []
     rem = y
-    for p in _primes[: bisect_left(_primes, root + 1)]:
-        p = int(p)
+    # The sieve holds every prime up to root, so rem ends as 1 or a prime.
+    for p in _primes:
         if p * p > rem:
             break
         if rem % p == 0:
@@ -163,7 +162,7 @@ def extension_witness(
         for x in range(2, _SCAN_LIMIT):
             if _valid_witness(x, a, b, max_index):
                 return x
-        raise PrimeBudgetError("no witness found within scan limit")
+        raise PrimeBudgetError(f"no witness found within scan limit {_SCAN_LIMIT}")
     # Candidates below the closed form: indices of primes dividing some
     # y in a (these are the only x with p_x | y available).
     candidates = set()

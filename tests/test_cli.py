@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sixthgroups
 from sixthgroups import coding, graphs
 from sixthgroups.cli import (
     EXIT_BUDGET,
@@ -159,6 +163,26 @@ def test_rado_commands(k2, tmp_path):
     code, out = run("rado-embed", str(p3f))
     assert code == EXIT_OK
     assert out.splitlines() == ["0 2", "1 5", "2 13"]
+
+
+def test_runs_without_numpy():
+    # A fresh interpreter in which every import of numpy fails.
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from sixthgroups import cli\n"
+        "sys.exit(cli.main(['rado-adj', '2', '5']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sixthgroups.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "adjacent: true" in proc.stdout
 
 
 def test_rigid_and_tree(k2, p3):

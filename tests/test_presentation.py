@@ -231,6 +231,7 @@ def test_letters_outside_alphabet_rejected():
         lambda: P_K2.dehn_reduce(g5),
         lambda: P_K2.dehn_reduce(parse_word("g0 G5 g1")),
         lambda: P_K2.equal(g5, EMPTY),
+        lambda: P_K2.equal(g5, g5),  # concat would cancel g5 G5
         lambda: P_K2.order(g5),
     ):
         with pytest.raises(AlphabetError, match="[gG]5 .*size 2"):

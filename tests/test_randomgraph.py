@@ -1,9 +1,11 @@
 import itertools
 import random
+from array import array
 
 import pytest
 import sympy
 
+from sixthgroups import randomgraph
 from sixthgroups.graphs import graph
 from sixthgroups.randomgraph import (
     PrimeBudgetError,
@@ -35,11 +37,42 @@ def test_prime_index_inverts():
         prime_index(9)
 
 
+def test_sieve_growth_matches_sympy(monkeypatch):
+    # From an empty sieve, a small index sieves to 2**16, which holds
+    # p_0 .. p_6541.  Index 6542 forces the first extension, and 20 000
+    # and 100 000 one more each.
+    monkeypatch.setattr(randomgraph, "_primes", array("q"))
+    monkeypatch.setattr(randomgraph, "_sieve_limit", 0)
+    assert nth_prime(0) == 2 and len(randomgraph._primes) == 6542
+    limits = []
+    for i in (6541, 6542, 6543, 20_000, 100_000):
+        p = nth_prime(i)
+        limits.append(randomgraph._sieve_limit)
+        assert p == sympy.prime(i + 1)
+        assert prime_index(p) == i
+        for composite in (p - 1, p + 1):
+            with pytest.raises(ValueError):
+                prime_index(composite)
+    assert limits[:3] == [1 << 16, 1 << 17, 1 << 17]
+    assert limits[2] < limits[3] < limits[4]
+
+
 def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(12) == [2, 3]
     assert prime_factors(97) == [97]
     assert prime_factors(2 * 3 * 5 * 49) == [2, 3, 5, 7]
+    rng = random.Random(20170213)
+    for _ in range(200):
+        y = rng.randint(2, 10**12)
+        assert prime_factors(y) == sympy.primefactors(y)
+
+
+def test_prime_factors_refuses_before_sieving():
+    limit = randomgraph._sieve_limit
+    with pytest.raises(PrimeBudgetError, match="200000000"):
+        prime_factors(10**18)
+    assert randomgraph._sieve_limit == limit
 
 
 def test_adjacent_examples():
