@@ -4,24 +4,32 @@ automorphism extends a finite partial injection on codes.
 
 Code layout: 0 is the identity, 3i+1 is v_i, 3i+2 is v_i^{-1}, and every
 other element gets the least unused positive multiple of 3, in shortlex
-order of canonical representatives.  Shortlex enumeration makes subword
-codes smaller than the codes of the words containing them; the test
-suite asserts this exhaustively rather than assuming it.
+order of canonical representatives: the element whose representative
+has shortlex rank r among representatives of length >= 2 gets code
+3(r + 1).  Shortlex order makes subword codes smaller than the codes of
+the words containing them; the test suite asserts this exhaustively
+rather than assuming it.
 
 Canonical representatives rely on a normal-form fact about these graph-group
 presentations: relators are v_i^7 and 22- or 26-letter proper powers, so
 for words of length <= 10 the Dehn-stable forms (freely reduced, every
 single-generator run of exponent magnitude <= 3) are in bijection with
-group elements.  Enumeration therefore never goes past length
-MAX_REP_LEN; requests that would are a budget error, never a wrong
-answer.
+group elements.  Stable words form a regular language, so a code is a
+rank in a finite automaton (the shortlex automatic structure of the
+group, cut off at MAX_REP_LEN): ``_rank`` and ``_unrank`` compute it in
+closed form from a table of completion counts built once per generator
+count.  A CodingTable adds memos of both directions and of ``star``,
+each bounded by ``max_elements``; they change speed, never answers.  A
+word or code whose representative would be longer than MAX_REP_LEN
+letters is a budget error, never a wrong answer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, automorphisms
 from .presentation import DEFAULT_DEHN_BUDGET
@@ -30,10 +38,10 @@ from .words import (
     EMPTY,
     Word,
     concat,
-    format_word,
     gen,
     invert_word,
     letter_key,
+    preview_word,
     word_key,
 )
 
@@ -42,38 +50,132 @@ DEFAULT_MAX_ELEMENTS = 500_000
 
 
 class CodingBudgetError(RuntimeError):
-    pass
+    """A request the coding cannot answer within its budgets: a
+    representative longer than MAX_REP_LEN letters, or a table of more
+    than max_elements codes.
+
+    Carries the budget, how much of it the request needs and the word
+    concerned (empty when the request was a code); the message names the
+    budget and shows only the first letters of the word and its length.
+    """
+
+    def __init__(self, name: str, budget: int, used: int, word: Word = EMPTY, context: str = ""):
+        self.budget = budget
+        self.used = used
+        self.word = word
+        on = f" on {preview_word(word)}" if word else ""
+        super().__init__(f"{name} = {budget} exceeded (needs {used}){on}{context}")
 
 
-def _stable_words_of_length(alphabet_size: int, length: int) -> Iterator[Word]:
-    """Freely reduced words with single-generator runs of exponent
-    magnitude <= 3, in lex order of the shortlex letter order."""
-    letters = sorted(
-        [gen(i) for i in range(alphabet_size)]
-        + [-gen(i) for i in range(alphabet_size)],
-        key=letter_key,
-    )
+# -- stable words in closed form -----------------------------------------
 
-    def extend(prefix: List[int], run: int):
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
+
+@functools.lru_cache(maxsize=16)
+def _counts(n: int):
+    """Counts of stable words over n generators: (letters, completions,
+    first), the letters in shortlex order.
+
+    ``completions[rem][run]`` is the number of ways to append ``rem``
+    letters to a stable word whose last run has length ``run`` (1..3, or
+    0 for the empty word), for rem = 0 .. MAX_REP_LEN + 1.  ``first[L]``,
+    for L = 2 .. MAX_REP_LEN + 1, is the rank of the first stable word of
+    length L among stable words of length >= 2, so
+    ``first[MAX_REP_LEN + 1]`` is the number of composite codes within
+    reach.
+    """
+    letters = tuple(s * gen(i) for i in range(n) for s in (1, -1))
+    new_runs = max(2 * n - 2, 0)  # letters other than the last and its inverse
+    rows = [(1, 1, 1, 1)]
+    for _ in range(MAX_REP_LEN + 1):
+        prev = rows[-1]
+        rows.append(
+            (2 * n * prev[1],)
+            + tuple((prev[run + 1] if run < 3 else 0) + new_runs * prev[1] for run in (1, 2, 3))
+        )
+    first = [0, 0, 0]
+    for length in range(2, MAX_REP_LEN + 1):
+        first.append(first[-1] + rows[length][0])
+    return letters, tuple(rows), tuple(first)
+
+
+def _rank(n: int, w: Sequence[int]) -> int:
+    """Shortlex rank of the stable word w (|w| >= 2) among stable words of
+    length >= 2, in O(|w|): at each position, add the completions of every
+    smaller letter that could stand there."""
+    _, completions, first = _counts(n)
+    length = len(w)
+    r = first[length]
+    last = 2 * n  # key of the previous letter; none before the first
+    run = 0
+    for p, c in enumerate(w):
+        key = letter_key(c)
+        row = completions[length - p - 1]
+        # A smaller letter other than the previous one and its inverse
+        # (key last ^ 1) starts a new run; the previous one continues its
+        # run if the run is short.
+        r += (key - (last < key) - ((last ^ 1) < key)) * row[1]
+        if last < key and run < 3:
+            r += row[run + 1]
+        run = run + 1 if key == last else 1
+        last = key
+    return r
+
+
+def _unrank(n: int, r: int) -> Word:
+    """The stable word of rank r, 0 <= r < first[MAX_REP_LEN + 1]: the
+    walk of ``_rank`` in reverse."""
+    letters, completions, first = _counts(n)
+    length = 2
+    while first[length + 1] <= r:
+        length += 1
+    r -= first[length]
+    w: List[int] = []
+    last, run = 0, 0
+    for p in range(length):
+        row = completions[length - p - 1]
         for c in letters:
-            if prefix:
-                last = prefix[-1]
-                if last == -c:
-                    continue
-                if last == c and run >= 3:
-                    continue
-            prefix.append(c)
-            yield from extend(prefix, run + 1 if prefix[-2:-1] == [c] else 1)
-            prefix.pop()
+            if c == -last or (c == last and run >= 3):
+                continue
+            size = row[run + 1] if c == last else row[1]
+            if r < size:
+                break
+            r -= size
+        run = run + 1 if c == last else 1
+        last = c
+        w.append(c)
+    return tuple(w)
 
-    yield from extend([], 0)
+
+def _stable_words(letters: Sequence[int]) -> Iterator[Word]:
+    """Every stable word of length >= 2, in shortlex order.  Each length
+    is built from the list of the length before it, so a consumer that
+    stops early holds only what it has taken."""
+    after = {c: tuple(d for d in letters if d != -c) for c in letters}
+    capped = {c: tuple(d for d in after[c] if d != c) for c in letters}
+    prev = [(c,) for c in letters]
+    while prev:
+        cur: List[Word] = []
+        for w in prev:
+            last = w[-1]
+            full_run = len(w) >= 3 and w[-3] == w[-2] == last
+            longer = [w + (d,) for d in (capped if full_run else after)[last]]
+            cur += longer
+            yield from longer
+        prev = cur
+
+
+def _letter_code(c: int) -> int:
+    return 3 * (abs(c) - 1) + (1 if c > 0 else 2)
 
 
 class CodingTable:
-    """On-demand bijection between elements of G_T and codes."""
+    """The coding of G_T: rank and unrank in closed form, with memos.
+
+    ``code_to_word``, ``word_to_code`` and the ``star`` memo are filled by
+    ``enumerate_to``, ``code_of``, ``word_of`` and ``star``, and each
+    stops growing at ``max_elements`` entries, which is also the largest
+    table ``enumerate_to`` returns.
+    """
 
     def __init__(
         self,
@@ -85,112 +187,121 @@ class CodingTable:
         self.pres = relators_from_graph(graph)
         self.max_elements = max_elements
         self.dehn_budget = dehn_budget
+        self._letters, completions, first = _counts(graph.n)
+        self._reach = first[-1]  # composite codes 3 .. 3 * _reach
+        # no stable word longer than MAX_REP_LEN: the group has no element
+        # beyond the reach of the coding (one vertex gives Z/7)
+        self._finite = completions[MAX_REP_LEN + 1][0] == 0
         self.code_to_word: Dict[int, Word] = {0: EMPTY}
         self.word_to_code: Dict[Word, int] = {EMPTY: 0}
-        self._next_composite = 3
-        self._length = 0
-        self._pending: List[Word] = []
-        self._exhausted = False
         self._star_cache: Dict[Tuple[int, int], int] = {}
 
-    # -- enumeration ---------------------------------------------------
+    def _remember(self, pairs: List[Tuple[int, Word]]) -> None:
+        """Memoise (code, word) pairs while the memos have room."""
+        for memo, items in (
+            (self.code_to_word, pairs),
+            (self.word_to_code, [(w, c) for c, w in pairs]),
+        ):
+            room = self.max_elements - len(memo)
+            if room > 0:
+                memo.update(items[:room])
 
-    def _advance(self) -> bool:
-        """Register the next element in shortlex order.  False when the
-        group has been exhausted (finite G_T, e.g. a single vertex)."""
-        while not self._pending:
-            if self._exhausted:
-                return False
-            self._length += 1
-            if self._length > MAX_REP_LEN:
-                raise CodingBudgetError(
-                    f"enumeration would need representatives longer than "
-                    f"{MAX_REP_LEN} letters"
-                )
-            batch = list(_stable_words_of_length(self.graph.n, self._length))
-            if not batch:
-                self._exhausted = True
-                return False
-            self._pending = batch[::-1]  # pop() from the end keeps order
-        w = self._pending.pop()
-        if len(w) == 1:
-            c = w[0]
-            code = 3 * (abs(c) - 1) + (1 if c > 0 else 2)
-        else:
-            code = self._next_composite
-            self._next_composite += 3
-        if len(self.code_to_word) >= self.max_elements:
-            raise CodingBudgetError(
-                f"element budget {self.max_elements} exceeded"
-            )
-        self.code_to_word[code] = w
-        self.word_to_code[w] = code
-        return True
+    def _reach_error(self, code: int) -> CodingBudgetError:
+        """In an infinite group, a composite code past the last
+        representative of at most MAX_REP_LEN letters is assigned to an
+        element the coding cannot reach."""
+        return CodingBudgetError(
+            "representative length MAX_REP_LEN",
+            MAX_REP_LEN,
+            MAX_REP_LEN + 1,
+            context=f": code {code} has a representative longer than {MAX_REP_LEN} letters",
+        )
 
     def normal_form(self, w: Word) -> Word:
         nf = self.pres.dehn_reduce(w, self.dehn_budget)
         if len(nf) > MAX_REP_LEN:
             raise CodingBudgetError(
-                f"word {format_word(w)} has normal form longer than "
-                f"{MAX_REP_LEN} letters"
+                "representative length MAX_REP_LEN", MAX_REP_LEN, len(nf), w
             )
         return nf
 
-    def ensure_word(self, w: Word) -> int:
-        nf = self.normal_form(w)
-        while nf not in self.word_to_code:
-            if not self._advance():
-                raise AssertionError(
-                    f"element {format_word(nf)} missing from exhausted table"
-                )
-        return self.word_to_code[nf]
-
-    def ensure_code(self, code: int) -> bool:
-        """Extend until ``code`` is assigned; False if it never will be."""
+    def registrable(self, code: int) -> bool:
         if code < 0:
             return False
-        if code in self.code_to_word:
+        if code % 3:
+            return (code - 1) // 3 < self.graph.n
+        if code // 3 <= self._reach:  # includes code 0
             return True
-        if code % 3 in (1, 2) and (code - 1) // 3 >= self.graph.n:
+        if self._finite:
             return False
-        while code not in self.code_to_word:
-            if code % 3 == 0 and self._next_composite > code:
-                return False
-            if not self._advance():
-                return False
-        return True
-
-    def registrable(self, code: int) -> bool:
-        return self.ensure_code(code)
+        raise self._reach_error(code)
 
     # -- the coding proper ---------------------------------------------
 
     def code_of(self, w: Word) -> int:
-        return self.ensure_word(w)
+        nf = self.normal_form(w)
+        code = self.word_to_code.get(nf)
+        if code is None:
+            if len(nf) > 1:
+                code = 3 * (1 + _rank(self.graph.n, nf))
+            else:
+                code = _letter_code(nf[0]) if nf else 0
+            self._remember([(code, nf)])
+        return code
 
     def word_of(self, code: int) -> Word:
-        if not self.ensure_code(code):
-            raise KeyError(f"code {code} is not assigned for this graph")
-        return self.code_to_word[code]
+        w = self.code_to_word.get(code)
+        if w is None:
+            if not self.registrable(code):
+                raise KeyError(f"code {code} is not assigned for this graph")
+            if code % 3:
+                w = (gen((code - 1) // 3, 1 if code % 3 == 1 else -1),)
+            else:
+                w = _unrank(self.graph.n, code // 3 - 1) if code else EMPTY
+            self._remember([(code, w)])
+        return w
 
     def star(self, n: int, m: int) -> int:
         key = (n, m)
-        cached = self._star_cache.get(key)
-        if cached is None:
-            cached = self.code_of(concat(self.word_of(n), self.word_of(m)))
-            self._star_cache[key] = cached
-        return cached
+        code = self._star_cache.get(key)
+        if code is None:
+            code = self.code_of(concat(self.word_of(n), self.word_of(m)))
+            if len(self._star_cache) < self.max_elements:
+                self._star_cache[key] = code
+        return code
 
     def inverse_code(self, n: int) -> int:
         return self.code_of(invert_word(self.word_of(n)))
 
     def enumerate_to(self, max_code: int) -> List[Tuple[int, Word]]:
-        """All assigned (code, representative) pairs with code <= max_code."""
-        for c in range(max_code + 1):
-            self.ensure_code(c)
-        return sorted(
-            (c, w) for c, w in self.code_to_word.items() if c <= max_code
+        """All assigned (code, representative) pairs with code <= max_code,
+        in code order.  The size of the table is checked against
+        max_elements, and its reach against MAX_REP_LEN, before anything
+        is built."""
+        if max_code < 0:
+            return []
+        singles = [(_letter_code(c), (c,)) for c in self._letters if _letter_code(c) <= max_code]
+        composites = max_code // 3
+        if self._finite:
+            composites = min(composites, self._reach)
+        size = 1 + len(singles) + composites
+        if size > self.max_elements:
+            raise CodingBudgetError(
+                "element budget max_elements",
+                self.max_elements,
+                size,
+                context=f": codes up to {max_code}",
+            )
+        if composites > self._reach:
+            raise self._reach_error(3 * (self._reach + 1))
+        table = [(0, EMPTY)] + singles
+        table += zip(
+            range(3, 3 * composites + 1, 3),
+            itertools.islice(_stable_words(self._letters), composites),
         )
+        table.sort()
+        self._remember(table)
+        return table
 
 
 def coding_table(graph: Graph, **kwargs) -> CodingTable:

@@ -23,6 +23,7 @@ from .words import (
     format_word,
     invert_word,
     power,
+    preview_word,
     reduce_word,
     word_key,
 )
@@ -39,18 +40,13 @@ class DehnBudgetError(RuntimeError):
     shows only the first letters of the word and its length.
     """
 
-    PREVIEW_LETTERS = 8
-
     def __init__(self, budget: int, used: int, word: Word):
         self.budget = budget
         self.used = used
         self.word = word
-        shown = format_word(word[: self.PREVIEW_LETTERS])
-        if len(word) > self.PREVIEW_LETTERS:
-            shown += " …"
         super().__init__(
             f"Dehn step budget {budget} exceeded (used {used} of {budget}) "
-            f"on {shown} ({len(word)} letters)"
+            f"on {preview_word(word)}"
         )
 
 

@@ -9,6 +9,7 @@ verify such witnesses by brute force at desk scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -34,6 +35,11 @@ NONEDGE_ORDER = 13
 GeneratorMap = Tuple[Word, ...]
 
 
+class InducedMapError(RuntimeError):
+    """A map that the theory makes a homomorphism failed the relator check:
+    a bug, never an answer."""
+
+
 def relator_seeds(t: Graph):
     seeds = [power((gen(i),), GENERATOR_ORDER) for i in range(t.n)]
     for i, j in itertools.combinations(range(t.n), 2):
@@ -42,6 +48,10 @@ def relator_seeds(t: Graph):
     return seeds
 
 
+# A Presentation is immutable and Graph is a frozen dataclass, so the last
+# few presentations are shared; a larger cache costs memory in processes
+# that build many small tables.
+@functools.lru_cache(maxsize=8)
 def relators_from_graph(t: Graph) -> Presentation:
     return Presentation(t.n, symmetrize(relator_seeds(t)))
 
@@ -193,8 +203,11 @@ def iso_search(t: Graph, s: Graph, budget: int = DEFAULT_DEHN_BUDGET):
     p_s = relators_from_graph(s)
     fwd = induced_hom(t, s, rho)
     bwd = induced_hom(s, t, tuple(inv))
-    assert is_homomorphism(p_t, p_s, fwd, budget)
-    assert is_homomorphism(p_s, p_t, bwd, budget)
+    for src, dst, gm in ((p_t, p_s, fwd), (p_s, p_t, bwd)):
+        if not is_homomorphism(src, dst, gm, budget):
+            raise InducedMapError(
+                f"the map induced by the graph isomorphism {rho} is not a homomorphism"
+            )
     for i in range(t.n):
         if not p_t.equal(apply_hom(bwd, fwd[i]), (gen(i),), budget):
             return None

@@ -120,3 +120,15 @@ def format_word(w: Sequence[Letter]) -> str:
     return " ".join(
         ("g" if c > 0 else "G") + str(abs(c) - 1) for c in w
     )
+
+
+PREVIEW_LETTERS = 8
+
+
+def preview_word(w: Sequence[Letter]) -> str:
+    """The first PREVIEW_LETTERS letters of w and its length, for error
+    messages."""
+    shown = format_word(w[:PREVIEW_LETTERS])
+    if len(w) > PREVIEW_LETTERS:
+        shown += " …"
+    return f"{shown} ({len(w)} letters)"

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,6 +217,15 @@ def test_budget_exit(k2):
     assert code == EXIT_BUDGET
     assert "budget-error:" in out
     assert "budget 1 " in out and "(80 letters)" in out
+    assert len(out.strip()) < 200
+
+
+def test_max_code_beyond_reach_is_a_quick_budget_error(p3):
+    start = time.perf_counter()
+    code, out = run("--max-code", "1000000000000", "code", p3)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BUDGET
+    assert out.startswith("budget-error: element budget max_elements = 500000 exceeded")
     assert len(out.strip()) < 200
 
 

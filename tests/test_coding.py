@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+from typing import Iterator, List
 
 import pytest
 
@@ -6,6 +9,8 @@ from sixthgroups.coding import (
     MAX_REP_LEN,
     CodingBudgetError,
     CodingTable,
+    _rank,
+    _unrank,
     default_star_conj_bound,
     format_partial_map,
     oracle_aut_extends,
@@ -13,8 +18,8 @@ from sixthgroups.coding import (
     sigma_ns_nonempty,
     validate_partial_map,
 )
-from sixthgroups.graphs import graph
-from sixthgroups.words import EMPTY, invert_word, parse_word, power
+from sixthgroups.graphs import graph, graphs_up_to
+from sixthgroups.words import EMPTY, Word, gen, invert_word, letter_key, parse_word, power
 
 K2 = graph(2, [(0, 1)])
 K1 = graph(1, [])
@@ -200,3 +205,157 @@ def test_max_rep_len_is_sharp():
     w2 = invert_word(power((2, 1), 5) + (2,))
     assert w1 != w2 and len(w1) == len(w2) == MAX_REP_LEN + 1
     assert p.equal(w1, w2)
+
+
+# -- closed-form coding against the enumeration it replaced --------------
+
+
+def _stable_words_of_length(alphabet_size: int, length: int) -> Iterator[Word]:
+    """Oracle: freely reduced words with single-generator runs of exponent
+    magnitude <= 3, in lex order of the shortlex letter order."""
+    letters = sorted(
+        [gen(i) for i in range(alphabet_size)]
+        + [-gen(i) for i in range(alphabet_size)],
+        key=letter_key,
+    )
+
+    def extend(prefix: List[int], run: int):
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for c in letters:
+            if prefix:
+                last = prefix[-1]
+                if last == -c:
+                    continue
+                if last == c and run >= 3:
+                    continue
+            prefix.append(c)
+            yield from extend(prefix, run + 1 if prefix[-2:-1] == [c] else 1)
+            prefix.pop()
+
+    yield from extend([], 0)
+
+
+def _oracle_composites(n: int) -> Iterator[Word]:
+    """Stable words of length 2..MAX_REP_LEN in shortlex order."""
+    for length in range(2, MAX_REP_LEN + 1):
+        yield from _stable_words_of_length(n, length)
+
+
+def _oracle_table(n: int, max_code: int) -> dict:
+    table = {0: EMPTY}
+    for i in range(n):
+        table[3 * i + 1] = (gen(i),)
+        table[3 * i + 2] = (-gen(i),)
+    for code, w in zip(range(3, max_code + 1, 3), _oracle_composites(n)):
+        table[code] = w
+    return {c: w for c, w in table.items() if c <= max_code}
+
+
+def test_coding_equals_enumeration_oracle():
+    for t in graphs_up_to(4):
+        oracle = _oracle_table(t.n, 3000)
+        # separate tables, so neither answer comes from the other's memo
+        by_code, by_word = CodingTable(t), CodingTable(t)
+        for c in range(3001):
+            if c in oracle:
+                assert by_code.word_of(c) == oracle[c], (t, c)
+                assert by_word.code_of(oracle[c]) == c, (t, c)
+            else:
+                assert not by_code.registrable(c), (t, c)
+        assert CodingTable(t).enumerate_to(3000) == sorted(oracle.items())
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_rank_unrank_round_trip(n):
+    words = itertools.islice(_oracle_composites(n), 100_000)
+    for r, w in enumerate(words):
+        # rank r at shortlex position r: ranks rise strictly
+        assert _rank(n, w) == r, w
+        assert _unrank(n, r) == w, r
+
+
+def test_star_on_p4_beyond_any_table():
+    p4 = graph(4, [(0, 1), (1, 2), (2, 3)])
+    ct = CodingTable(p4)
+    start = time.perf_counter()
+    product = ct.star(ct.code_of(parse_word("G3 G2 G1 G0")), ct.code_of(parse_word("g1 g2 g3")))
+    assert time.perf_counter() - start < 1.0
+    w = parse_word("G3 G2 G1 G0 g1 g2 g3")
+    assert product == CodingTable(p4).code_of(w)
+    assert CodingTable(p4).word_of(product) == w
+
+
+def test_top_code_at_eight_vertices():
+    ct = CodingTable(graph(8, []))
+    top = 1_973_260_710_720  # 3 * (number of stable words of 2..10 letters)
+    last = parse_word("G7 G7 G7 G6 G7 G7 G7 G6 G7 G7")
+    assert ct.code_of(last) == top
+    assert CodingTable(graph(8, [])).word_of(top) == last
+    assert ct.registrable(top)
+    with pytest.raises(CodingBudgetError):
+        ct.registrable(top + 3)
+
+
+def test_memos_are_bounded():
+    t = graph(3, [(0, 1)])
+    ct = CodingTable(t, max_elements=50)
+    oracle = _oracle_table(t.n, 3000)
+    codes = random.Random(5).sample(sorted(oracle), 200)
+    for c in codes:
+        assert ct.word_of(c) == oracle[c]
+        assert ct.code_of(oracle[c]) == c
+    for c in codes[:20]:
+        assert ct.star(c, c) == ct.code_of(oracle[c] + oracle[c])
+    assert len(ct.code_to_word) <= 50
+    assert len(ct.word_to_code) <= 50
+    assert len(ct._star_cache) <= 50
+
+
+def test_codes_beyond_reach():
+    # on two or more vertices the group is infinite: a code past the last
+    # representative of MAX_REP_LEN letters exists, but the coding cannot
+    # reach it
+    ct = CodingTable(K2)
+    top = 3 * sum(
+        1 for length in range(2, MAX_REP_LEN + 1) for _ in _stable_words_of_length(2, length)
+    )
+    assert ct.registrable(top)
+    assert len(ct.word_of(top)) == MAX_REP_LEN
+    for call in (ct.registrable, ct.word_of, ct.enumerate_to):
+        with pytest.raises(CodingBudgetError, match="MAX_REP_LEN"):
+            call(top + 3)
+    # on one vertex (Z/7) the count is exact
+    z7 = CodingTable(K1)
+    assert not z7.registrable(15)
+    with pytest.raises(KeyError):
+        z7.word_of(15)
+    assert len(z7.enumerate_to(10**12)) == 7
+
+
+def test_enumerate_to_checks_size_first():
+    ct = CodingTable(P3)
+    start = time.perf_counter()
+    with pytest.raises(CodingBudgetError, match="max_elements") as err:
+        ct.enumerate_to(10**12)
+    assert time.perf_counter() - start < 0.1
+    # the identity, six generator codes and every multiple of 3 up to 10^12
+    assert (err.value.budget, err.value.used) == (ct.max_elements, 7 + 10**12 // 3)
+    assert len(ct.code_to_word) == 1
+
+
+def test_coding_budget_error_fields_and_message():
+    w = power((1, 2, 2), 27)  # g0 g1 g1 has infinite order
+    with pytest.raises(CodingBudgetError) as err:
+        CodingTable(K2).code_of(w)
+    e = err.value
+    assert (e.budget, e.used, e.word) == (MAX_REP_LEN, 81, w)
+    msg = str(e)
+    assert "MAX_REP_LEN" in msg and "(81 letters)" in msg
+    assert "g0 g1 g1 g0 g1 g1 g0 g1 …" in msg and "g0 g1 g1 g0 g1 g1 g0 g1 g1" not in msg
+    assert len(msg) < 200
+    with pytest.raises(CodingBudgetError) as err:
+        CodingTable(K2, max_elements=5).enumerate_to(30)
+    assert (err.value.budget, err.value.used) == (5, 15)
+    assert "max_elements" in str(err.value) and len(str(err.value)) < 200

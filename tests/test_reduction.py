@@ -1,7 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+from sixthgroups import reduction
 from sixthgroups.graphs import graph
 from sixthgroups.reduction import (
     EDGE_ORDER,
@@ -170,3 +174,34 @@ def test_iso_search():
     )
     assert iso_search(P3, K3) is None
     assert iso_search(K2, K3) is None
+
+
+def test_relator_cache_is_shared_and_bounded():
+    assert relators_from_graph(graph(3, [(0, 1), (1, 2)])) is relators_from_graph(P3)
+    for n in range(1, 6):
+        for k in range(n):
+            relators_from_graph(graph(n, [(i, i + 1) for i in range(k)]))
+    info = relators_from_graph.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+
+
+def test_iso_search_check_survives_optimised_mode():
+    # python -O strips assert statements; the check must not be one
+    script = (
+        "from sixthgroups import reduction\n"
+        "from sixthgroups.graphs import graph\n"
+        "reduction.is_homomorphism = lambda *args: False\n"
+        "try:\n"
+        "    reduction.iso_search(graph(2, [(0, 1)]), graph(2, [(0, 1)]))\n"
+        "except reduction.InducedMapError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(reduction.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.stdout == "raised\n", proc.stderr
