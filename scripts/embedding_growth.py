@@ -5,7 +5,7 @@ vertex value reached and the failure rate against the prime-index
 budget.  Dense graphs blow up through iterated nth-prime growth; this
 script makes the desk-scale boundary visible.
 
-Usage: python scripts/rado_embedding_growth.py [--n 8] [--trials 50]
+Usage: python scripts/embedding_growth.py [--n 8] [--trials 50]
 """
 
 import argparse

@@ -42,7 +42,6 @@ from .words import (
     invert_word,
     letter_key,
     preview_word,
-    word_key,
 )
 
 MAX_REP_LEN = 10
@@ -304,10 +303,6 @@ class CodingTable:
         return table
 
 
-def coding_table(graph: Graph, **kwargs) -> CodingTable:
-    return CodingTable(graph, **kwargs)
-
-
 # -- partial maps on codes ---------------------------------------------
 
 PartialMap = Dict[int, int]
@@ -351,10 +346,6 @@ class ExtensionWitness:
     k: int
     k_inv: int
     l: int
-
-
-def _conjugator_words(n: int, bound: int) -> List[Word]:
-    return sorted(reduced_words(n, bound), key=word_key)
 
 
 def default_star_conj_bound(ct: CodingTable, s: PartialMap) -> int:
@@ -416,11 +407,16 @@ def sigma_ns_nonempty(
     # Everything else in the domain (composites and inverse-generator
     # codes) is checked through the induced action.
     other_dom = sorted(c for c in s if c % 3 != 1)
+    conjugators = list(reduced_words(ct.graph.n, bound))
+    # (k, k_inv) per conjugator, coded when first reached: a witness found
+    # early never codes the longer conjugators, which may be out of reach
+    codes: Dict[Word, Tuple[int, int]] = {}
     for rho in automorphisms(ct.graph):
         for l in (0, 1):
-            for t in _conjugator_words(ct.graph.n, bound):
-                k = ct.code_of(t)
-                k_inv = ct.code_of(invert_word(t))
+            for t in conjugators:
+                if t not in codes:
+                    codes[t] = (ct.code_of(t), ct.code_of(invert_word(t)))
+                k, k_inv = codes[t]
                 if any(
                     s[3 * i + 1]
                     != ct.star(k, ct.star(3 * rho[i] + 1 + l, k_inv))
@@ -457,46 +453,13 @@ def oracle_aut_extends(
     for c in itertools.chain(s.keys(), s.values()):
         if not ct.registrable(c):
             return False
+    conjugators = list(reduced_words(ct.graph.n, bound))
     for rho in automorphisms(ct.graph):
         for eps in (1, -1):
-            for t in _conjugator_words(ct.graph.n, bound):
+            for t in conjugators:
                 if all(
                     ct.code_of(_theta_image(ct, ct.word_of(c), rho, eps, t)) == v
                     for c, v in s.items()
                 ):
                     return True
     return False
-
-
-# -- bulk row computation (used by the equivalence tests) ---------------
-
-
-def checker_rows(ct: CodingTable, bound: int, codes) -> set:
-    """Code-action rows of every checker witness, via star arithmetic."""
-    rows = set()
-    for rho in automorphisms(ct.graph):
-        for l in (0, 1):
-            for t in _conjugator_words(ct.graph.n, bound):
-                k = ct.code_of(t)
-                k_inv = ct.code_of(invert_word(t))
-                rows.add(
-                    tuple(
-                        _witness_action(ct, c, rho, l, k, k_inv) for c in codes
-                    )
-                )
-    return rows
-
-
-def oracle_rows(ct: CodingTable, bound: int, codes) -> set:
-    """Code-action rows of every canonical automorphism, via the group."""
-    rows = set()
-    for rho in automorphisms(ct.graph):
-        for eps in (1, -1):
-            for t in _conjugator_words(ct.graph.n, bound):
-                rows.add(
-                    tuple(
-                        ct.code_of(_theta_image(ct, ct.word_of(c), rho, eps, t))
-                        for c in codes
-                    )
-                )
-    return rows

@@ -22,7 +22,6 @@ from .words import (
     cyclic_reduce,
     format_word,
     invert_word,
-    power,
     preview_word,
     reduce_word,
     word_key,
@@ -183,10 +182,10 @@ class Presentation:
             f"|R|={len(self.relators.relators)})"
         )
 
-    def _find_dehn_step(self, w: Sequence[Letter], start: int):
-        """Leftmost (from start), then longest subword u that is a prefix of
-        some relator r with |u| > |r|/2.  Returns (pos, length, relator) or
-        None."""
+    def _find_dehn_step(self, w: Sequence[Letter], start: int, cap: int):
+        """Leftmost (from start), then longest subword u of at most cap
+        letters that is a prefix of some relator r with |u| > |r|/2.
+        Returns (pos, length, relator) or None."""
         n = len(w)
         root = self._root
         for i in range(start, n - self._min_step_len + 1):
@@ -197,7 +196,7 @@ class Presentation:
                 if node is None:
                     break
                 length = d - i + 1
-                if 2 * length > node.min_len:
+                if 2 * length > node.min_len and length <= cap:
                     hit = (length, node.best)
             if hit is not None:
                 return i, hit[0], hit[1]
@@ -219,16 +218,21 @@ class Presentation:
         would lie wholly inside letters that did not change, where the
         previous scan found none.
         """
+        return self._reduce(w, budget, 0, w)[0]
+
+    def _reduce(self, w: Word, budget: int, used: int, origin: Word) -> Tuple[Word, int]:
+        """``dehn_reduce`` with its step count: w's normal form and the
+        steps used so far, counting on from ``used``.  A budget error names
+        ``origin``, the word the caller was asked to reduce."""
         if not self._letters.issuperset(w):
             raise self._alphabet_error(w)
         word = list(reduce_word(w))
         max_len = self._max_relator_len
-        steps = 0
         start = 0
-        while (step := self._find_dehn_step(word, start)) is not None:
-            steps += 1
-            if steps > budget:
-                raise DehnBudgetError(budget, budget, w)
+        while (step := self._find_dehn_step(word, start, len(word))) is not None:
+            used += 1
+            if used > budget:
+                raise DehnBudgetError(budget, budget, origin)
             i, length, r = step
             # r = u . s with u the matched prefix; replace u by s^{-1}.  The
             # prefix word[:i], the complement and the suffix word[i+length:]
@@ -248,7 +252,7 @@ class Presentation:
                     b += 1
             word[a:b] = comp[lo:hi]
             start = max(0, a - max_len)
-        return tuple(word)
+        return tuple(word), used
 
     def is_identity(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> bool:
         return self.dehn_reduce(w, budget) == EMPTY
@@ -261,31 +265,43 @@ class Presentation:
         return self.is_identity(concat(w1, invert_word(w2)), budget)
 
     def cyclic_dehn_reduce(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> Word:
-        """Cyclically reduce, then Dehn-reduce rotations until stable."""
-        current = self.dehn_reduce(w, budget)
+        """Some cyclically Dehn-reduced conjugate of w: cyclically reduced,
+        and no rotation has a Dehn step.  Which rotation is returned is
+        unspecified.
+
+        After ``dehn_reduce`` and ``cyclic_reduce`` a step can only wrap
+        round the end of the core, so one scan of core + core[:m - 1]
+        (m = min(longest relator, |core|)) from |core| - m + 1 finds it;
+        a match may use at most |core| letters, each once.  The core is
+        rotated to start at the step and reduced again, which shortens it.
+        All rounds share one budget of Dehn steps.
+        """
+        core, used = self._reduce(w, budget, 0, w)
         while True:
-            current, _ = cyclic_reduce(current)
-            for rot in sorted(
-                ({current[i:] + current[:i] for i in range(len(current))} or {EMPTY}),
-                key=word_key,
-            ):
-                reduced = self.dehn_reduce(rot, budget)
-                if word_key(reduced) < word_key(rot):
-                    current = reduced
-                    break
-            else:
-                return current
+            core, _ = cyclic_reduce(core)
+            m = min(self._max_relator_len, len(core))
+            step = self._find_dehn_step(core + core[: m - 1], len(core) - m + 1, len(core))
+            if step is None:
+                return core
+            i = step[0]
+            core, used = self._reduce(core[i:] + core[:i], budget, used, w)
 
     def order(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET):
         """Order of the element w, or INFINITE.
 
-        Valid for sixth groups with populated roots: a finite-order
-        element cyclically reduces to a cyclic permutation of a power of
-        some root v with v^n a relator.
+        Valid for sixth groups with populated roots.  By the torsion
+        theorem (Lyndon-Schupp, Combinatorial Group Theory, Ch. V) a
+        finite-order element cyclically reduces to a rotation of root^k or
+        its inverse, for some root with root^n a relator and 0 < k < n.
+        Such a core is shorter than its relator, so a core of at least the
+        longest relator's length has infinite order.  ``budget`` bounds
+        all the Dehn steps of the call.
         """
         core = self.cyclic_dehn_reduce(w, budget)
         if not core:
             return 1
+        if len(core) >= self._max_relator_len:
+            return INFINITE
         rotations = {core[i:] + core[:i] for i in range(len(core))}
         for root, n in sorted(self.relators.roots, key=lambda rn: word_key(rn[0])):
             if len(core) % len(root) != 0:

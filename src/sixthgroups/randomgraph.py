@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Set
 
 from .graphs import Graph
 
-DEFAULT_MAX_PRIME_INDEX = 20_000_000
+MAX_PRIME_INDEX = 20_000_000
 _SCAN_LIMIT = 2_000_000
 _MAX_SIEVE = 200_000_000
 
@@ -52,13 +52,13 @@ def _extend_sieve(limit: int) -> None:
     _sieve_limit = limit
 
 
-def nth_prime(i: int, max_index: int = DEFAULT_MAX_PRIME_INDEX) -> int:
+def nth_prime(i: int) -> int:
     """The i-th prime with p_0 = 2."""
     if i < 0:
         raise ValueError("negative prime index")
-    if i > max_index:
+    if i > MAX_PRIME_INDEX:
         raise PrimeBudgetError(
-            f"prime index {i} exceeds budget {max_index}; the requested "
+            f"prime index {i} exceeds budget {MAX_PRIME_INDEX}; the requested "
             f"construction is out of desk-scale range"
         )
     while i >= len(_primes):
@@ -115,42 +115,38 @@ def _check_vertex(v: int) -> None:
         raise ValueError(f"vertex {v} out of range: vertices start at 2")
 
 
-def adjacent(m: int, n: int, max_index: int = DEFAULT_MAX_PRIME_INDEX) -> bool:
+def adjacent(m: int, n: int) -> bool:
     _check_vertex(m)
     _check_vertex(n)
     if m == n:
         raise ValueError("adjacency is only defined for distinct vertices")
     # p_k > k, so p_m can only divide n if m < n (and vice versa).
     if m < n:
-        return n % nth_prime(m, max_index) == 0
-    return m % nth_prime(n, max_index) == 0
+        return n % nth_prime(m) == 0
+    return m % nth_prime(n) == 0
 
 
-def _valid_witness(x: int, a: Set[int], b: Set[int], max_index: int) -> bool:
+def _valid_witness(x: int, a: Set[int], b: Set[int]) -> bool:
     if x < 2 or x in a or x in b:
         return False
     larger = [v for v in a | b if v > x]
-    px = nth_prime(x, max_index) if larger else None
+    px = nth_prime(x) if larger else None
     for y in a:
         if y > x:
             if y % px != 0:
                 return False
-        elif x % nth_prime(y, max_index) != 0:
+        elif x % nth_prime(y) != 0:
             return False
     for z in b:
         if z > x:
             if z % px == 0:
                 return False
-        elif x % nth_prime(z, max_index) == 0:
+        elif x % nth_prime(z) == 0:
             return False
     return True
 
 
-def extension_witness(
-    a: Iterable[int],
-    b: Iterable[int],
-    max_index: int = DEFAULT_MAX_PRIME_INDEX,
-) -> int:
+def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
     """Least vertex adjacent to everything in a and nothing in b."""
     a, b = set(a), set(b)
     for v in a | b:
@@ -160,7 +156,7 @@ def extension_witness(
     if not a:
         # Plain scan; valid vertices have positive density.
         for x in range(2, _SCAN_LIMIT):
-            if _valid_witness(x, a, b, max_index):
+            if _valid_witness(x, a, b):
                 return x
         raise PrimeBudgetError(f"no witness found within scan limit {_SCAN_LIMIT}")
     # Candidates below the closed form: indices of primes dividing some
@@ -170,24 +166,24 @@ def extension_witness(
         for q in prime_factors(y):
             candidates.add(prime_index(q))
     for x in sorted(candidates):
-        if _valid_witness(x, a, b, max_index):
+        if _valid_witness(x, a, b):
             return x
     # Closed form: common multiples of {p_y : y in a}.
     m = 1
     for y in sorted(a):
-        m *= nth_prime(y, max_index)
+        m *= nth_prime(y)
     for k in range(1, 1001):
         x = k * m
-        if _valid_witness(x, a, b, max_index):
+        if _valid_witness(x, a, b):
             return x
     raise AssertionError("runaway witness search")
 
 
-def embed_graph(t: Graph, max_index: int = DEFAULT_MAX_PRIME_INDEX) -> Dict[int, int]:
+def embed_graph(t: Graph) -> Dict[int, int]:
     """Greedy induced embedding of t, vertex by vertex."""
     images: Dict[int, int] = {}
     for v in range(t.n):
         a = {images[u] for u in range(v) if t.adj(u, v)}
         b = {images[u] for u in range(v) if not t.adj(u, v)}
-        images[v] = extension_witness(a, b, max_index)
+        images[v] = extension_witness(a, b)
     return images

@@ -24,7 +24,6 @@ from .words import (
     invert_word,
     power,
     reduce_word,
-    word_key,
 )
 
 GENERATOR_ORDER = 7
@@ -175,9 +174,10 @@ def aut_canonical_check(
     if bound is None:
         bound = default_conj_bound(gm)
     pres = relators_from_graph(t)
+    conjugators = list(reduced_words(t.n, bound))
     for rho in automorphisms(t):
         for eps in (1, -1):
-            for conj in sorted(reduced_words(t.n, bound), key=word_key):
+            for conj in conjugators:
                 if all(
                     pres.equal(gm[i], conjugate(conj, (eps * gen(rho[i]),)), budget)
                     for i in range(t.n)

@@ -30,14 +30,6 @@ def gen(index: int, sign: int = 1) -> Letter:
     return sign * (index + 1)
 
 
-def letter_index(c: Letter) -> int:
-    return abs(c) - 1
-
-
-def letter_sign(c: Letter) -> int:
-    return 1 if c > 0 else -1
-
-
 def letter_key(c: Letter) -> int:
     # v_i comes before v_i^{-1}; smaller indices first.
     return 2 * (abs(c) - 1) + (0 if c > 0 else 1)

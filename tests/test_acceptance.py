@@ -8,12 +8,11 @@ import itertools
 import random
 import time
 
+from coding_rows import checker_rows, oracle_rows
 from sixthgroups.coding import (
     CodingBudgetError,
     CodingTable,
-    checker_rows,
     oracle_aut_extends,
-    oracle_rows,
     sigma_ns_nonempty,
 )
 from sixthgroups.graphs import (

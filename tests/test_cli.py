@@ -218,6 +218,11 @@ def test_budget_exit(k2):
     assert "budget-error:" in out
     assert "budget 1 " in out and "(80 letters)" in out
     assert len(out.strip()) < 200
+    # one step in each of two rounds of cyclic reduction: the budget
+    # covers both
+    w = "g0 g0 g1 g1 g1 g1 g0 g0"
+    assert run("--dehn-budget", "1", "order", k2, w)[0] == EXIT_BUDGET
+    assert run("--dehn-budget", "2", "order", k2, w) == (0, "order: INFINITE\n")
 
 
 def test_max_code_beyond_reach_is_a_quick_budget_error(p3):

@@ -144,6 +144,10 @@ def test_sigma_spec_examples():
     assert ok and w.k == 0 and w.l == 0 and dict(w.r) == {0: 1}
     ok, _ = sigma_ns_nonempty(ct, {0: 1}, 0)
     assert not ok
+    # the first conjugator already works; those of 11 letters, past the
+    # reach of the coding, are never coded
+    ok, w = sigma_ns_nonempty(ct, {1: 1}, 11)
+    assert ok and w.k == 0
 
 
 def test_sigma_rejects_unregistrable():

@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +23,13 @@ from sixthgroups.presentation import (
 from sixthgroups.reduction import relators_from_graph
 from sixthgroups.words import (
     EMPTY,
+    cyclic_reduce,
     format_word,
     invert_word,
     parse_word,
     power,
     reduce_word,
+    word_key,
 )
 
 K2 = graph(2, [(0, 1)])
@@ -67,6 +72,36 @@ def _naive_dehn_reduce(pres, w):
         i, length, r = step
         complement = invert_word(r[length:])
         w = reduce_word(w[:i] + complement + w[i + length :])
+
+
+def _rotation_sorting_order(pres, w):
+    """Reference order: Dehn-reduce the rotations of the core in shortlex
+    order, round after round, until no rotation shortens, then look the
+    core up among the rotations of each root power."""
+    current = pres.dehn_reduce(w)
+    while True:
+        current, _ = cyclic_reduce(current)
+        for rot in sorted(
+            ({current[i:] + current[:i] for i in range(len(current))} or {EMPTY}),
+            key=word_key,
+        ):
+            reduced = pres.dehn_reduce(rot)
+            if word_key(reduced) < word_key(rot):
+                current = reduced
+                break
+        else:
+            break
+    core = current
+    if not core:
+        return 1
+    rotations = {core[i:] + core[:i] for i in range(len(core))}
+    for root, n in sorted(pres.relators.roots, key=lambda rn: word_key(rn[0])):
+        if len(core) % len(root) != 0:
+            continue
+        k = len(core) // len(root)
+        if root * k in rotations or invert_word(root) * k in rotations:
+            return n // math.gcd(k, n)
+    return INFINITE
 
 
 def test_primitive_root():
@@ -316,3 +351,91 @@ def test_equal_is_congruence(a, b):
     if P_K2.equal(a, b):
         assert P_K2.equal(invert_word(a), invert_word(b))
         assert P_K2.equal(a + (1,), b + (1,))
+
+
+def _conjugates(rng, pres):
+    """Seeded conjugates t w t^-1 of powers of v_i and v_i v_j and of
+    random words, with t a random word or a relator prefix."""
+    n = pres.alphabet_size
+    rels = pres.relators.sorted_relators()
+
+    def random_word(length):
+        return reduce_word(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(length))
+        )
+
+    for _ in range(40):
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        kind = rng.random()
+        if kind < 0.3:
+            w = power((rng.choice((i, -i)),), rng.randint(1, 14))
+        elif kind < 0.7 and i != j:
+            w = power((i, rng.choice((j, -j))), rng.randint(1, 27))
+        else:
+            w = random_word(rng.randint(1, 30))
+        if rng.random() < 0.5:
+            r = rng.choice(rels)
+            t = r[: rng.randint(1, len(r))]
+        else:
+            t = random_word(rng.randint(0, 6))
+        yield reduce_word(t + w + invert_word(t))
+
+
+def test_order_matches_rotation_sorting_oracle():
+    rng = random.Random(20171106)
+    finite = 0
+    for n in range(1, 9):
+        for _ in range(3):
+            pres = relators_from_graph(_random_graph(rng, n))
+            for w in _conjugates(rng, pres):
+                expected = _rotation_sorting_order(pres, w)
+                assert pres.order(w) == expected, (n, format_word(w))
+                finite += expected != INFINITE
+                # the core is cyclically Dehn-reduced: no rotation has a step
+                core = pres.cyclic_dehn_reduce(w)
+                for i in range(len(core)):
+                    rot = core[i:] + core[:i]
+                    assert pres.dehn_reduce(rot) == rot, (n, format_word(w))
+    assert finite > 300
+
+
+def test_cyclic_dehn_reduce_uses_no_letter_twice():
+    # g0^3 wraps round to g0^4, a Dehn step, only by reusing a letter
+    assert Z7.cyclic_dehn_reduce(power((1,), 3)) == power((1,), 3)
+    assert Z7.order(power((1,), 3)) == 7
+    assert P_K2.order(power((1, 2), 5)) == 11
+
+
+def test_order_of_long_word_is_fast():
+    c8 = relators_from_graph(graph(8, [(i, (i + 1) % 8) for i in range(8)]))
+    rng = random.Random(8)
+    w = [1]
+    while len(w) < 4000:
+        c = rng.choice((1, -1)) * rng.randint(1, 8)
+        if c != -w[-1]:
+            w.append(c)
+    w = tuple(w)
+    start = time.monotonic()
+    assert c8.order(w) == INFINITE
+    assert time.monotonic() - start < 1.0
+    # no table of rotations: a set of all 4 000 would hold 16 M letters
+    tracemalloc.start()
+    try:
+        c8.order(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_order_budget_covers_all_rounds():
+    # dehn_reduce rewrites g1^4 (one step); the core g0^2 G1^3 g0^2 then
+    # wraps round to g0^4, one more step in a second round
+    w = parse_word("g0 g0 g1 g1 g1 g1 g0 g0")
+    assert P_K2.dehn_reduce(w, budget=1) == parse_word("g0 g0 G1 G1 G1 g0 g0")
+    rotated = parse_word("g0 g0 g0 g0 G1 G1 G1")
+    assert P_K2.dehn_reduce(rotated, budget=1) == parse_word("G0 G0 G0 G1 G1 G1")
+    with pytest.raises(DehnBudgetError) as info:
+        P_K2.order(w, budget=1)
+    assert (info.value.budget, info.value.word) == (1, w)
+    assert P_K2.order(w, budget=2) == INFINITE

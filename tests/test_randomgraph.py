@@ -21,13 +21,15 @@ from sixthgroups.randomgraph import (
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 
-def test_nth_prime_frozen():
+def test_nth_prime_frozen(monkeypatch):
     assert [nth_prime(i) for i in range(13)] == FIRST_PRIMES
     assert nth_prime(999) == sympy.prime(1000)
     with pytest.raises(ValueError):
         nth_prime(-1)
+    monkeypatch.setattr(randomgraph, "MAX_PRIME_INDEX", 5)
+    assert nth_prime(5) == 13
     with pytest.raises(PrimeBudgetError):
-        nth_prime(10, max_index=5)
+        nth_prime(10)
 
 
 def test_prime_index_inverts():
@@ -140,7 +142,8 @@ def test_embed_preserves_adjacency():
         assert adjacent(images[i], images[j]) == g.adj(i, j)
 
 
-def test_dense_embedding_exceeds_budget_honestly():
+def test_dense_embedding_exceeds_budget_honestly(monkeypatch):
     k8 = graph(8, [(i, j) for i, j in itertools.combinations(range(8), 2)])
+    monkeypatch.setattr(randomgraph, "MAX_PRIME_INDEX", 10_000)
     with pytest.raises(PrimeBudgetError):
-        embed_graph(k8, max_index=10_000)
+        embed_graph(k8)

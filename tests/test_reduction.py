@@ -24,7 +24,7 @@ from sixthgroups.reduction import (
     relators_from_graph,
     relator_seeds,
 )
-from sixthgroups.words import EMPTY, gen, power
+from sixthgroups.words import EMPTY, gen, power, word_key
 
 K2 = graph(2, [(0, 1)])
 P3 = graph(3, [(0, 1), (1, 2)])
@@ -115,6 +115,13 @@ def test_reduced_words_count_and_order():
     assert ws[0] == EMPTY
     assert ws[1:5] == [(1,), (-1,), (2,), (-2,)]
     assert all(len(w) <= 2 for w in ws)
+    # strictly increasing shortlex keys, and every freely reduced word
+    for n in range(1, 5):
+        for length in range(4):
+            keys = [word_key(w) for w in reduced_words(n, length)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (n, length)
+            count = 1 + sum(2 * n * (2 * n - 1) ** (m - 1) for m in range(1, length + 1))
+            assert len(keys) == count
 
 
 def test_aut_canonical_check_recovers():

@@ -11,9 +11,7 @@ from sixthgroups.words import (
     gen,
     invert_word,
     is_cyclically_reduced,
-    letter_index,
     letter_key,
-    letter_sign,
     parse_word,
     power,
     reduce_word,
@@ -29,8 +27,6 @@ def test_gen_letters():
     assert gen(0) == 1
     assert gen(0, -1) == -1
     assert gen(2) == 3
-    assert letter_index(-3) == 2
-    assert letter_sign(-3) == -1
     with pytest.raises(ValueError):
         gen(-1)
     with pytest.raises(ValueError):
