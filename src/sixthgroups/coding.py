@@ -407,13 +407,13 @@ def sigma_ns_nonempty(
     # Everything else in the domain (composites and inverse-generator
     # codes) is checked through the induced action.
     other_dom = sorted(c for c in s if c % 3 != 1)
-    conjugators = list(reduced_words(ct.graph.n, bound))
     # (k, k_inv) per conjugator, coded when first reached: a witness found
-    # early never codes the longer conjugators, which may be out of reach
+    # early never codes the longer conjugators, which may be out of reach.
+    # The ball is walked afresh for each (rho, l), never held as a list.
     codes: Dict[Word, Tuple[int, int]] = {}
     for rho in automorphisms(ct.graph):
         for l in (0, 1):
-            for t in conjugators:
+            for t in reduced_words(ct.graph.n, bound):
                 if t not in codes:
                     codes[t] = (ct.code_of(t), ct.code_of(invert_word(t)))
                 k, k_inv = codes[t]
@@ -453,10 +453,9 @@ def oracle_aut_extends(
     for c in itertools.chain(s.keys(), s.values()):
         if not ct.registrable(c):
             return False
-    conjugators = list(reduced_words(ct.graph.n, bound))
     for rho in automorphisms(ct.graph):
         for eps in (1, -1):
-            for t in conjugators:
+            for t in reduced_words(ct.graph.n, bound):
                 if all(
                     ct.code_of(_theta_image(ct, ct.word_of(c), rho, eps, t)) == v
                     for c, v in s.items()

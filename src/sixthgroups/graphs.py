@@ -156,14 +156,19 @@ def graph_iso(t: Graph, s: Graph) -> Optional[Tuple[int, ...]]:
     return induced_embeds(t, s)
 
 
+def is_automorphism(g: Graph, perm: Tuple[int, ...]) -> bool:
+    """Whether the permutation perm of g's vertices preserves adjacency."""
+    return all(
+        g.adj(i, j) == g.adj(perm[i], perm[j])
+        for i, j in itertools.combinations(range(g.n), 2)
+    )
+
+
 def automorphisms(g: Graph) -> list:
     return [
         perm
         for perm in itertools.permutations(range(g.n))
-        if all(
-            g.adj(i, j) == g.adj(perm[i], perm[j])
-            for i, j in itertools.combinations(range(g.n), 2)
-        )
+        if is_automorphism(g, perm)
     ]
 
 

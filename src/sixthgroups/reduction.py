@@ -3,8 +3,9 @@
 G_T is generated by one v_i per vertex, with relators v_i^7, and
 (v_i v_j)^11 on edges / (v_i v_j)^13 on non-edges.  Every automorphism
 of G_T has the canonical form theta(v_i) = t v_{rho(i)}^eps t^{-1} with
-rho a graph automorphism and eps = +/-1; the searches below recover and
-verify such witnesses by brute force at desk scale.
+rho a graph automorphism and eps = +/-1.  ``aut_canonical_check`` reads
+rho and eps off the cyclic Dehn cores of the images and searches only
+for the conjugator t, among the words of bounded length.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .graphs import Graph, automorphisms, graph_iso
+from .graphs import Graph, graph_iso, is_automorphism
 from .presentation import DEFAULT_DEHN_BUDGET, Presentation, symmetrize
 from .words import (
     EMPTY,
@@ -167,22 +168,37 @@ def aut_canonical_check(
 ) -> Optional[CanonicalAuto]:
     """Search for (rho, eps, t) with gm(i) = t v_{rho(i)}^eps t^{-1} in G_T.
 
-    Returns the first witness in (rho, eps, conjugator) shortlex order,
-    or None.  Together with is_homomorphism, a witness certifies that gm
-    defines an automorphism of G_T.
+    By the torsion theorem such an image cyclically Dehn-reduces to the
+    single letter v_{rho(i)}^eps, and distinct letters are not conjugate,
+    so rho and eps are read off the cyclic cores of the images: no other
+    pair can have a witness.  rho must be a graph automorphism; then the
+    conjugators of length <= bound are tried in shortlex order.  Returns
+    the first witness in (rho, eps, conjugator) shortlex order, the one a
+    search over all of Aut(T) finds, or None.  Together with
+    is_homomorphism, a witness certifies that gm defines an automorphism
+    of G_T.
     """
+    if len(gm) != t.n:
+        raise ValueError("generator map has wrong arity")
     if bound is None:
         bound = default_conj_bound(gm)
     pres = relators_from_graph(t)
-    conjugators = list(reduced_words(t.n, bound))
-    for rho in automorphisms(t):
-        for eps in (1, -1):
-            for conj in conjugators:
-                if all(
-                    pres.equal(gm[i], conjugate(conj, (eps * gen(rho[i]),)), budget)
-                    for i in range(t.n)
-                ):
-                    return CanonicalAuto(rho, eps, conj)
+    cores = [pres.cyclic_dehn_reduce(w, budget) for w in gm]
+    if any(len(core) != 1 for core in cores):
+        return None
+    eps = -1 if cores and cores[0][0] < 0 else 1
+    # A letter of the other sign gives a negative entry, which no
+    # permutation of range(t.n) has.
+    rho = tuple(eps * core[0] - 1 for core in cores)
+    if sorted(rho) != list(range(t.n)) or not is_automorphism(t, rho):
+        return None
+    images = [(eps * gen(v),) for v in rho]
+    for conj in reduced_words(t.n, bound):
+        if all(
+            pres.equal(gm[i], conjugate(conj, images[i]), budget)
+            for i in range(t.n)
+        ):
+            return CanonicalAuto(rho, eps, conj)
     return None
 
 

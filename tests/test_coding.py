@@ -5,6 +5,7 @@ from typing import Iterator, List
 
 import pytest
 
+from sixthgroups import coding
 from sixthgroups.coding import (
     MAX_REP_LEN,
     CodingBudgetError,
@@ -19,6 +20,7 @@ from sixthgroups.coding import (
     validate_partial_map,
 )
 from sixthgroups.graphs import graph, graphs_up_to
+from sixthgroups.reduction import reduced_words
 from sixthgroups.words import EMPTY, Word, gen, invert_word, letter_key, parse_word, power
 
 K2 = graph(2, [(0, 1)])
@@ -148,6 +150,26 @@ def test_sigma_spec_examples():
     # reach of the coding, are never coded
     ok, w = sigma_ns_nonempty(ct, {1: 1}, 11)
     assert ok and w.k == 0
+
+
+def test_deciders_walk_the_ball_lazily(monkeypatch):
+    # the first conjugator already works, so neither decider may list the
+    # radius-12 ball of K2 (1 062 881 words) before its first try
+    drawn = []
+
+    def counting(alphabet_size, max_len):
+        for w in reduced_words(alphabet_size, max_len):
+            drawn.append(w)
+            yield w
+
+    monkeypatch.setattr(coding, "reduced_words", counting)
+    ct = CodingTable(K2)
+    ok, w = sigma_ns_nonempty(ct, {1: 1}, 12)
+    assert ok and w.k == 0
+    assert len(drawn) < 10
+    drawn.clear()
+    assert oracle_aut_extends(ct, {1: 1}, 12)
+    assert len(drawn) < 10
 
 
 def test_sigma_rejects_unregistrable():

@@ -1,12 +1,13 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from sixthgroups import reduction
-from sixthgroups.graphs import graph
+from sixthgroups.graphs import automorphisms, graph, graphs_up_to
 from sixthgroups.reduction import (
     EDGE_ORDER,
     GENERATOR_ORDER,
@@ -24,7 +25,7 @@ from sixthgroups.reduction import (
     relators_from_graph,
     relator_seeds,
 )
-from sixthgroups.words import EMPTY, gen, power, word_key
+from sixthgroups.words import EMPTY, concat, gen, power, word_key
 
 K2 = graph(2, [(0, 1)])
 P3 = graph(3, [(0, 1), (1, 2)])
@@ -134,6 +135,95 @@ def test_aut_canonical_check_recovers():
         assert P_K2.equal(
             gm[i], conjugate(got.conj, (got.epsilon * gen(got.rho[i]),))
         )
+
+
+def brute_force_canonical(t, gm, bound=None):
+    """Oracle for aut_canonical_check: every rho in Aut(T), both signs and
+    every conjugator of length <= bound, in that shortlex order."""
+    if bound is None:
+        bound = default_conj_bound(gm)
+    pres = relators_from_graph(t)
+    conjugators = list(reduced_words(t.n, bound))
+    for rho in automorphisms(t):
+        for eps in (1, -1):
+            for conj in conjugators:
+                if all(
+                    pres.equal(gm[i], conjugate(conj, (eps * gen(rho[i]),)))
+                    for i in range(t.n)
+                ):
+                    return CanonicalAuto(rho, eps, conj)
+    return None
+
+
+def _sample_maps(t, rng):
+    """Generator maps of every kind the read-off must get right: canonical
+    ones, broken ones, and canonical ones written unusually."""
+    pres = relators_from_graph(t)
+    by_length = [[w for w in reduced_words(t.n, 2) if len(w) == k] for k in range(3)]
+
+    def conj():
+        # uniform in length, so that every bound sees both answers
+        return rng.choice(by_length[rng.randrange(3)])
+
+    aut = rng.choice(automorphisms(t))
+    eps = rng.choice((1, -1))
+    canonical = induced_hom(t, t, aut, epsilon=eps, conj=conj())
+    yield canonical
+    bijection = rng.sample(range(t.n), t.n)
+    yield induced_hom(t, t, bijection, epsilon=rng.choice((1, -1)), conj=conj())
+    c = conj()
+    # signs alternate: mixed on two or more vertices
+    yield tuple(conjugate(c, ((-1) ** k * eps * gen(aut[k]),)) for k in range(t.n))
+    i = rng.randrange(t.n)
+    yield canonical[:i] + (conjugate(c, power((gen(aut[i]),), 2)),) + canonical[i + 1 :]
+    r = rng.choice(pres.relators.sorted_relators())
+    yield canonical[:i] + (concat(canonical[i], r),) + canonical[i + 1 :]
+
+
+def test_read_off_matches_brute_force():
+    rng = random.Random(3)
+    cases = 0
+    for t in graphs_up_to(4):
+        for gm in _sample_maps(t, rng):
+            # a relator makes the default bound too large for the oracle
+            bounds = (0, 1, 2, None) if default_conj_bound(gm) <= 2 else (0, 1, 2)
+            for bound in bounds:
+                assert aut_canonical_check(t, gm, bound) == brute_force_canonical(
+                    t, gm, bound
+                ), (t, gm, bound)
+                cases += 1
+    assert cases >= 18 * 5 * 3
+
+
+def test_conjugated_letter_has_one_letter_core():
+    # the fact the read-off rests on: t v_j^eps t^-1 cyclically
+    # Dehn-reduces to the letter v_j^eps itself
+    for t in graphs_up_to(5):
+        pres = relators_from_graph(t)
+        for conj in reduced_words(t.n, 3 if t.n <= 3 else 2):
+            for c in itertools.chain(range(-t.n, 0), range(1, t.n + 1)):
+                core = pres.cyclic_dehn_reduce(conjugate(conj, (c,)))
+                assert core == (c,), (t, conj, c)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_complete_graph_needs_no_automorphism_list(n):
+    # |Aut(K_n)| = n!: a search over it took minutes at n = 8
+    t = graph(n, itertools.combinations(range(n), 2))
+    pres = relators_from_graph(t)
+    rho = tuple(reversed(range(n)))
+    gm = induced_hom(t, t, rho, epsilon=-1, conj=(1, 2, -1, 2))
+    assert aut_canonical_check(t, gm, bound=2) is None
+    got = aut_canonical_check(t, gm, bound=4)
+    assert got is not None and got.rho == rho and got.epsilon == -1
+    for i in range(n):
+        assert pres.equal(gm[i], conjugate(got.conj, (-gen(rho[i]),)))
+
+
+def test_aut_canonical_check_arity():
+    for gm in (((1,), (2,), (1,)), ((1,),)):
+        with pytest.raises(ValueError, match="wrong arity"):
+            aut_canonical_check(K2, gm)
 
 
 def test_aut_canonical_check_rejects():
