@@ -11,6 +11,7 @@ Usage: python scripts/embedding_growth.py [--n 8] [--trials 50]
 import argparse
 import itertools
 import random
+import sys
 
 from sixthgroups.graphs import graph
 from sixthgroups.randomgraph import PrimeBudgetError, adjacent, embed_graph
@@ -21,7 +22,8 @@ def trial(n, p, rng):
     t = graph(n, edges)
     images = embed_graph(t)
     for i, j in itertools.combinations(range(n), 2):
-        assert adjacent(images[i], images[j]) == t.adj(i, j)
+        if adjacent(images[i], images[j]) != t.adj(i, j):
+            sys.exit(f"embedding {images} of {sorted(t.edges)} breaks adjacency at {i}, {j}")
     return max(images.values())
 
 

@@ -1,9 +1,10 @@
 """Census of extendable partial maps on codes for a small graph.
 
 Enumerates every injective partial map s with dom(s), rng(s) inside a
-code range and |dom(s)| <= 2, runs both the arithmetic checker and the
-brute-force automorphism oracle, and prints agreement statistics plus
-any extendable map that needs a nontrivial conjugator.
+code range and |dom(s)| <= 2, runs both the checker (which reads rho
+and eps off the values of the generator codes and checks candidates in
+the group) and the brute-force automorphism oracle, and prints agreement
+statistics plus any extendable map that needs a nontrivial conjugator.
 
 Usage: python scripts/extension_census.py [--edges "0,1"] [--n 2]
 """

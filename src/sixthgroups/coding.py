@@ -1,6 +1,8 @@
 """The element coding of G_T onto the naturals and the induced code
 multiplication, plus the decision procedure for whether some group
-automorphism extends a finite partial injection on codes.
+automorphism extends a finite partial injection on codes: it reads rho
+and eps off the values and checks candidates in the group (see
+``sigma_ns_nonempty``).
 
 Code layout: 0 is the identity, 3i+1 is v_i, 3i+2 is v_i^{-1}, and every
 other element gets the least unused positive multiple of 3, in shortlex
@@ -33,7 +35,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, automorphisms
 from .presentation import DEFAULT_DEHN_BUDGET
-from .reduction import reduced_words, relators_from_graph
+from .reduction import (
+    automorphisms_extending,
+    conjugate,
+    read_off_letters,
+    reduced_words,
+    relators_from_graph,
+)
 from .words import (
     EMPTY,
     Word,
@@ -357,26 +365,6 @@ def default_star_conj_bound(ct: CodingTable, s: PartialMap) -> int:
     return max(((m - 1) // 2 for m in lens), default=0)
 
 
-def _letter_image_code(ct: CodingTable, c: int, rho, l: int, k: int, k_inv: int) -> int:
-    """Code of the image of one letter under the witness (rho, l, k)."""
-    i = abs(c) - 1
-    if c > 0:
-        base = 3 * rho[i] + 1 + l
-    else:
-        base = 3 * rho[i] + 2 - l
-    return ct.star(k, ct.star(base, k_inv))
-
-
-def _witness_action(ct: CodingTable, code: int, rho, l: int, k: int, k_inv: int) -> int:
-    """Action on an arbitrary code, computed purely in code arithmetic:
-    decompose the representative into letters and star the letter images."""
-    w = ct.word_of(code)
-    out = 0
-    for c in w:
-        out = ct.star(out, _letter_image_code(ct, c, rho, l, k, k_inv))
-    return out
-
-
 def sigma_ns_nonempty(
     ct: CodingTable,
     s: PartialMap,
@@ -384,13 +372,13 @@ def sigma_ns_nonempty(
 ) -> Tuple[bool, Optional[ExtensionWitness]]:
     """Decide whether some automorphism of the coded group extends s.
 
-    Checks the homomorphism compatibility of s on its domain, then
-    searches for a graph automorphism rho, an inversion flag l and a
-    conjugator code k (from words of length <= bound) matching s on
-    generator codes.  Because the domain of s need not be closed under
-    subwords, a candidate witness is additionally required to agree with
-    s on composite and inverse-generator codes; without that step the
-    generator-level conditions are necessary but not sufficient.
+    rho on the generator codes in the domain, and eps, are read off their
+    values by ``reduction.read_off_letters`` (with no generator code both
+    signs are tried).  For each graph automorphism extending that partial
+    rho and each conjugator t of length <= bound, in shortlex order, every
+    pair of s is checked in the group by the word problem.  The witness
+    is the one a search over all of Aut(T), both signs and every
+    conjugator finds first; only its conjugator is coded.
     """
     validate_partial_map(s)
     for c in itertools.chain(s.keys(), s.values()):
@@ -398,39 +386,21 @@ def sigma_ns_nonempty(
             return False, None
     if bound is None:
         bound = default_star_conj_bound(ct, s)
-    # Condition (1): s respects code multiplication inside its domain.
-    for n, m in itertools.product(s, s):
-        p = ct.star(n, m)
-        if p in s and s[p] != ct.star(s[n], s[m]):
-            return False, None
-    gen_dom = sorted(i for i in range((max(s, default=0)) // 3 + 1) if 3 * i + 1 in s)
-    # Everything else in the domain (composites and inverse-generator
-    # codes) is checked through the induced action.
-    other_dom = sorted(c for c in s if c % 3 != 1)
-    # (k, k_inv) per conjugator, coded when first reached: a witness found
-    # early never codes the longer conjugators, which may be out of reach.
-    # The ball is walked afresh for each (rho, l), never held as a list.
-    codes: Dict[Word, Tuple[int, int]] = {}
-    for rho in automorphisms(ct.graph):
-        for l in (0, 1):
+    gen_dom = sorted(c // 3 for c in s if c % 3 == 1)
+    read = read_off_letters(ct.pres, [ct.word_of(s[3 * i + 1]) for i in gen_dom], ct.dehn_budget)
+    if read is None:
+        return False, None
+    targets, eps = read
+    r = tuple(zip(gen_dom, targets))
+    pairs = [(ct.word_of(c), ct.word_of(v)) for c, v in s.items()]
+    for rho in automorphisms_extending(ct.graph, dict(r)):
+        for sign in (eps,) if gen_dom else (1, -1):
+            mapped = [(_theta_image(ct, w, rho, sign, EMPTY), v) for w, v in pairs]
+            # the ball is walked afresh for each (rho, sign), never held
             for t in reduced_words(ct.graph.n, bound):
-                if t not in codes:
-                    codes[t] = (ct.code_of(t), ct.code_of(invert_word(t)))
-                k, k_inv = codes[t]
-                if any(
-                    s[3 * i + 1]
-                    != ct.star(k, ct.star(3 * rho[i] + 1 + l, k_inv))
-                    for i in gen_dom
-                ):
-                    continue
-                if any(
-                    s[c] != _witness_action(ct, c, rho, l, k, k_inv)
-                    for c in other_dom
-                ):
-                    continue
-                return True, ExtensionWitness(
-                    tuple((i, rho[i]) for i in gen_dom), k, k_inv, l
-                )
+                if all(ct.pres.equal(conjugate(t, m), v, ct.dehn_budget) for m, v in mapped):
+                    k, k_inv = ct.code_of(t), ct.code_of(invert_word(t))
+                    return True, ExtensionWitness(r, k, k_inv, (1 - sign) // 2)
     return False, None
 
 

@@ -24,6 +24,7 @@ from .graphs import Graph
 
 MAX_PRIME_INDEX = 20_000_000
 _SCAN_LIMIT = 2_000_000
+_MULTIPLE_LIMIT = 1_000
 _MAX_SIEVE = 200_000_000
 
 
@@ -172,11 +173,11 @@ def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
     m = 1
     for y in sorted(a):
         m *= nth_prime(y)
-    for k in range(1, 1001):
+    for k in range(1, _MULTIPLE_LIMIT + 1):
         x = k * m
         if _valid_witness(x, a, b):
             return x
-    raise AssertionError("runaway witness search")
+    raise PrimeBudgetError(f"no witness found within multiple limit {_MULTIPLE_LIMIT}")
 
 
 def embed_graph(t: Graph) -> Dict[int, int]:

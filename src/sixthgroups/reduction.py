@@ -3,9 +3,9 @@
 G_T is generated by one v_i per vertex, with relators v_i^7, and
 (v_i v_j)^11 on edges / (v_i v_j)^13 on non-edges.  Every automorphism
 of G_T has the canonical form theta(v_i) = t v_{rho(i)}^eps t^{-1} with
-rho a graph automorphism and eps = +/-1.  ``aut_canonical_check`` reads
-rho and eps off the cyclic Dehn cores of the images and searches only
-for the conjugator t, among the words of bounded length.
+rho a graph automorphism and eps = +/-1.  Both extension deciders read
+rho and eps off the cyclic Dehn cores of the images (``read_off_letters``)
+and search only for the conjugator t, among the words of bounded length.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .graphs import Graph, graph_iso, is_automorphism
 from .presentation import DEFAULT_DEHN_BUDGET, Presentation, symmetrize
@@ -160,6 +160,40 @@ def default_conj_bound(gm: GeneratorMap) -> int:
     return max(((len(w) - 1) // 2 for w in gm), default=0)
 
 
+def read_off_letters(
+    pres: Presentation,
+    images: Sequence[Word],
+    budget: int = DEFAULT_DEHN_BUDGET,
+) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """The targets j and the shared sign eps of images t v_j^eps t^{-1}.
+
+    By the torsion theorem such an image cyclically Dehn-reduces to the
+    letter v_j^eps, and distinct letters are not conjugate, so no other
+    (j, eps) can have a witness.  None when a core is not one letter, the
+    signs differ or two images share a target; eps is 1 for no images.
+    """
+    cores = [pres.cyclic_dehn_reduce(w, budget) for w in images]
+    if any(len(core) != 1 for core in cores):
+        return None
+    eps = -1 if cores and cores[0][0] < 0 else 1
+    # A letter of the other sign gives a negative target.
+    targets = tuple(eps * core[0] - 1 for core in cores)
+    if min(targets, default=0) < 0 or len(set(targets)) != len(targets):
+        return None
+    return targets, eps
+
+
+def automorphisms_extending(t: Graph, partial: Dict[int, int]) -> Iterator[Tuple[int, ...]]:
+    """The automorphisms of t that agree with the injective vertex map
+    partial, in the order ``graphs.automorphisms`` lists them."""
+    free = [i for i in range(t.n) if i not in partial]
+    for perm in itertools.permutations(sorted(set(range(t.n)) - set(partial.values()))):
+        full = {**partial, **dict(zip(free, perm))}
+        rho = tuple(full[i] for i in range(t.n))
+        if is_automorphism(t, rho):
+            yield rho
+
+
 def aut_canonical_check(
     t: Graph,
     gm: GeneratorMap,
@@ -168,37 +202,29 @@ def aut_canonical_check(
 ) -> Optional[CanonicalAuto]:
     """Search for (rho, eps, t) with gm(i) = t v_{rho(i)}^eps t^{-1} in G_T.
 
-    By the torsion theorem such an image cyclically Dehn-reduces to the
-    single letter v_{rho(i)}^eps, and distinct letters are not conjugate,
-    so rho and eps are read off the cyclic cores of the images: no other
-    pair can have a witness.  rho must be a graph automorphism; then the
-    conjugators of length <= bound are tried in shortlex order.  Returns
-    the first witness in (rho, eps, conjugator) shortlex order, the one a
-    search over all of Aut(T) finds, or None.  Together with
-    is_homomorphism, a witness certifies that gm defines an automorphism
-    of G_T.
+    rho and eps are read off the images by ``read_off_letters``; rho must
+    be a graph automorphism, and then the conjugators of length <= bound
+    are tried in shortlex order.  Returns the first witness in (rho, eps,
+    conjugator) shortlex order, the one a search over all of Aut(T)
+    finds, or None.  Together with is_homomorphism, a witness certifies
+    that gm defines an automorphism of G_T.
     """
     if len(gm) != t.n:
         raise ValueError("generator map has wrong arity")
     if bound is None:
         bound = default_conj_bound(gm)
     pres = relators_from_graph(t)
-    cores = [pres.cyclic_dehn_reduce(w, budget) for w in gm]
-    if any(len(core) != 1 for core in cores):
+    read = read_off_letters(pres, gm, budget)
+    if read is None:
         return None
-    eps = -1 if cores and cores[0][0] < 0 else 1
-    # A letter of the other sign gives a negative entry, which no
-    # permutation of range(t.n) has.
-    rho = tuple(eps * core[0] - 1 for core in cores)
-    if sorted(rho) != list(range(t.n)) or not is_automorphism(t, rho):
-        return None
-    images = [(eps * gen(v),) for v in rho]
-    for conj in reduced_words(t.n, bound):
-        if all(
-            pres.equal(gm[i], conjugate(conj, images[i]), budget)
-            for i in range(t.n)
-        ):
-            return CanonicalAuto(rho, eps, conj)
+    targets, eps = read
+    for rho in automorphisms_extending(t, dict(enumerate(targets))):
+        for conj in reduced_words(t.n, bound):
+            if all(
+                pres.equal(gm[i], conjugate(conj, (eps * gen(rho[i]),)), budget)
+                for i in range(t.n)
+            ):
+                return CanonicalAuto(rho, eps, conj)
     return None
 
 

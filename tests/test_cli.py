@@ -130,6 +130,17 @@ def test_aut_extend(k2, tmp_path):
     assert "oracle: false" in out
 
 
+def test_aut_extend_negative_at_long_conjugators(k2, tmp_path):
+    # v0 -> v0^2 extends to no automorphism; the 11-letter images of the
+    # longer conjugators used to turn that answer into a budget error
+    sfile = tmp_path / "s.map"
+    sfile.write_text("1 3\n")
+    for bound in ("4", "5"):
+        code, out = run("--conj-bound", bound, "aut-extend", k2, str(sfile))
+        assert code == EXIT_NO, out
+        assert "extends: false" in out
+
+
 def test_embed_and_iso(k2, p3, tmp_path):
     code, out = run("embed-graph", k2, p3)
     assert code == EXIT_OK and "embeds: true" in out

@@ -19,8 +19,9 @@ from sixthgroups.coding import (
     sigma_ns_nonempty,
     validate_partial_map,
 )
-from sixthgroups.graphs import graph, graphs_up_to
-from sixthgroups.reduction import reduced_words
+from coding_rows import star_search
+from sixthgroups.graphs import automorphisms, graph, graphs_up_to
+from sixthgroups.reduction import apply_hom, induced_hom, reduced_words
 from sixthgroups.words import EMPTY, Word, gen, invert_word, letter_key, parse_word, power
 
 K2 = graph(2, [(0, 1)])
@@ -205,6 +206,84 @@ def test_sigma_nontrivial_conjugator():
     assert not oracle_aut_extends(ct, {4: c}, 0)
     ok0, _ = sigma_ns_nonempty(ct, {4: c}, 0)
     assert not ok0
+
+
+def _differential_maps(ct: CodingTable, rng: random.Random, count: int):
+    """Partial maps with domains of 0-4 codes mixing generator, inverse and
+    composite codes: half are restrictions of canonical automorphisms
+    with a conjugator of at most 2 letters, half are arbitrary.  Codes of
+    6-letter words make products leave the reach of the coding."""
+    n = ct.graph.n
+    pool = [c for c in range(60) if ct.registrable(c)]
+    letters = [c for i in range(n) for c in (gen(i), -gen(i))]
+    for _ in range(3 if n > 1 else 0):
+        w: Word = ()
+        while len(w) < 6:
+            c = rng.choice(letters)
+            w += (c,) if not w or c != -w[-1] else ()
+        pool.append(ct.code_of(w))
+    auts = automorphisms(ct.graph)
+    conjugators = list(reduced_words(n, 2))
+    for _ in range(count):
+        dom = rng.sample(pool, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            eps = rng.choice((1, -1))
+            gm = induced_hom(ct.graph, ct.graph, rng.choice(auts), eps, rng.choice(conjugators))
+            yield {c: ct.code_of(apply_hom(gm, ct.word_of(c))) for c in dom}
+        else:
+            yield dict(zip(dom, rng.sample(pool, len(dom))))
+
+
+def test_sigma_matches_star_search():
+    # the read-off decider returns the old search's answer and witness
+    # wherever that search answers; where it ran out of reach, the
+    # brute-force oracle decides
+    rng = random.Random(8)
+    answered = positive = conjugated = out_of_reach = 0
+    for t in graphs_up_to(4):
+        ct = CodingTable(t)
+        for s in _differential_maps(ct, rng, 8):
+            for bound in (0, 1, 2):
+                got = sigma_ns_nonempty(ct, s, bound)
+                try:
+                    want = star_search(ct, s, bound)
+                except CodingBudgetError:
+                    out_of_reach += 1
+                    assert got[0] == oracle_aut_extends(ct, s, bound), (t, s, bound)
+                    continue
+                assert got == want, (t, s, bound)
+                answered += 1
+                positive += got[0]
+                conjugated += got[0] and got[1].k != 0
+    assert answered > 300 and positive > 100 and conjugated > 20 and out_of_reach > 20
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_sigma_on_complete_graphs(n):
+    # rho = reversal and eps = -1 are read off, so Aut(K_n) (n! maps) is
+    # never listed; the conjugator g0 g1 G0 g1 needs bound 4
+    t = graph(n, itertools.combinations(range(n), 2))
+    ct = CodingTable(t)
+    rho = tuple(reversed(range(n)))
+    conj = parse_word("g0 g1 G0 g1")
+    gm = induced_hom(t, t, rho, epsilon=-1, conj=conj)
+    s = {3 * i + 1: ct.code_of(w) for i, w in enumerate(gm)}
+    assert sigma_ns_nonempty(ct, s, 2) == (False, None)
+    ok, w = sigma_ns_nonempty(ct, s, 4)
+    assert ok and w.r == tuple(enumerate(rho)) and w.l == 1
+    assert (w.k, w.k_inv) == (ct.code_of(conj), ct.code_of(invert_word(conj)))
+
+
+def test_sigma_answers_past_the_reach_of_star():
+    # the swap of K2 maps (g0 g1)^5 to (g1 g0)^5; the product of the two
+    # 10-letter values needs 11 letters, past the reach of the coding,
+    # which the pairwise star check of the old search raised on
+    ct = CodingTable(K2)
+    s = {ct.code_of(power((1, 2), 5)): ct.code_of(power((2, 1), 5)), 1: 4}
+    with pytest.raises(CodingBudgetError):
+        star_search(ct, s, 0)
+    ok, w = sigma_ns_nonempty(ct, s, 0)
+    assert ok and dict(w.r) == {0: 1} and w.k == 0 and w.l == 0
 
 
 def test_default_star_conj_bound():

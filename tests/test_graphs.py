@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -134,3 +137,58 @@ def test_embeds_antisymmetric_up_to_iso(t, s):
     b = induced_embeds(s, t)
     if f is not None and b is not None:
         assert graph_iso(t, s) is not None
+
+
+# -- cross-checks against networkx's VF2 matcher -----------------------------
+
+
+def _nx(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_automorphism_counts_match_networkx():
+    pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    count = 0
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            h = _nx(g)
+            vf2 = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+            assert len(automorphisms(g)) == vf2, g
+            count += 1
+    assert count == 1099
+
+
+def test_iso_and_induced_embeds_match_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(9)
+
+    def random_graph(n):
+        pairs = list(itertools.combinations(range(n), 2))
+        return graph(n, [p for p in pairs if rng.random() < 0.5])
+
+    isomorphic = embedded = 0
+    for _ in range(2000):
+        t = random_graph(rng.randint(1, 4))
+        if rng.random() < 0.3:
+            # a relabelling, so that isomorphic pairs are common
+            perm = rng.sample(range(t.n), t.n)
+            s = graph(t.n, [(perm[i], perm[j]) for i, j in t.edges])
+        else:
+            s = random_graph(rng.randint(1, 5))
+        iso = graph_iso(t, s) is not None
+        assert iso == nx.is_isomorphic(_nx(t), _nx(s)), (t, s)
+        # VF2's subgraph isomorphism is the induced one
+        emb = induced_embeds(t, s) is not None
+        assert emb == GraphMatcher(_nx(s), _nx(t)).subgraph_is_isomorphic(), (t, s)
+        isomorphic += iso
+        embedded += emb
+    assert isomorphic > 500 and embedded > 1000

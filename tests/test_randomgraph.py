@@ -119,6 +119,16 @@ def test_extension_witness_is_least():
             assert not ok, f"witness {w} not least for {a} {b}: {x}"
 
 
+def test_extension_witness_runaway_is_a_budget_error():
+    # every candidate 5k (a common multiple of p_2 = 5) is adjacent to z,
+    # since p_{5k} | z for k <= 1000
+    z = 1
+    for k in range(1, 1001):
+        z *= nth_prime(5 * k)
+    with pytest.raises(PrimeBudgetError, match="multiple limit 1000"):
+        extension_witness({2}, {z})
+
+
 def test_extension_witness_rejects_overlap():
     with pytest.raises(ValueError):
         extension_witness({2}, {2})

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from sixthgroups import reduction
-from sixthgroups.graphs import automorphisms, graph, graphs_up_to
+from sixthgroups.graphs import all_graphs, automorphisms, graph, graphs_up_to
 from sixthgroups.reduction import (
     EDGE_ORDER,
     GENERATOR_ORDER,
@@ -15,12 +15,14 @@ from sixthgroups.reduction import (
     CanonicalAuto,
     apply_hom,
     aut_canonical_check,
+    automorphisms_extending,
     check_injective_up_to,
     conjugate,
     default_conj_bound,
     induced_hom,
     is_homomorphism,
     iso_search,
+    read_off_letters,
     reduced_words,
     relators_from_graph,
     relator_seeds,
@@ -193,6 +195,35 @@ def test_read_off_matches_brute_force():
                 ), (t, gm, bound)
                 cases += 1
     assert cases >= 18 * 5 * 3
+
+
+def test_automorphisms_extending_filters_automorphisms():
+    # every partial injection on every labelled graph of at most 4
+    # vertices: the same automorphisms, in the same order
+    cases = 0
+    for n in range(5):
+        for t in all_graphs(n):
+            auts = automorphisms(t)
+            for k in range(n + 1):
+                for dom in itertools.combinations(range(n), k):
+                    for img in itertools.permutations(range(n), k):
+                        partial = dict(zip(dom, img))
+                        want = [r for r in auts if all(r[i] == v for i, v in partial.items())]
+                        assert list(automorphisms_extending(t, partial)) == want, (t, partial)
+                        cases += 1
+    assert cases == 1 + 2 + 2 * 7 + 8 * 34 + 64 * 209
+
+
+def test_read_off_letters():
+    pres = relators_from_graph(K2)
+    g0, g1 = (1,), (2,)
+    assert read_off_letters(pres, []) == ((), 1)
+    assert read_off_letters(pres, [conjugate((1, 2), g1), g0]) == ((1, 0), 1)
+    assert read_off_letters(pres, [(-2,), conjugate((2,), (-1,))]) == ((1, 0), -1)
+    assert read_off_letters(pres, [g0, (-2,)]) is None  # signs differ
+    assert read_off_letters(pres, [g0, conjugate((2,), g0)]) is None  # one target
+    assert read_off_letters(pres, [g0, (2, 2)]) is None  # core of two letters
+    assert read_off_letters(pres, [g0, EMPTY]) is None
 
 
 def test_conjugated_letter_has_one_letter_core():
