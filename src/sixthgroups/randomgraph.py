@@ -4,8 +4,11 @@ m and n are adjacent iff p_m | n or p_n | m, with p_0 = 2, p_1 = 3, ...
 The extension-property witness search is exact but not a linear scan:
 p_x > x always, so once a candidate x exceeds every vertex in play the
 p_x-divides route is dead and a valid x must be a common multiple of
-{p_y : y in A}.  The only candidates below that closed form are indices
-of primes dividing some member of A.
+{p_y : y in A}.  Such a multiple exceeds every member of A and is
+adjacent to all of them, so only B is left to check.  Below the closed
+form, a witness x < max(A) is adjacent to max(A) only through
+p_x | max(A), so the only candidates there are the indices of the prime
+factors of max(A); the other members of A are never factored.
 
 Vertex values grow roughly like iterated nth-primes under the greedy
 embedding, so nth_prime carries an index budget; exceeding it raises
@@ -18,18 +21,31 @@ import math
 from array import array
 from bisect import bisect_left
 from itertools import compress
-from typing import Dict, Iterable, List, Set
+from typing import Collection, Dict, Iterable, List, Set
 
 from .graphs import Graph
 
-MAX_PRIME_INDEX = 20_000_000
+# The largest index whose sieve bound (_prime_bound) fits _MAX_SIEVE.
+MAX_PRIME_INDEX = 9_590_648
 _SCAN_LIMIT = 2_000_000
 _MULTIPLE_LIMIT = 1_000
 _MAX_SIEVE = 200_000_000
 
 
 class PrimeBudgetError(RuntimeError):
-    pass
+    """A request beyond the prime layer's budgets: a prime index above
+    MAX_PRIME_INDEX, a number beyond the sieve cap _MAX_SIEVE, or a
+    witness search past its scan or multiple limit.
+
+    Carries the budget and how much of it the request needs: the index,
+    sieve limit, prime or square root asked for, or the whole budget
+    when a witness search runs out.
+    """
+
+    def __init__(self, message: str, budget: int, used: int):
+        self.budget = budget
+        self.used = used
+        super().__init__(message)
 
 
 # All primes up to _sieve_limit, ascending; the sieve only ever grows.
@@ -42,7 +58,9 @@ def _extend_sieve(limit: int) -> None:
     if limit <= _sieve_limit:
         return
     if limit > _MAX_SIEVE:
-        raise PrimeBudgetError(f"sieve limit {limit} exceeds {_MAX_SIEVE}")
+        raise PrimeBudgetError(
+            f"sieve limit {limit} exceeds {_MAX_SIEVE}", _MAX_SIEVE, limit
+        )
     limit = min(max(limit, 1 << 16, _sieve_limit * 2), _MAX_SIEVE)
     flags = bytearray([1]) * (limit + 1)
     flags[:2] = b"\0\0"
@@ -53,6 +71,12 @@ def _extend_sieve(limit: int) -> None:
     _sieve_limit = limit
 
 
+def _prime_bound(i: int) -> int:
+    """A sieve limit that holds p_i.  p_i < (i+1)(ln(i+1) + ln ln(i+1))
+    for i >= 5; pad generously."""
+    return int((i + 1) * (math.log(i + 2) + math.log(math.log(i + 3)) + 2))
+
+
 def nth_prime(i: int) -> int:
     """The i-th prime with p_0 = 2."""
     if i < 0:
@@ -60,12 +84,12 @@ def nth_prime(i: int) -> int:
     if i > MAX_PRIME_INDEX:
         raise PrimeBudgetError(
             f"prime index {i} exceeds budget {MAX_PRIME_INDEX}; the requested "
-            f"construction is out of desk-scale range"
+            f"construction is out of desk-scale range",
+            MAX_PRIME_INDEX,
+            i,
         )
     while i >= len(_primes):
-        # p_i < (i+1)(ln(i+1) + ln ln(i+1)) for i >= 5; pad generously.
-        guess = int((i + 1) * (math.log(i + 2) + math.log(math.log(i + 3)) + 2))
-        _extend_sieve(guess)
+        _extend_sieve(_prime_bound(i))
     return _primes[i]
 
 
@@ -76,7 +100,9 @@ def prime_index(p: int) -> int:
     if p > _MAX_SIEVE:
         raise PrimeBudgetError(
             f"cannot locate index of unknown prime {p}: it exceeds the "
-            f"sieve limit {_MAX_SIEVE}"
+            f"sieve limit {_MAX_SIEVE}",
+            _MAX_SIEVE,
+            p,
         )
     _extend_sieve(p)
     i = bisect_left(_primes, p)
@@ -93,7 +119,9 @@ def prime_factors(y: int) -> List[int]:
     if root >= _MAX_SIEVE:
         raise PrimeBudgetError(
             f"refusing to factor {y}: its square root exceeds the sieve "
-            f"limit {_MAX_SIEVE}"
+            f"limit {_MAX_SIEVE}",
+            _MAX_SIEVE,
+            root,
         )
     _extend_sieve(root + 1)
     out = []
@@ -127,11 +155,12 @@ def adjacent(m: int, n: int) -> bool:
     return m % nth_prime(n) == 0
 
 
-def _valid_witness(x: int, a: Set[int], b: Set[int]) -> bool:
+def _valid_witness(x: int, a: Collection[int], b: Set[int], top: int) -> bool:
+    """Whether x is adjacent to all of a and none of b; top is the
+    largest vertex in play."""
     if x < 2 or x in a or x in b:
         return False
-    larger = [v for v in a | b if v > x]
-    px = nth_prime(x) if larger else None
+    px = nth_prime(x) if top > x else None
     for y in a:
         if y > x:
             if y % px != 0:
@@ -148,36 +177,47 @@ def _valid_witness(x: int, a: Set[int], b: Set[int]) -> bool:
 
 
 def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
-    """Least vertex adjacent to everything in a and nothing in b."""
+    """Least vertex adjacent to everything in a and nothing in b.
+
+    With a empty this is a plain scan.  Otherwise the candidates are the
+    indices of the prime factors of max(a), ascending (each is below
+    max(a), as x < p_x), then the multiples of the product of p_y over
+    y in a, which are adjacent to all of a and only checked against b.
+    """
     a, b = set(a), set(b)
     for v in a | b:
         _check_vertex(v)
     if a & b:
         raise ValueError("witness sets must be disjoint")
+    top = max(a | b, default=0)
     if not a:
         # Plain scan; valid vertices have positive density.
         for x in range(2, _SCAN_LIMIT):
-            if _valid_witness(x, a, b):
+            if _valid_witness(x, a, b, top):
                 return x
-        raise PrimeBudgetError(f"no witness found within scan limit {_SCAN_LIMIT}")
-    # Candidates below the closed form: indices of primes dividing some
-    # y in a (these are the only x with p_x | y available).
-    candidates = set()
-    for y in a:
-        for q in prime_factors(y):
-            candidates.add(prime_index(q))
-    for x in sorted(candidates):
-        if _valid_witness(x, a, b):
+        raise PrimeBudgetError(
+            f"no witness found within scan limit {_SCAN_LIMIT}",
+            _SCAN_LIMIT,
+            _SCAN_LIMIT,
+        )
+    # A witness x < max(a) is adjacent to max(a) only through p_x | max(a).
+    for x in [prime_index(q) for q in prime_factors(max(a))]:
+        if _valid_witness(x, a, b, top):
             return x
-    # Closed form: common multiples of {p_y : y in a}.
+    # Closed form: x = k * m with m = prod p_y >= p_max(a) > max(a), so x
+    # exceeds all of a and is adjacent to all of it.
     m = 1
     for y in sorted(a):
         m *= nth_prime(y)
     for k in range(1, _MULTIPLE_LIMIT + 1):
         x = k * m
-        if _valid_witness(x, a, b):
+        if _valid_witness(x, (), b, top):
             return x
-    raise PrimeBudgetError(f"no witness found within multiple limit {_MULTIPLE_LIMIT}")
+    raise PrimeBudgetError(
+        f"no witness found within multiple limit {_MULTIPLE_LIMIT}",
+        _MULTIPLE_LIMIT,
+        _MULTIPLE_LIMIT,
+    )
 
 
 def embed_graph(t: Graph) -> Dict[int, int]:

@@ -1,0 +1,81 @@
+"""Test oracle for the extension-witness search.
+
+``extension_witness`` is the search that ``randomgraph.extension_witness``
+replaced, kept as it was but for the ``budget`` and ``used`` fields its
+two own raises now pass: it factors and indexes every member of A, tries
+the sorted union of those indices, then the common multiples of
+{p_y : y in A}, and checks every candidate against all of A and B.  The
+new search must return its witness, or raise the same exception type,
+wherever it answers.
+"""
+
+from typing import Iterable, Set
+
+from sixthgroups.randomgraph import (
+    _MULTIPLE_LIMIT,
+    _SCAN_LIMIT,
+    PrimeBudgetError,
+    _check_vertex,
+    nth_prime,
+    prime_factors,
+    prime_index,
+)
+
+
+def _valid_witness(x: int, a: Set[int], b: Set[int]) -> bool:
+    if x < 2 or x in a or x in b:
+        return False
+    larger = [v for v in a | b if v > x]
+    px = nth_prime(x) if larger else None
+    for y in a:
+        if y > x:
+            if y % px != 0:
+                return False
+        elif x % nth_prime(y) != 0:
+            return False
+    for z in b:
+        if z > x:
+            if z % px == 0:
+                return False
+        elif x % nth_prime(z) == 0:
+            return False
+    return True
+
+
+def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
+    """Least vertex adjacent to everything in a and nothing in b."""
+    a, b = set(a), set(b)
+    for v in a | b:
+        _check_vertex(v)
+    if a & b:
+        raise ValueError("witness sets must be disjoint")
+    if not a:
+        # Plain scan; valid vertices have positive density.
+        for x in range(2, _SCAN_LIMIT):
+            if _valid_witness(x, a, b):
+                return x
+        raise PrimeBudgetError(
+            f"no witness found within scan limit {_SCAN_LIMIT}", _SCAN_LIMIT, _SCAN_LIMIT
+        )
+    # Candidates below the closed form: indices of primes dividing some
+    # y in a (these are the only x with p_x | y available).
+    candidates = set()
+    for y in a:
+        for q in prime_factors(y):
+            candidates.add(prime_index(q))
+    for x in sorted(candidates):
+        if _valid_witness(x, a, b):
+            return x
+    # Closed form: common multiples of {p_y : y in a}.
+    m = 1
+    for y in sorted(a):
+        m *= nth_prime(y)
+    for k in range(1, _MULTIPLE_LIMIT + 1):
+        x = k * m
+        if _valid_witness(x, a, b):
+            return x
+    raise PrimeBudgetError(
+        f"no witness found within multiple limit {_MULTIPLE_LIMIT}",
+        _MULTIPLE_LIMIT,
+        _MULTIPLE_LIMIT,
+    )

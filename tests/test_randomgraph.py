@@ -3,11 +3,13 @@ import random
 from array import array
 
 import pytest
+import rado_oracle
 import sympy
 
 from sixthgroups import randomgraph
 from sixthgroups.graphs import graph
 from sixthgroups.randomgraph import (
+    MAX_PRIME_INDEX,
     PrimeBudgetError,
     adjacent,
     embed_graph,
@@ -30,6 +32,38 @@ def test_nth_prime_frozen(monkeypatch):
     assert nth_prime(5) == 13
     with pytest.raises(PrimeBudgetError):
         nth_prime(10)
+
+
+def test_index_budget_is_reachable():
+    # The sieve bound of every index up to the budget fits the sieve cap,
+    # so the index budget, not the cap, refuses the next index.
+    bound = randomgraph._prime_bound
+    assert bound(MAX_PRIME_INDEX) <= randomgraph._MAX_SIEVE
+    assert bound(MAX_PRIME_INDEX + 1) > randomgraph._MAX_SIEVE
+    limit = randomgraph._sieve_limit
+    with pytest.raises(PrimeBudgetError) as exc:
+        nth_prime(MAX_PRIME_INDEX + 1)
+    assert (exc.value.budget, exc.value.used) == (MAX_PRIME_INDEX, MAX_PRIME_INDEX + 1)
+    assert randomgraph._sieve_limit == limit
+
+
+def test_budget_errors_carry_budget_and_used(monkeypatch):
+    cap = randomgraph._MAX_SIEVE
+    q = sympy.nextprime(cap)
+    cases = [
+        (lambda: randomgraph._extend_sieve(cap + 1), cap, cap + 1),
+        (lambda: prime_index(q), cap, q),
+        (lambda: prime_factors(10**18), cap, 10**9),
+    ]
+    for call, budget, used in cases:
+        with pytest.raises(PrimeBudgetError, match=str(cap)) as exc:
+            call()
+        assert (exc.value.budget, exc.value.used) == (budget, used)
+    # p_2 = 5 divides 5, so the scan below 3 finds nothing
+    monkeypatch.setattr(randomgraph, "_SCAN_LIMIT", 3)
+    with pytest.raises(PrimeBudgetError, match="scan limit 3") as exc:
+        extension_witness(set(), {5})
+    assert (exc.value.budget, exc.value.used) == (3, 3)
 
 
 def test_prime_index_inverts():
@@ -125,8 +159,68 @@ def test_extension_witness_runaway_is_a_budget_error():
     z = 1
     for k in range(1, 1001):
         z *= nth_prime(5 * k)
-    with pytest.raises(PrimeBudgetError, match="multiple limit 1000"):
+    with pytest.raises(PrimeBudgetError, match="multiple limit 1000") as exc:
         extension_witness({2}, {z})
+    assert (exc.value.budget, exc.value.used) == (1000, 1000)
+    with pytest.raises(PrimeBudgetError, match="multiple limit 1000"):
+        rado_oracle.extension_witness({2}, {z})
+
+
+ITERATED_PRIMES = [2, 5, 13, 41, 179, 1063, 8431, 87803]  # y -> p_y from 2
+WITNESS_POOLS = [
+    list(range(2, 40)),
+    list(range(2, 2000)),
+    ITERATED_PRIMES,
+    [nth_prime(i) for i in range(2, 300)] + [6, 10, 15, 35, 77, 1001, 30030],
+]
+
+
+def _outcome(search, a, b):
+    try:
+        return search(a, b)
+    except (ValueError, PrimeBudgetError) as exc:
+        return type(exc)
+
+
+def test_extension_witness_matches_oracle():
+    # The old search factors every member of A; the new one only max(A).
+    # Both must give the same least witness or the same exception type.
+    rng = random.Random(20170309)
+    for _ in range(5000):
+        pool = rng.choice(WITNESS_POOLS)
+        picks = rng.sample(pool, rng.randint(0, min(5, len(pool))))
+        cut = rng.randint(0, len(picks))
+        a, b = set(picks[:cut]), set(picks[cut:])
+        if picks and rng.random() < 0.05:
+            shared = rng.choice(picks)
+            a.add(shared)
+            b.add(shared)
+        expected = _outcome(rado_oracle.extension_witness, a, b)
+        assert _outcome(extension_witness, a, b) == expected, (a, b)
+
+
+def test_extension_witness_factors_only_max_a():
+    # q is the least prime above the sieve cap: indexing it is refused,
+    # but only the factors 2 and 5 of max(A) = 5 * 2**28 are indexed.
+    q = 200_000_033
+    assert q == sympy.nextprime(randomgraph._MAX_SIEVE)
+    a = {5 * q, 5 * 2**28}
+    assert extension_witness(a, set()) == 2
+    assert all(adjacent(2, y) for y in a)
+
+
+def test_extension_witness_factors_once(monkeypatch):
+    # max(A) = 13 is the only member factored
+    calls = []
+    factor = randomgraph.prime_factors
+
+    def counted(y):
+        calls.append(y)
+        return factor(y)
+
+    monkeypatch.setattr(randomgraph, "prime_factors", counted)
+    assert extension_witness({2, 5, 13}, {3}) == 2795  # p_2 p_5 p_13
+    assert calls == [13]
 
 
 def test_extension_witness_rejects_overlap():
