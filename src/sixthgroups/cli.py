@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import coding, graphs, randomgraph, reduction
 from .presentation import (
@@ -32,29 +31,17 @@ class OracleDisagreement(RuntimeError):
     """The extension checker and the brute-force oracle answered differently."""
 
 
-@dataclass
-class Config:
-    max_code: int = 500
-    conj_bound: int | None = None
-    dehn_budget: int = DEFAULT_DEHN_BUDGET
-    max_n: int = 8
-
-    def __post_init__(self):
-        if self.max_code <= 0 or self.dehn_budget <= 0 or self.max_n <= 0:
-            raise ValueError("config values must be positive")
-
-
-def _load_graph(path: str, cfg: Config) -> graphs.Graph:
+def _load_graph(args, path: str) -> graphs.Graph:
     g = graphs.load_graph(path)
-    if g.n > cfg.max_n:
+    if g.n > args.max_n:
         raise graphs.GraphFormatError(
-            f"graph has {g.n} vertices, above --max-n {cfg.max_n}"
+            f"graph has {g.n} vertices, above --max-n {args.max_n}"
         )
     return g
 
 
-def _cmd_relators(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
+def _cmd_relators(args, out):
+    g = _load_graph(args, args.graph)
     pres = reduction.relators_from_graph(g)
     for seed in reduction.relator_seeds(g):
         out(f"seed: {format_word(seed)}")
@@ -62,8 +49,8 @@ def _cmd_relators(args, cfg, out):
     return EXIT_OK
 
 
-def _cmd_check_c16(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
+def _cmd_check_c16(args, out):
+    g = _load_graph(args, args.graph)
     rel = reduction.relators_from_graph(g).relators
     ok = check_c16(rel)
     out(f"c16: {'true' if ok else 'false'}")
@@ -71,36 +58,36 @@ def _cmd_check_c16(args, cfg, out):
     return EXIT_OK if ok else EXIT_NO
 
 
-def _cmd_wp(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
+def _cmd_wp(args, out):
+    g = _load_graph(args, args.graph)
     pres = reduction.relators_from_graph(g)
     w = parse_word(args.word)
-    nf = pres.dehn_reduce(w, cfg.dehn_budget)
+    nf = pres.dehn_reduce(w, args.dehn_budget)
     out(f"identity: {'true' if not nf else 'false'}")
     out(f"normal-form: {format_word(nf)}")
     return EXIT_OK
 
 
-def _cmd_order(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
+def _cmd_order(args, out):
+    g = _load_graph(args, args.graph)
     pres = reduction.relators_from_graph(g)
-    n = pres.order(parse_word(args.word), cfg.dehn_budget)
+    n = pres.order(parse_word(args.word), args.dehn_budget)
     out(f"order: {'INFINITE' if n == INFINITE else int(n)}")
     return EXIT_OK
 
 
-def _cmd_code(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
-    ct = coding.CodingTable(g, dehn_budget=cfg.dehn_budget)
-    for c, w in ct.enumerate_to(cfg.max_code):
+def _cmd_code(args, out):
+    g = _load_graph(args, args.graph)
+    ct = coding.CodingTable(g, dehn_budget=args.dehn_budget)
+    for c, w in ct.enumerate_to(args.max_code):
         out(f"{c}: {format_word(w)}")
     return EXIT_OK
 
 
-def _cmd_star_table(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
-    ct = coding.CodingTable(g, dehn_budget=cfg.dehn_budget)
-    codes = [c for c, _ in ct.enumerate_to(cfg.max_code)]
+def _cmd_star_table(args, out):
+    g = _load_graph(args, args.graph)
+    ct = coding.CodingTable(g, dehn_budget=args.dehn_budget)
+    codes = [c for c, _ in ct.enumerate_to(args.max_code)]
     out("n,m,star")
     for n in codes:
         for m in codes:
@@ -108,12 +95,12 @@ def _cmd_star_table(args, cfg, out):
     return EXIT_OK
 
 
-def _cmd_aut_extend(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
+def _cmd_aut_extend(args, out):
+    g = _load_graph(args, args.graph)
     with open(args.partialmap, encoding="utf-8") as fh:
         s = coding.parse_partial_map(fh.read())
-    ct = coding.CodingTable(g, dehn_budget=cfg.dehn_budget)
-    bound = cfg.conj_bound
+    ct = coding.CodingTable(g, dehn_budget=args.dehn_budget)
+    bound = args.conj_bound
     if bound is None:
         bound = coding.default_star_conj_bound(ct, s)
     ok, witness = coding.sigma_ns_nonempty(ct, s, bound)
@@ -133,9 +120,9 @@ def _cmd_aut_extend(args, cfg, out):
     return EXIT_OK if ok else EXIT_NO
 
 
-def _cmd_embed_graph(args, cfg, out):
-    t = _load_graph(args.graph_t, cfg)
-    s = _load_graph(args.graph_s, cfg)
+def _cmd_embed_graph(args, out):
+    t = _load_graph(args, args.graph_t)
+    s = _load_graph(args, args.graph_s)
     f = graphs.induced_embeds(t, s)
     out(f"embeds: {'true' if f is not None else 'false'}")
     if f is not None:
@@ -144,9 +131,9 @@ def _cmd_embed_graph(args, cfg, out):
     return EXIT_OK if f is not None else EXIT_NO
 
 
-def _cmd_graph_iso(args, cfg, out):
-    t = _load_graph(args.graph_t, cfg)
-    s = _load_graph(args.graph_s, cfg)
+def _cmd_graph_iso(args, out):
+    t = _load_graph(args, args.graph_t)
+    s = _load_graph(args, args.graph_s)
     f = graphs.graph_iso(t, s)
     out(f"isomorphic: {'true' if f is not None else 'false'}")
     if f is not None:
@@ -155,61 +142,62 @@ def _cmd_graph_iso(args, cfg, out):
     return EXIT_OK if f is not None else EXIT_NO
 
 
-def _cmd_hom_check(args, cfg, out):
-    t = _load_graph(args.graph_t, cfg)
-    s = _load_graph(args.graph_s, cfg)
-    mapping = [None] * t.n
+def _cmd_hom_check(args, out):
+    t = _load_graph(args, args.graph_t)
+    s = _load_graph(args, args.graph_s)
     with open(args.mapfile, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise ValueError(f"mapfile line {lineno}: expected '<i> <j>'")
-            i, j = int(parts[0]), int(parts[1])
-            if not 0 <= i < t.n or mapping[i] is not None:
-                raise ValueError(f"mapfile line {lineno}: bad source vertex {i}")
-            mapping[i] = j
-    if any(v is None for v in mapping):
-        raise ValueError("mapfile does not cover every vertex")
-    gm = reduction.induced_hom(t, s, mapping)
+        mapping = coding.parse_partial_map(fh.read())
+    if sorted(mapping) != list(range(t.n)):
+        raise ValueError(f"mapfile must map exactly the vertices 0..{t.n - 1}")
+    gm = reduction.induced_hom(t, s, [mapping[i] for i in range(t.n)])
     p_t = reduction.relators_from_graph(t)
     p_s = reduction.relators_from_graph(s)
-    ok = reduction.is_homomorphism(p_t, p_s, gm, cfg.dehn_budget)
+    ok = reduction.is_homomorphism(p_t, p_s, gm, args.dehn_budget)
     out(f"homomorphism: {'true' if ok else 'false'}")
     if ok:
-        inj = reduction.check_injective_up_to(p_t, p_s, gm, 3, cfg.dehn_budget)
+        inj = reduction.check_injective_up_to(p_t, p_s, gm, 3, args.dehn_budget)
         out(f"injective-up-to-3: {'true' if inj else 'false'}")
     return EXIT_OK if ok else EXIT_NO
 
 
-def _cmd_rado_adj(args, cfg, out):
+def _cmd_rado_adj(args, out):
     ok = randomgraph.adjacent(args.m, args.n)
     out(f"adjacent: {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_NO
 
 
-def _cmd_rado_embed(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
+def _cmd_rado_embed(args, out):
+    g = _load_graph(args, args.graph)
     images = randomgraph.embed_graph(g)
     for v in range(g.n):
         out(f"{v} {images[v]}")
     return EXIT_OK
 
 
-def _cmd_rigid(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
+def _cmd_rigid(args, out):
+    g = _load_graph(args, args.graph)
     ok = graphs.is_rigid(g)
     out(f"rigid: {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_NO
 
 
-def _cmd_tree(args, cfg, out):
-    g = _load_graph(args.graph, cfg)
+def _cmd_tree(args, out):
+    g = _load_graph(args, args.graph)
     ok = graphs.is_combinatorial_tree(g)
     out(f"tree: {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_NO
+
+
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         def default(value):
             return value if top else argparse.SUPPRESS
 
-        p.add_argument("--max-code", type=int, default=default(500))
-        p.add_argument("--conj-bound", type=int, default=default(None))
+        p.add_argument("--max-code", type=_at_least(1), default=default(500))
+        p.add_argument("--conj-bound", type=_at_least(0), default=default(None))
         p.add_argument(
-            "--dehn-budget", type=int, default=default(DEFAULT_DEHN_BUDGET)
+            "--dehn-budget", type=_at_least(1), default=default(DEFAULT_DEHN_BUDGET)
         )
-        p.add_argument("--max-n", type=int, default=default(8))
+        p.add_argument("--max-n", type=_at_least(1), default=default(8))
 
     add_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -279,13 +267,7 @@ def main(argv=None, stdout=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = Config(
-            max_code=args.max_code,
-            conj_bound=args.conj_bound,
-            dehn_budget=args.dehn_budget,
-            max_n=args.max_n,
-        )
-        return args.fn(args, cfg, out)
+        return args.fn(args, out)
     except (
         WordFormatError,
         graphs.GraphFormatError,

@@ -1,8 +1,8 @@
 """The element coding of G_T onto the naturals and the induced code
 multiplication, plus the decision procedure for whether some group
-automorphism extends a finite partial injection on codes: it reads rho
-and eps off the values and checks candidates in the group (see
-``sigma_ns_nonempty``).
+automorphism extends a finite partial injection on codes: it decodes the
+map into pairs of words and asks ``reduction.canonical_witness``, the
+search behind both extension deciders (see ``sigma_ns_nonempty``).
 
 Code layout: 0 is the identity, 3i+1 is v_i, 3i+2 is v_i^{-1}, and every
 other element gets the least unused positive multiple of 3, in shortlex
@@ -20,8 +20,8 @@ group elements.  Stable words form a regular language, so a code is a
 rank in a finite automaton (the shortlex automatic structure of the
 group, cut off at MAX_REP_LEN): ``_rank`` and ``_unrank`` compute it in
 closed form from a table of completion counts built once per generator
-count.  A CodingTable adds memos of both directions and of ``star``,
-each bounded by ``max_elements``; they change speed, never answers.  A
+count.  A CodingTable adds memos of both directions, each bounded by
+``max_elements``; they change speed, never answers.  A
 word or code whose representative would be longer than MAX_REP_LEN
 letters is a budget error, never a wrong answer.
 """
@@ -36,9 +36,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .graphs import Graph, automorphisms
 from .presentation import DEFAULT_DEHN_BUDGET
 from .reduction import (
-    automorphisms_extending,
-    conjugate,
-    read_off_letters,
+    apply_hom,
+    canonical_witness,
+    induced_hom,
     reduced_words,
     relators_from_graph,
 )
@@ -178,10 +178,10 @@ def _letter_code(c: int) -> int:
 class CodingTable:
     """The coding of G_T: rank and unrank in closed form, with memos.
 
-    ``code_to_word``, ``word_to_code`` and the ``star`` memo are filled by
-    ``enumerate_to``, ``code_of``, ``word_of`` and ``star``, and each
-    stops growing at ``max_elements`` entries, which is also the largest
-    table ``enumerate_to`` returns.
+    ``code_to_word`` and ``word_to_code`` are filled by ``enumerate_to``,
+    ``code_of`` and ``word_of``, and each stops growing at
+    ``max_elements`` entries, which is also the largest table
+    ``enumerate_to`` returns.
     """
 
     def __init__(
@@ -201,7 +201,6 @@ class CodingTable:
         self._finite = completions[MAX_REP_LEN + 1][0] == 0
         self.code_to_word: Dict[int, Word] = {0: EMPTY}
         self.word_to_code: Dict[Word, int] = {EMPTY: 0}
-        self._star_cache: Dict[Tuple[int, int], int] = {}
 
     def _remember(self, pairs: List[Tuple[int, Word]]) -> None:
         """Memoise (code, word) pairs while the memos have room."""
@@ -269,13 +268,7 @@ class CodingTable:
         return w
 
     def star(self, n: int, m: int) -> int:
-        key = (n, m)
-        code = self._star_cache.get(key)
-        if code is None:
-            code = self.code_of(concat(self.word_of(n), self.word_of(m)))
-            if len(self._star_cache) < self.max_elements:
-                self._star_cache[key] = code
-        return code
+        return self.code_of(concat(self.word_of(n), self.word_of(m)))
 
     def inverse_code(self, n: int) -> int:
         return self.code_of(invert_word(self.word_of(n)))
@@ -370,15 +363,10 @@ def sigma_ns_nonempty(
     s: PartialMap,
     bound: Optional[int] = None,
 ) -> Tuple[bool, Optional[ExtensionWitness]]:
-    """Decide whether some automorphism of the coded group extends s.
-
-    rho on the generator codes in the domain, and eps, are read off their
-    values by ``reduction.read_off_letters`` (with no generator code both
-    signs are tried).  For each graph automorphism extending that partial
-    rho and each conjugator t of length <= bound, in shortlex order, every
-    pair of s is checked in the group by the word problem.  The witness
-    is the one a search over all of Aut(T), both signs and every
-    conjugator finds first; only its conjugator is coded.
+    """Decide whether some automorphism of the coded group extends s:
+    ``reduction.canonical_witness`` on the decoded pairs of s.  The
+    witness codes what it finds: r is rho on the generator codes in the
+    domain, l = (1 - eps)/2, and only the winning conjugator is coded.
     """
     validate_partial_map(s)
     for c in itertools.chain(s.keys(), s.values()):
@@ -386,29 +374,13 @@ def sigma_ns_nonempty(
             return False, None
     if bound is None:
         bound = default_star_conj_bound(ct, s)
-    gen_dom = sorted(c // 3 for c in s if c % 3 == 1)
-    read = read_off_letters(ct.pres, [ct.word_of(s[3 * i + 1]) for i in gen_dom], ct.dehn_budget)
-    if read is None:
-        return False, None
-    targets, eps = read
-    r = tuple(zip(gen_dom, targets))
     pairs = [(ct.word_of(c), ct.word_of(v)) for c, v in s.items()]
-    for rho in automorphisms_extending(ct.graph, dict(r)):
-        for sign in (eps,) if gen_dom else (1, -1):
-            mapped = [(_theta_image(ct, w, rho, sign, EMPTY), v) for w, v in pairs]
-            # the ball is walked afresh for each (rho, sign), never held
-            for t in reduced_words(ct.graph.n, bound):
-                if all(ct.pres.equal(conjugate(t, m), v, ct.dehn_budget) for m, v in mapped):
-                    k, k_inv = ct.code_of(t), ct.code_of(invert_word(t))
-                    return True, ExtensionWitness(r, k, k_inv, (1 - sign) // 2)
-    return False, None
-
-
-def _theta_image(ct: CodingTable, w: Word, rho, eps: int, t: Word) -> Word:
-    mapped = tuple(
-        (eps if c > 0 else -eps) * gen(rho[abs(c) - 1]) for c in w
-    )
-    return concat(concat(t, mapped), invert_word(t))
+    found = canonical_witness(ct.graph, ct.pres, pairs, bound, ct.dehn_budget)
+    if found is None:
+        return False, None
+    r = tuple((i, found.rho[i]) for i in sorted(c // 3 for c in s if c % 3 == 1))
+    k, k_inv = ct.code_of(found.conj), ct.code_of(invert_word(found.conj))
+    return True, ExtensionWitness(r, k, k_inv, (1 - found.epsilon) // 2)
 
 
 def oracle_aut_extends(
@@ -426,8 +398,9 @@ def oracle_aut_extends(
     for rho in automorphisms(ct.graph):
         for eps in (1, -1):
             for t in reduced_words(ct.graph.n, bound):
+                theta = induced_hom(ct.graph, ct.graph, rho, eps, t)
                 if all(
-                    ct.code_of(_theta_image(ct, ct.word_of(c), rho, eps, t)) == v
+                    ct.code_of(apply_hom(theta, ct.word_of(c))) == v
                     for c, v in s.items()
                 ):
                     return True

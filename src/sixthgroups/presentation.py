@@ -9,15 +9,15 @@ these, which is exactly what the torsion theorem for sixth groups licenses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .words import (
     EMPTY,
     Letter,
     Word,
-    concat,
     cyclic_permutations,
     cyclic_reduce,
     format_word,
@@ -95,44 +95,42 @@ def _common_prefix(w1: Word, w2: Word) -> Word:
     return w1[:k]
 
 
-def pieces(rel: RelatorSet) -> Set[Word]:
-    """Maximal common prefixes of ordered pairs of distinct relators.
+def _neighbour_prefixes(rel: RelatorSet) -> List[Tuple[Word, int]]:
+    """(maximal common prefix, length of the shorter) of each pair of
+    neighbours in the lexicographic order of the relators."""
+    return [
+        (_common_prefix(r1, r2), min(len(r1), len(r2)))
+        for r1, r2 in itertools.pairwise(sorted(rel.relators))
+    ]
 
-    Note that a relator is never compared with itself: proper powers such
-    as (v0 v1)^11 contribute no pieces through their self-overlaps.
+
+def pieces(rel: RelatorSet) -> Set[Word]:
+    """Maximal common prefixes of pairs of distinct relators.
+
+    In lexicographic order the relators with a given prefix are
+    consecutive, so the common prefix of any two is the shortest of the
+    common prefixes of the neighbours between them: one sorted pass finds
+    every piece.  A relator is never compared with itself: proper powers
+    such as (v0 v1)^11 contribute no pieces through their self-overlaps.
     """
-    out: Set[Word] = set()
-    rels = rel.sorted_relators()
-    for i, r1 in enumerate(rels):
-        for j, r2 in enumerate(rels):
-            if i == j:
-                continue
-            u = _common_prefix(r1, r2)
-            if u:
-                out.add(u)
-    return out
+    return {u for u, _ in _neighbour_prefixes(rel) if u}
 
 
 def max_piece_length(rel: RelatorSet) -> int:
-    ps = pieces(rel)
-    return max((len(u) for u in ps), default=0)
-
-
-def _contains(w: Word, u: Word) -> bool:
-    if not u:
-        return True
-    n, k = len(w), len(u)
-    return any(w[i : i + k] == u for i in range(n - k + 1))
+    return max((len(u) for u in pieces(rel)), default=0)
 
 
 def check_c16(rel: RelatorSet) -> bool:
-    """Every piece occurring inside a relator r has length < |r|/6."""
-    ps = pieces(rel)
-    for r in rel.relators:
-        for u in ps:
-            if len(u) * 6 >= len(r) and _contains(r, u):
-                return False
-    return True
+    """Every piece occurring inside a relator r has length < |r|/6.
+
+    For a symmetrized set it is enough that each pair of lexicographic
+    neighbours has a common prefix u with 6|u| < the shorter length.  The
+    set is closed under rotation, so a piece u inside r is a prefix of a
+    rotation r' of r; at least two relators begin with u, so r' shares at
+    least u with a neighbour, and |r'| = |r| <= 6|u|.  Conversely the
+    common prefix of two neighbours is a piece inside the shorter one.
+    """
+    return all(6 * len(u) < shorter for u, shorter in _neighbour_prefixes(rel))
 
 
 class _TrieNode:
@@ -258,11 +256,8 @@ class Presentation:
         return self.dehn_reduce(w, budget) == EMPTY
 
     def equal(self, w1: Word, w2: Word, budget: int = DEFAULT_DEHN_BUDGET) -> bool:
-        # concat cancels at the seam, which could hide an outside letter
-        for w in (w1, w2):
-            if not self._letters.issuperset(w):
-                raise self._alphabet_error(w)
-        return self.is_identity(concat(w1, invert_word(w2)), budget)
+        # unreduced: ``_reduce`` checks the letters before any cancellation
+        return self.is_identity(tuple(w1) + invert_word(w2), budget)
 
     def cyclic_dehn_reduce(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> Word:
         """Some cyclically Dehn-reduced conjugate of w: cyclically reduced,

@@ -3,9 +3,11 @@
 G_T is generated by one v_i per vertex, with relators v_i^7, and
 (v_i v_j)^11 on edges / (v_i v_j)^13 on non-edges.  Every automorphism
 of G_T has the canonical form theta(v_i) = t v_{rho(i)}^eps t^{-1} with
-rho a graph automorphism and eps = +/-1.  Both extension deciders read
-rho and eps off the cyclic Dehn cores of the images (``read_off_letters``)
-and search only for the conjugator t, among the words of bounded length.
+rho a graph automorphism and eps = +/-1.  Both extension deciders,
+``aut_canonical_check`` here and ``coding.sigma_ns_nonempty``, are
+adapters around one search, ``canonical_witness``: it reads rho and eps
+off the cyclic Dehn cores of the images (``read_off_letters``) and
+searches only for the conjugator t, among the words of bounded length.
 """
 
 from __future__ import annotations
@@ -194,38 +196,57 @@ def automorphisms_extending(t: Graph, partial: Dict[int, int]) -> Iterator[Tuple
             yield rho
 
 
+def canonical_witness(
+    t: Graph,
+    pres: Presentation,
+    pairs: Sequence[Tuple[Word, Word]],
+    bound: int,
+    budget: int = DEFAULT_DEHN_BUDGET,
+) -> Optional[CanonicalAuto]:
+    """The first (rho, eps, conj) in (rho, eps, conjugator shortlex) order
+    with |conj| <= bound and conj theta0(w) conj^{-1} = v in G_T for every
+    pair (w, v), theta0 the map v_i -> v_{rho(i)}^eps; or None.
+
+    rho and eps are read off the values of the pairs whose w is one
+    positive generator, each generator once (``read_off_letters``; with
+    none both signs are tried), and rho ranges over the automorphisms
+    extending what was read.  The ball of conjugators is walked lazily,
+    afresh for each (rho, eps).
+    """
+    if bound < 0:
+        raise ValueError(f"conjugator bound must be at least 0, not {bound}")
+    fixed = [(w[0] - 1, v) for w, v in pairs if len(w) == 1 and w[0] > 0]
+    read = read_off_letters(pres, [v for _, v in fixed], budget)
+    if read is None:
+        return None
+    targets, eps = read
+    partial = {i: j for (i, _), j in zip(fixed, targets)}
+    for rho in automorphisms_extending(t, partial):
+        for sign in (eps,) if fixed else (1, -1):
+            theta0 = induced_hom(t, t, rho, sign)
+            mapped = [(apply_hom(theta0, w), v) for w, v in pairs]
+            for conj in reduced_words(t.n, bound):
+                if all(pres.equal(conjugate(conj, m), v, budget) for m, v in mapped):
+                    return CanonicalAuto(rho, sign, conj)
+    return None
+
+
 def aut_canonical_check(
     t: Graph,
     gm: GeneratorMap,
     bound: Optional[int] = None,
     budget: int = DEFAULT_DEHN_BUDGET,
 ) -> Optional[CanonicalAuto]:
-    """Search for (rho, eps, t) with gm(i) = t v_{rho(i)}^eps t^{-1} in G_T.
-
-    rho and eps are read off the images by ``read_off_letters``; rho must
-    be a graph automorphism, and then the conjugators of length <= bound
-    are tried in shortlex order.  Returns the first witness in (rho, eps,
-    conjugator) shortlex order, the one a search over all of Aut(T)
-    finds, or None.  Together with is_homomorphism, a witness certifies
-    that gm defines an automorphism of G_T.
+    """``canonical_witness`` for gm(i) = t v_{rho(i)}^eps t^{-1} in G_T, by
+    default with conjugators as long as an image allows.  Together with
+    is_homomorphism, a witness certifies that gm is an automorphism of G_T.
     """
     if len(gm) != t.n:
         raise ValueError("generator map has wrong arity")
     if bound is None:
         bound = default_conj_bound(gm)
-    pres = relators_from_graph(t)
-    read = read_off_letters(pres, gm, budget)
-    if read is None:
-        return None
-    targets, eps = read
-    for rho in automorphisms_extending(t, dict(enumerate(targets))):
-        for conj in reduced_words(t.n, bound):
-            if all(
-                pres.equal(gm[i], conjugate(conj, (eps * gen(rho[i]),)), budget)
-                for i in range(t.n)
-            ):
-                return CanonicalAuto(rho, eps, conj)
-    return None
+    pairs = [((gen(i),), w) for i, w in enumerate(gm)]
+    return canonical_witness(t, relators_from_graph(t), pairs, bound, budget)
 
 
 def iso_search(t: Graph, s: Graph, budget: int = DEFAULT_DEHN_BUDGET):

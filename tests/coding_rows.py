@@ -16,12 +16,11 @@ from sixthgroups.coding import (
     CodingTable,
     ExtensionWitness,
     PartialMap,
-    _theta_image,
     default_star_conj_bound,
     validate_partial_map,
 )
 from sixthgroups.graphs import automorphisms
-from sixthgroups.reduction import reduced_words
+from sixthgroups.reduction import apply_hom, induced_hom, reduced_words
 from sixthgroups.words import Word, invert_word
 
 
@@ -125,10 +124,8 @@ def oracle_rows(ct: CodingTable, bound: int, codes) -> set:
     for rho in automorphisms(ct.graph):
         for eps in (1, -1):
             for t in reduced_words(ct.graph.n, bound):
+                theta = induced_hom(ct.graph, ct.graph, rho, eps, t)
                 rows.add(
-                    tuple(
-                        ct.code_of(_theta_image(ct, ct.word_of(c), rho, eps, t))
-                        for c in codes
-                    )
+                    tuple(ct.code_of(apply_hom(theta, ct.word_of(c))) for c in codes)
                 )
     return rows

@@ -14,7 +14,6 @@ from sixthgroups.cli import (
     EXIT_NO,
     EXIT_OK,
     EXIT_USAGE,
-    Config,
     main,
 )
 
@@ -43,12 +42,16 @@ def p3(tmp_path):
     return str(p)
 
 
-def test_config_validation():
-    Config()
-    with pytest.raises(ValueError):
-        Config(max_code=0)
-    with pytest.raises(ValueError):
-        Config(dehn_budget=-1)
+@pytest.mark.parametrize(
+    "flag", ["--max-code=0", "--dehn-budget=-1", "--max-n=0", "--conj-bound=-1"]
+)
+def test_flags_out_of_range_are_usage_errors(k2, tmp_path, flag):
+    # a negative --conj-bound leaves no conjugator to try, which must not
+    # read as an answer
+    mapfile = tmp_path / "id.map"
+    mapfile.write_text("1 1\n")
+    for argv in ([flag, "aut-extend", k2, str(mapfile)], ["aut-extend", flag, k2, str(mapfile)]):
+        assert run(*argv) == (EXIT_USAGE, "")
 
 
 def test_relators(k2):
@@ -163,6 +166,18 @@ def test_hom_check(k2, p3, tmp_path):
     code, out = run("hom-check", k2, p3, str(mapfile))
     assert code == EXIT_NO
     assert "homomorphism: false" in out
+
+
+@pytest.mark.parametrize(
+    "text", ["0 0\n1 x\n", "0 0\n0 1\n", "0 0\n", "0 0\n1 0\n", "0 0\n1 1\n2 2\n"]
+)
+def test_hom_check_mapfile_errors(k2, p3, tmp_path, text):
+    # a bad line, a repeated source, a missing vertex, a non-injective map
+    # and a vertex outside the graph
+    mapfile = tmp_path / "f.map"
+    mapfile.write_text(text)
+    code, out = run("hom-check", k2, p3, str(mapfile))
+    assert code == EXIT_USAGE and out.startswith("error: ")
 
 
 def test_rado_commands(k2, tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sixthgroups.graphs import graph
+from sixthgroups.graphs import graph, graphs_up_to
 from sixthgroups.presentation import (
     INFINITE,
     AlphabetError,
@@ -146,6 +146,51 @@ def test_pieces_failure_case():
     rel = symmetrize([(1, 2, 3), (1, 2, -3)])
     assert max_piece_length(rel) >= 2
     assert check_c16(rel) is False
+
+
+def _pairwise_pieces(rel):
+    """Oracle: the maximal common prefix of every ordered pair of distinct
+    relators."""
+    out = set()
+    for r1, r2 in itertools.permutations(rel.relators, 2):
+        k = 0
+        while k < min(len(r1), len(r2)) and r1[k] == r2[k]:
+            k += 1
+        if k:
+            out.add(r1[:k])
+    return out
+
+
+def _pairwise_c16(rel):
+    """Oracle: no piece u occurs inside a relator r with 6|u| >= |r|."""
+    ps = _pairwise_pieces(rel)
+    return not any(
+        6 * len(u) >= len(r)
+        and any(r[i : i + len(u)] == u for i in range(len(r) - len(u) + 1))
+        for r in rel.relators
+        for u in ps
+    )
+
+
+def test_c16_matches_pairwise_oracle():
+    rng = random.Random(16)
+    rels = [relators_from_graph(t).relators for t in graphs_up_to(5)]
+    for _ in range(1500):
+        k = rng.randint(1, 3)
+        seeds = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(rng.randint(1, 14)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        rels.append(symmetrize(seeds))
+    passing = 0
+    for rel in rels:
+        ps = _pairwise_pieces(rel)
+        assert pieces(rel) == ps
+        assert max_piece_length(rel) == max(map(len, ps), default=0)
+        assert check_c16(rel) == _pairwise_c16(rel)
+        passing += check_c16(rel)
+    # both answers are well represented among the random sets
+    assert 300 < passing < len(rels) - 300
 
 
 def test_williams_relators_are_sixth():

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from sixthgroups import reduction
+from sixthgroups.coding import CodingTable, sigma_ns_nonempty
 from sixthgroups.graphs import all_graphs, automorphisms, graph, graphs_up_to
 from sixthgroups.reduction import (
     EDGE_ORDER,
@@ -255,6 +256,14 @@ def test_aut_canonical_check_arity():
     for gm in (((1,), (2,), (1,)), ((1,),)):
         with pytest.raises(ValueError, match="wrong arity"):
             aut_canonical_check(K2, gm)
+
+
+def test_deciders_reject_a_negative_bound():
+    # an empty ball of conjugators must not read as an answer
+    with pytest.raises(ValueError, match="at least 0"):
+        aut_canonical_check(K2, ((1,), (2,)), bound=-1)
+    with pytest.raises(ValueError, match="at least 0"):
+        sigma_ns_nonempty(CodingTable(K2), {1: 1}, -1)
 
 
 def test_aut_canonical_check_rejects():
