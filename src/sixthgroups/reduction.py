@@ -211,14 +211,16 @@ def canonical_witness(
     positive generator, each generator once (``read_off_letters``; with
     none both signs are tried), and rho ranges over the automorphisms
     extending what was read.  The ball of conjugators is walked lazily,
-    afresh for each (rho, eps).
+    afresh for each (rho, eps).  A negative bound is a ValueError.  It is
+    checked after the read-off: the default bounds are -1 only for images
+    of length 0, which the read-off already refutes.
     """
-    if bound < 0:
-        raise ValueError(f"conjugator bound must be at least 0, not {bound}")
     fixed = [(w[0] - 1, v) for w, v in pairs if len(w) == 1 and w[0] > 0]
     read = read_off_letters(pres, [v for _, v in fixed], budget)
     if read is None:
         return None
+    if bound < 0:
+        raise ValueError(f"conjugator bound must be at least 0, not {bound}")
     targets, eps = read
     partial = {i: j for (i, _), j in zip(fixed, targets)}
     for rho in automorphisms_extending(t, partial):

@@ -133,6 +133,15 @@ def test_aut_extend(k2, tmp_path):
     assert "oracle: false" in out
 
 
+def test_aut_extend_onto_the_identity(k2, tmp_path):
+    # v0 -> 1 gives the default bound -1: a negative answer, not an error
+    sfile = tmp_path / "s.map"
+    sfile.write_text("1 0\n")
+    code, out = run("aut-extend", k2, str(sfile), "--oracle")
+    assert code == EXIT_NO, out
+    assert out.splitlines() == ["extends: false", "conj-bound: -1", "oracle: false"]
+
+
 def test_aut_extend_negative_at_long_conjugators(k2, tmp_path):
     # v0 -> v0^2 extends to no automorphism; the 11-letter images of the
     # longer conjugators used to turn that answer into a budget error

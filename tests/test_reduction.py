@@ -266,6 +266,13 @@ def test_deciders_reject_a_negative_bound():
         sigma_ns_nonempty(CodingTable(K2), {1: 1}, -1)
 
 
+def test_maps_onto_the_identity_are_refuted_at_the_default_bound():
+    # the default bound is -1 here; the read-off refutes the map first
+    assert default_conj_bound(((), ())) == -1
+    assert aut_canonical_check(K2, ((), ())) is None
+    assert sigma_ns_nonempty(CodingTable(K2), {1: 0}) == (False, None)
+
+
 def test_aut_canonical_check_rejects():
     # v0 -> v0 v1 is not of canonical form
     gm = ((1, 2), (2,))
