@@ -3,6 +3,10 @@
 Exit codes: 0 computed, 1 negative answer for yes/no queries, 2 usage or
 parse error, 3 budget exceeded, 4 internal error (a bug, never an
 answer).  Reports are line oriented `key: value`.
+
+Each subcommand imports the engine modules it runs when it runs: start-up
+is most of a call's time, and every imported module is compiled unless
+its bytecode is cached.
 """
 
 from __future__ import annotations
@@ -10,15 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import coding, graphs, randomgraph, reduction
-from .presentation import (
+from . import graphs
+from .words import (
     DEFAULT_DEHN_BUDGET,
-    INFINITE,
-    DehnBudgetError,
-    check_c16,
-    max_piece_length,
+    BudgetError,
+    WordFormatError,
+    format_word,
+    parse_word,
 )
-from .words import WordFormatError, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -41,6 +44,8 @@ def _load_graph(args, path: str) -> graphs.Graph:
 
 
 def _cmd_relators(args, out):
+    from . import reduction
+
     g = _load_graph(args, args.graph)
     pres = reduction.relators_from_graph(g)
     for seed in reduction.relator_seeds(g):
@@ -50,6 +55,9 @@ def _cmd_relators(args, out):
 
 
 def _cmd_check_c16(args, out):
+    from . import reduction
+    from .presentation import check_c16, max_piece_length
+
     g = _load_graph(args, args.graph)
     rel = reduction.relators_from_graph(g).relators
     ok = check_c16(rel)
@@ -59,6 +67,8 @@ def _cmd_check_c16(args, out):
 
 
 def _cmd_wp(args, out):
+    from . import reduction
+
     g = _load_graph(args, args.graph)
     pres = reduction.relators_from_graph(g)
     w = parse_word(args.word)
@@ -69,6 +79,9 @@ def _cmd_wp(args, out):
 
 
 def _cmd_order(args, out):
+    from . import reduction
+    from .presentation import INFINITE
+
     g = _load_graph(args, args.graph)
     pres = reduction.relators_from_graph(g)
     n = pres.order(parse_word(args.word), args.dehn_budget)
@@ -77,6 +90,8 @@ def _cmd_order(args, out):
 
 
 def _cmd_code(args, out):
+    from . import coding
+
     g = _load_graph(args, args.graph)
     ct = coding.CodingTable(g, dehn_budget=args.dehn_budget)
     for c, w in ct.enumerate_to(args.max_code):
@@ -85,6 +100,8 @@ def _cmd_code(args, out):
 
 
 def _cmd_star_table(args, out):
+    from . import coding
+
     g = _load_graph(args, args.graph)
     ct = coding.CodingTable(g, dehn_budget=args.dehn_budget)
     codes = [c for c, _ in ct.enumerate_to(args.max_code)]
@@ -96,6 +113,8 @@ def _cmd_star_table(args, out):
 
 
 def _cmd_aut_extend(args, out):
+    from . import coding
+
     g = _load_graph(args, args.graph)
     with open(args.partialmap, encoding="utf-8") as fh:
         s = coding.parse_partial_map(fh.read())
@@ -143,6 +162,8 @@ def _cmd_graph_iso(args, out):
 
 
 def _cmd_hom_check(args, out):
+    from . import coding, reduction
+
     t = _load_graph(args, args.graph_t)
     s = _load_graph(args, args.graph_s)
     with open(args.mapfile, encoding="utf-8") as fh:
@@ -161,12 +182,16 @@ def _cmd_hom_check(args, out):
 
 
 def _cmd_rado_adj(args, out):
+    from . import randomgraph
+
     ok = randomgraph.adjacent(args.m, args.n)
     out(f"adjacent: {'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_NO
 
 
 def _cmd_rado_embed(args, out):
+    from . import randomgraph
+
     g = _load_graph(args, args.graph)
     images = randomgraph.embed_graph(g)
     for v in range(g.n):
@@ -276,7 +301,7 @@ def main(argv=None, stdout=None) -> int:
     ) as exc:
         out(f"error: {exc}")
         return EXIT_USAGE
-    except (DehnBudgetError, coding.CodingBudgetError, randomgraph.PrimeBudgetError) as exc:
+    except BudgetError as exc:
         out(f"budget-error: {exc}")
         return EXIT_BUDGET
     except Exception as exc:

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, automorphisms
 from .presentation import DEFAULT_DEHN_BUDGET
@@ -44,6 +44,7 @@ from .reduction import (
 )
 from .words import (
     EMPTY,
+    BudgetError,
     Word,
     concat,
     gen,
@@ -56,7 +57,7 @@ MAX_REP_LEN = 10
 DEFAULT_MAX_ELEMENTS = 500_000
 
 
-class CodingBudgetError(RuntimeError):
+class CodingBudgetError(BudgetError):
     """A request the coding cannot answer within its budgets: a
     representative longer than MAX_REP_LEN letters, or a table of more
     than max_elements codes.
@@ -204,13 +205,14 @@ class CodingTable:
 
     def _remember(self, pairs: List[Tuple[int, Word]]) -> None:
         """Memoise (code, word) pairs while the memos have room."""
-        for memo, items in (
-            (self.code_to_word, pairs),
-            (self.word_to_code, [(w, c) for c, w in pairs]),
-        ):
-            room = self.max_elements - len(memo)
-            if room > 0:
-                memo.update(items[:room])
+        room = self.max_elements - len(self.code_to_word)
+        if room > 0:
+            self.code_to_word.update(pairs[:room])
+        room = self.max_elements - len(self.word_to_code)
+        if room > 0:
+            kept = pairs[:room]
+            words, codes = map(itemgetter(1), kept), map(itemgetter(0), kept)
+            self.word_to_code.update(zip(words, codes))
 
     def _reach_error(self, code: int) -> CodingBudgetError:
         """In an infinite group, a composite code past the last
@@ -341,8 +343,7 @@ def format_partial_map(s: PartialMap) -> str:
 # -- automorphism extension: checker and oracle ------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(NamedTuple):
     r: Tuple[Tuple[int, int], ...]  # vertex map i -> r(i) on coded generators
     k: int
     k_inv: int
@@ -355,7 +356,7 @@ def default_star_conj_bound(ct: CodingTable, s: PartialMap) -> int:
         for a, v in s.items()
         if a % 3 == 1 and ct.registrable(v)
     ]
-    return max(((m - 1) // 2 for m in lens), default=0)
+    return max([(m - 1) // 2 for m in lens] + [0])
 
 
 def sigma_ns_nonempty(

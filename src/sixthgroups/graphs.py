@@ -9,7 +9,6 @@ correct.  Vertex counts are expected to stay small (n <= 8 or so).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import FrozenSet, Iterator, Optional, Tuple
 
 DEFAULT_MAX_N = 8
@@ -23,17 +22,40 @@ def _norm_edge(i: int, j: int) -> Tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
 class Graph:
-    n: int
-    edges: FrozenSet[Tuple[int, int]] = field(default_factory=frozenset)
+    """A graph on vertices 0..n-1 with edges (i, j), i < j.  Immutable,
+    equal and hashed by (n, edges), so it can key caches."""
 
-    def __post_init__(self):
-        if self.n < 0:
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: FrozenSet[Tuple[int, int]] = frozenset()):
+        if n < 0:
             raise ValueError("negative vertex count")
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
+        for i, j in edges:
+            if not (0 <= i < j < n):
+                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Graph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
 
     def adj(self, i: int, j: int) -> bool:
         if i == j:

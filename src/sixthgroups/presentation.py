@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .words import (
+    DEFAULT_DEHN_BUDGET,
     EMPTY,
+    BudgetError,
     Letter,
     Word,
     cyclic_permutations,
@@ -29,10 +30,8 @@ from .words import (
 
 INFINITE = math.inf
 
-DEFAULT_DEHN_BUDGET = 10_000
 
-
-class DehnBudgetError(RuntimeError):
+class DehnBudgetError(BudgetError):
     """Dehn's algorithm needed more steps than its budget allows.
 
     Carries the budget, the steps used and the input word; the message
@@ -62,8 +61,7 @@ def primitive_root(w: Word) -> Tuple[Word, int]:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class RelatorSet:
+class RelatorSet(NamedTuple):
     relators: FrozenSet[Word]
     roots: FrozenSet[Tuple[Word, int]]
 

@@ -24,6 +24,7 @@ from itertools import compress
 from typing import Collection, Dict, Iterable, List, Set
 
 from .graphs import Graph
+from .words import BudgetError
 
 # The largest index whose sieve bound (_prime_bound) fits _MAX_SIEVE.
 MAX_PRIME_INDEX = 9_590_648
@@ -32,7 +33,7 @@ _MULTIPLE_LIMIT = 1_000
 _MAX_SIEVE = 200_000_000
 
 
-class PrimeBudgetError(RuntimeError):
+class PrimeBudgetError(BudgetError):
     """A request beyond the prime layer's budgets: a prime index above
     MAX_PRIME_INDEX, a number beyond the sieve cap _MAX_SIEVE, or a
     witness search past its scan or multiple limit.

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, graph_iso, is_automorphism
 from .presentation import DEFAULT_DEHN_BUDGET, Presentation, symmetrize
@@ -50,9 +49,9 @@ def relator_seeds(t: Graph):
     return seeds
 
 
-# A Presentation is immutable and Graph is a frozen dataclass, so the last
-# few presentations are shared; a larger cache costs memory in processes
-# that build many small tables.
+# A Presentation and a Graph are both immutable, so the last few
+# presentations are shared; a larger cache costs memory in processes that
+# build many small tables.
 @functools.lru_cache(maxsize=8)
 def relators_from_graph(t: Graph) -> Presentation:
     return Presentation(t.n, symmetrize(relator_seeds(t)))
@@ -150,16 +149,16 @@ def reduced_words(alphabet_size: int, max_len: int):
         frontier = nxt
 
 
-@dataclass(frozen=True)
-class CanonicalAuto:
+class CanonicalAuto(NamedTuple):
     rho: Tuple[int, ...]
     epsilon: int
     conj: Word
 
 
 def default_conj_bound(gm: GeneratorMap) -> int:
-    # |t v t^{-1}| = 2|t| + 1 without cancellation.
-    return max(((len(w) - 1) // 2 for w in gm), default=0)
+    # |t v t^{-1}| = 2|t| + 1 without cancellation; never below 0, the
+    # least bound canonical_witness accepts.
+    return max([(len(w) - 1) // 2 for w in gm] + [0])
 
 
 def read_off_letters(
@@ -211,16 +210,14 @@ def canonical_witness(
     positive generator, each generator once (``read_off_letters``; with
     none both signs are tried), and rho ranges over the automorphisms
     extending what was read.  The ball of conjugators is walked lazily,
-    afresh for each (rho, eps).  A negative bound is a ValueError.  It is
-    checked after the read-off: the default bounds are -1 only for images
-    of length 0, which the read-off already refutes.
+    afresh for each (rho, eps).  A negative bound is a ValueError.
     """
+    if bound < 0:
+        raise ValueError(f"conjugator bound must be at least 0, not {bound}")
     fixed = [(w[0] - 1, v) for w, v in pairs if len(w) == 1 and w[0] > 0]
     read = read_off_letters(pres, [v for _, v in fixed], budget)
     if read is None:
         return None
-    if bound < 0:
-        raise ValueError(f"conjugator bound must be at least 0, not {bound}")
     targets, eps = read
     partial = {i: j for (i, _), j in zip(fixed, targets)}
     for rho in automorphisms_extending(t, partial):

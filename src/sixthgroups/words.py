@@ -15,6 +15,15 @@ Word = Tuple[int, ...]
 
 EMPTY: Word = ()
 
+# The step budget of Dehn's algorithm (``presentation``), kept here so the
+# CLI can default its flag without loading the presentation layer.
+DEFAULT_DEHN_BUDGET = 10_000
+
+
+class BudgetError(RuntimeError):
+    """A request beyond one of the engine's budgets.  The Dehn, coding and
+    prime layers each raise their own subclass."""
+
 
 class WordFormatError(ValueError):
     """Malformed word text; carries the offending token position."""

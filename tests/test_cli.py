@@ -134,12 +134,12 @@ def test_aut_extend(k2, tmp_path):
 
 
 def test_aut_extend_onto_the_identity(k2, tmp_path):
-    # v0 -> 1 gives the default bound -1: a negative answer, not an error
+    # v0 -> 1 gives the default bound 0: a negative answer, not an error
     sfile = tmp_path / "s.map"
     sfile.write_text("1 0\n")
     code, out = run("aut-extend", k2, str(sfile), "--oracle")
     assert code == EXIT_NO, out
-    assert out.splitlines() == ["extends: false", "conj-bound: -1", "oracle: false"]
+    assert out.splitlines() == ["extends: false", "conj-bound: 0", "oracle: false"]
 
 
 def test_aut_extend_negative_at_long_conjugators(k2, tmp_path):
@@ -219,6 +219,42 @@ def test_runs_without_numpy():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "adjacent: true" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code, unused",
+    [
+        (["rado-adj", "2", "5"], EXIT_OK, {"presentation", "reduction", "coding"}),
+        (["rigid", "K2"], EXIT_NO, {"presentation", "reduction", "coding", "randomgraph"}),
+        (["wp", "K2", "g0 g1 G0 G1"], EXIT_OK, {"coding", "randomgraph"}),
+    ],
+    ids=["rado-adj", "rigid", "wp"],
+)
+def test_subcommands_import_only_what_they_run(argv, code, unused, k2):
+    # In a fresh interpreter: the modules that importing the CLI and running
+    # one subcommand add to those loaded before, whatever site preloads.
+    argv = [k2 if a == "K2" else a for a in argv]
+    script = (
+        "import io, sys\n"
+        "before = set(sys.modules)\n"
+        "from sixthgroups import cli\n"
+        f"code = cli.main({argv!r}, stdout=io.StringIO())\n"
+        "print(code, *sorted(set(sys.modules) - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sixthgroups.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got, *loaded = proc.stdout.split()
+    assert int(got) == code
+    assert "sixthgroups.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert not {f"sixthgroups.{m}" for m in unused} & set(loaded), loaded
 
 
 def test_rigid_and_tree(k2, p3):

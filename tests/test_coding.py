@@ -10,6 +10,7 @@ from sixthgroups.coding import (
     MAX_REP_LEN,
     CodingBudgetError,
     CodingTable,
+    ExtensionWitness,
     _rank,
     _unrank,
     default_star_conj_bound,
@@ -151,6 +152,13 @@ def test_sigma_spec_examples():
     # reach of the coding, are never coded
     ok, w = sigma_ns_nonempty(ct, {1: 1}, 11)
     assert ok and w.k == 0
+
+
+def test_extension_witness_record():
+    ct = CodingTable(K2)
+    got = sigma_ns_nonempty(ct, {1: 4}, 0)  # v0 -> v1 via the swap
+    assert got == (True, ExtensionWitness(r=((0, 1),), k=0, k_inv=0, l=0))
+    assert got[1] != ExtensionWitness(r=((0, 1),), k=0, k_inv=0, l=1)
 
 
 def test_deciders_walk_the_ball_lazily(monkeypatch):

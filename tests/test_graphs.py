@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from sixthgroups.graphs import (
     nonisomorphic_graphs,
     parse_graph,
 )
+from sixthgroups.reduction import relators_from_graph
 
 K2 = graph(2, [(0, 1)])
 P3 = graph(3, [(0, 1), (1, 2)])
@@ -50,6 +52,16 @@ def test_graph_basics():
         Graph(2, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
         Graph(-1)
+    # equal and hashed by (n, edges), whatever order the edges came in, so
+    # the presentation cache finds the same entry
+    g, h = graph(3, [(1, 2), (0, 1)]), Graph(3, frozenset([(0, 1), (1, 2)]))
+    assert g == h == P3 and hash(g) == hash(h)
+    assert g != graph(3, [(0, 1)]) and g != Graph(4, g.edges)
+    assert relators_from_graph(g) is relators_from_graph(h)
+    with pytest.raises(AttributeError):
+        g.n = 4
+    assert g.n == 3
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_parse_format_roundtrip():

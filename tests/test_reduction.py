@@ -267,8 +267,9 @@ def test_deciders_reject_a_negative_bound():
 
 
 def test_maps_onto_the_identity_are_refuted_at_the_default_bound():
-    # the default bound is -1 here; the read-off refutes the map first
-    assert default_conj_bound(((), ())) == -1
+    # images of length 0 give the bound 0, not -1; the read-off refutes
+    # the map
+    assert default_conj_bound(((), ())) == 0
     assert aut_canonical_check(K2, ((), ())) is None
     assert sigma_ns_nonempty(CodingTable(K2), {1: 0}) == (False, None)
 
