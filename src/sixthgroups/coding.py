@@ -38,6 +38,7 @@ from .presentation import DEFAULT_DEHN_BUDGET
 from .reduction import (
     apply_hom,
     canonical_witness,
+    default_conj_bound,
     induced_hom,
     reduced_words,
     relators_from_graph,
@@ -319,27 +320,6 @@ def validate_partial_map(s: PartialMap) -> None:
         raise ValueError("partial map entries must be naturals")
 
 
-def parse_partial_map(text: str) -> PartialMap:
-    s: PartialMap = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ValueError(f"line {lineno}: expected '<arg> <value>'")
-        arg, val = int(parts[0]), int(parts[1])
-        if arg in s:
-            raise ValueError(f"line {lineno}: duplicate argument {arg}")
-        s[arg] = val
-    validate_partial_map(s)
-    return s
-
-
-def format_partial_map(s: PartialMap) -> str:
-    return "".join(f"{a} {v}\n" for a, v in sorted(s.items()))
-
-
 # -- automorphism extension: checker and oracle ------------------------
 
 
@@ -351,12 +331,10 @@ class ExtensionWitness(NamedTuple):
 
 
 def default_star_conj_bound(ct: CodingTable, s: PartialMap) -> int:
-    lens = [
-        len(ct.word_of(v))
-        for a, v in s.items()
-        if a % 3 == 1 and ct.registrable(v)
-    ]
-    return max([(m - 1) // 2 for m in lens] + [0])
+    """``reduction.default_conj_bound`` of the decoded generator images."""
+    return default_conj_bound(
+        tuple(ct.word_of(v) for a, v in s.items() if a % 3 == 1 and ct.registrable(v))
+    )
 
 
 def sigma_ns_nonempty(

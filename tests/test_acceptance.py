@@ -9,6 +9,7 @@ import random
 import time
 
 from coding_rows import checker_rows, oracle_rows
+from injectivity_oracle import check_injective_up_to
 from sixthgroups.coding import (
     CodingBudgetError,
     CodingTable,
@@ -29,7 +30,6 @@ from sixthgroups.randomgraph import adjacent, embed_graph, extension_witness
 from sixthgroups.reduction import (
     apply_hom,
     aut_canonical_check,
-    check_injective_up_to,
     conjugate,
     induced_hom,
     is_homomorphism,

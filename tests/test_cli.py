@@ -15,6 +15,7 @@ from sixthgroups.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
+    read_map,
 )
 
 K2_TEXT = "n 2\ne 0 1\n"
@@ -177,6 +178,26 @@ def test_hom_check(k2, p3, tmp_path):
     assert "homomorphism: false" in out
 
 
+def test_read_map(k2, tmp_path):
+    path = tmp_path / "s.map"
+
+    def read(text):
+        path.write_text(text)
+        return read_map(str(path))
+
+    assert read("# comment\n1 4\n\n3 27\n") == {1: 4, 3: 27}
+    with pytest.raises(ValueError):
+        read("1 4\n1 5\n")
+    with pytest.raises(ValueError):
+        read("x 4\n")
+    # injectivity is checked by the subcommand that reads the map
+    with pytest.raises(ValueError):
+        coding.validate_partial_map(read("1 4\n2 4\n"))
+    code, out = run("aut-extend", k2, str(path))
+    assert (code, out) == (EXIT_USAGE, "error: partial map must be injective\n")
+    coding.validate_partial_map({})
+
+
 @pytest.mark.parametrize(
     "text", ["0 0\n1 x\n", "0 0\n0 1\n", "0 0\n", "0 0\n1 0\n", "0 0\n1 1\n2 2\n"]
 )
@@ -227,13 +248,16 @@ def test_runs_without_numpy():
         (["rado-adj", "2", "5"], EXIT_OK, {"presentation", "reduction", "coding"}),
         (["rigid", "K2"], EXIT_NO, {"presentation", "reduction", "coding", "randomgraph"}),
         (["wp", "K2", "g0 g1 G0 G1"], EXIT_OK, {"coding", "randomgraph"}),
+        (["hom-check", "K2", "K2", "MAP"], EXIT_OK, {"coding", "randomgraph"}),
     ],
-    ids=["rado-adj", "rigid", "wp"],
+    ids=["rado-adj", "rigid", "wp", "hom-check"],
 )
-def test_subcommands_import_only_what_they_run(argv, code, unused, k2):
+def test_subcommands_import_only_what_they_run(argv, code, unused, k2, tmp_path):
     # In a fresh interpreter: the modules that importing the CLI and running
     # one subcommand add to those loaded before, whatever site preloads.
-    argv = [k2 if a == "K2" else a for a in argv]
+    mapfile = tmp_path / "id.map"
+    mapfile.write_text("0 0\n1 1\n")
+    argv = [{"K2": k2, "MAP": str(mapfile)}.get(a, a) for a in argv]
     script = (
         "import io, sys\n"
         "before = set(sys.modules)\n"

@@ -14,11 +14,8 @@ from sixthgroups.coding import (
     _rank,
     _unrank,
     default_star_conj_bound,
-    format_partial_map,
     oracle_aut_extends,
-    parse_partial_map,
     sigma_ns_nonempty,
-    validate_partial_map,
 )
 from coding_rows import star_search
 from sixthgroups.graphs import automorphisms, graph, graphs_up_to
@@ -125,19 +122,6 @@ def test_budget_errors():
     with pytest.raises(CodingBudgetError):
         # normal form (g0 g1)^5 g0 has length 11 > MAX_REP_LEN
         ct2.code_of(power((1, 2), 5) + (1,))
-
-
-def test_partial_map_io():
-    s = parse_partial_map("# comment\n1 4\n\n3 27\n")
-    assert s == {1: 4, 3: 27}
-    assert format_partial_map(s) == "1 4\n3 27\n"
-    with pytest.raises(ValueError):
-        parse_partial_map("1 4\n1 5\n")
-    with pytest.raises(ValueError):
-        parse_partial_map("1 4\n2 4\n")
-    with pytest.raises(ValueError):
-        parse_partial_map("x 4\n")
-    validate_partial_map({})
 
 
 def test_sigma_spec_examples():

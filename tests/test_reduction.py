@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from injectivity_oracle import check_injective_up_to
 from sixthgroups import reduction
 from sixthgroups.coding import CodingTable, sigma_ns_nonempty
 from sixthgroups.graphs import all_graphs, automorphisms, graph, graphs_up_to
@@ -17,7 +18,6 @@ from sixthgroups.reduction import (
     apply_hom,
     aut_canonical_check,
     automorphisms_extending,
-    check_injective_up_to,
     conjugate,
     default_conj_bound,
     induced_hom,
@@ -110,6 +110,57 @@ def test_nonedge_to_nonedge_embedding():
     assert check_injective_up_to(p_e2, P_P3, gm, 3)
     # non-edge onto an edge fails: order 13 vs 11
     assert not is_homomorphism(p_e2, P_P3, induced_hom(e2, P3, [0, 1]))
+
+
+def _induced_homs():
+    """(t, s, f, is_homomorphism) for every injective vertex map f between
+    graphs of at most 4 vertices."""
+    pool = graphs_up_to(4)
+    pres = {g: relators_from_graph(g) for g in pool}
+    for t, s in itertools.product(pool, pool):
+        for f in itertools.permutations(range(s.n), t.n):
+            yield t, s, f, is_homomorphism(pres[t], pres[s], induced_hom(t, s, f))
+
+
+def test_induced_map_is_a_homomorphism_iff_an_induced_embedding():
+    # fact (a) of is_homomorphism, the half of hom-check's injectivity proof
+    # that concerns the graphs
+    maps = homs = 0
+    for t, s, f, ok in _induced_homs():
+        embeds = all(
+            t.adj(i, j) == s.adj(f[i], f[j])
+            for i, j in itertools.combinations(range(t.n), 2)
+        )
+        assert ok == embeds, (t, s, f)
+        maps += 1
+        homs += ok
+    assert (maps, homs) == (4437, 479)
+
+
+def test_induced_embedding_keeps_dehn_reduced_words_reduced():
+    # fact (b) of is_homomorphism: the image of a Dehn-reduced word is
+    # Dehn-reduced, so a nontrivial element never maps to 1.  The words mix
+    # single letters with runs of one generator and of a pair of generators,
+    # the stretches a relator step would match.
+    rng = random.Random(12)
+    words = 0
+    for t, s, f, ok in _induced_homs():
+        if not ok:
+            continue
+        p_t, p_s = relators_from_graph(t), relators_from_graph(s)
+        gm = induced_hom(t, s, f)
+        for _ in range(3):
+            w = EMPTY
+            for _ in range(rng.randint(1, 6)):
+                a, b = (rng.choice((1, -1)) * gen(rng.randrange(t.n)) for _ in range(2))
+                runs = ((a,), power((a,), rng.randint(2, 4)), power((a, b), rng.randint(2, 7)))
+                w = concat(w, rng.choice(runs))
+            nf = p_t.dehn_reduce(w)
+            img = apply_hom(gm, nf)
+            assert p_s.dehn_reduce(img) == img, (t, s, f, nf)
+            assert len(img) == len(nf)
+            words += 1
+    assert words == 3 * 479
 
 
 def test_reduced_words_count_and_order():
