@@ -318,7 +318,7 @@ def main(argv=None, stdout=None) -> int:
     except (
         WordFormatError,
         graphs.GraphFormatError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         out(f"error: {exc}")

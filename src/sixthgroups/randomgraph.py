@@ -8,7 +8,10 @@ p_x-divides route is dead and a valid x must be a common multiple of
 adjacent to all of them, so only B is left to check.  Below the closed
 form, a witness x < max(A) is adjacent to max(A) only through
 p_x | max(A), so the only candidates there are the indices of the prime
-factors of max(A); the other members of A are never factored.
+factors of max(A); the other members of A are never factored.  The
+search needs no budget of its own: among the multiples q * prod p_y with
+q prime, each z in B rules out at most 2 + omega(z) values of q, so it
+stops by the (2|B| + sum omega(z) + 1)-th prime.
 
 Vertex values grow roughly like iterated nth-primes under the greedy
 embedding, so nth_prime carries an index budget; exceeding it raises
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from itertools import compress
+from itertools import compress, count
 from typing import Collection, Dict, Iterable, List, Set
 
 from .graphs import Graph
@@ -28,19 +31,15 @@ from .words import BudgetError
 
 # The largest index whose sieve bound (_prime_bound) fits _MAX_SIEVE.
 MAX_PRIME_INDEX = 9_590_648
-_SCAN_LIMIT = 2_000_000
-_MULTIPLE_LIMIT = 1_000
 _MAX_SIEVE = 200_000_000
 
 
 class PrimeBudgetError(BudgetError):
     """A request beyond the prime layer's budgets: a prime index above
-    MAX_PRIME_INDEX, a number beyond the sieve cap _MAX_SIEVE, or a
-    witness search past its scan or multiple limit.
+    MAX_PRIME_INDEX or a number beyond the sieve cap _MAX_SIEVE.
 
     Carries the budget and how much of it the request needs: the index,
-    sieve limit, prime or square root asked for, or the whole budget
-    when a witness search runs out.
+    sieve limit, prime or square root asked for.
     """
 
     def __init__(self, message: str, budget: int, used: int):
@@ -180,10 +179,17 @@ def _valid_witness(x: int, a: Collection[int], b: Set[int], top: int) -> bool:
 def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
     """Least vertex adjacent to everything in a and nothing in b.
 
-    With a empty this is a plain scan.  Otherwise the candidates are the
-    indices of the prime factors of max(a), ascending (each is below
-    max(a), as x < p_x), then the multiples of the product of p_y over
-    y in a, which are adjacent to all of a and only checked against b.
+    The candidates are the indices of the prime factors of max(a),
+    ascending (each is below max(a), as x < p_x; none when a is empty),
+    then the multiples k * m, k = 1, 2, ..., of m = prod p_y over y in a
+    (m = 1 when a is empty), which are adjacent to all of a and only
+    checked against b.  The loop over k stops:
+    - For a prime q, q * m is rejected only if q * m is in b, q = p_z for
+      some z in b, or p_{q m} | z for some z in b.
+    - p_z does not divide m, because z is not in a.  Distinct q give
+      distinct p_{q m}.
+    - So each z rules out at most 2 + omega(z) primes, and the loop stops
+      by the (2|b| + sum_z omega(z) + 1)-th prime.
     """
     a, b = set(a), set(b)
     for v in a | b:
@@ -191,34 +197,18 @@ def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
     if a & b:
         raise ValueError("witness sets must be disjoint")
     top = max(a | b, default=0)
-    if not a:
-        # Plain scan; valid vertices have positive density.
-        for x in range(2, _SCAN_LIMIT):
-            if _valid_witness(x, a, b, top):
-                return x
-        raise PrimeBudgetError(
-            f"no witness found within scan limit {_SCAN_LIMIT}",
-            _SCAN_LIMIT,
-            _SCAN_LIMIT,
-        )
     # A witness x < max(a) is adjacent to max(a) only through p_x | max(a).
-    for x in [prime_index(q) for q in prime_factors(max(a))]:
+    for x in [prime_index(q) for q in prime_factors(max(a, default=1))]:
         if _valid_witness(x, a, b, top):
             return x
-    # Closed form: x = k * m with m = prod p_y >= p_max(a) > max(a), so x
-    # exceeds all of a and is adjacent to all of it.
+    # Closed form: m = prod p_y >= p_max(a) > max(a), so k * m exceeds all
+    # of a and is adjacent to all of it.
     m = 1
     for y in sorted(a):
         m *= nth_prime(y)
-    for k in range(1, _MULTIPLE_LIMIT + 1):
-        x = k * m
+    for x in count(m, m):
         if _valid_witness(x, (), b, top):
             return x
-    raise PrimeBudgetError(
-        f"no witness found within multiple limit {_MULTIPLE_LIMIT}",
-        _MULTIPLE_LIMIT,
-        _MULTIPLE_LIMIT,
-    )
 
 
 def embed_graph(t: Graph) -> Dict[int, int]:

@@ -21,7 +21,6 @@ from .presentation import DEFAULT_DEHN_BUDGET, Presentation, symmetrize
 from .words import (
     EMPTY,
     Word,
-    concat,
     gen,
     invert_word,
     power,
@@ -34,11 +33,6 @@ NONEDGE_ORDER = 13
 
 # Images of v_0 .. v_{n-1}, one reduced word each.
 GeneratorMap = Tuple[Word, ...]
-
-
-class InducedMapError(RuntimeError):
-    """A map that the theory makes a homomorphism failed the relator check:
-    a bug, never an answer."""
 
 
 def relator_seeds(t: Graph):
@@ -81,11 +75,11 @@ def induced_hom(
 
 
 def apply_hom(gm: GeneratorMap, w: Word) -> Word:
-    out: Word = EMPTY
-    for c in w:
-        img = gm[abs(c) - 1]
-        out = concat(out, img if c > 0 else invert_word(img))
-    return out
+    return reduce_word(
+        itertools.chain.from_iterable(
+            gm[c - 1] if c > 0 else invert_word(gm[-c - 1]) for c in w
+        )
+    )
 
 
 def is_homomorphism(
@@ -232,32 +226,15 @@ def aut_canonical_check(
     return canonical_witness(t, relators_from_graph(t), pairs, bound, budget)
 
 
-def iso_search(t: Graph, s: Graph, budget: int = DEFAULT_DEHN_BUDGET):
-    """Graph isomorphism rho lifted to a verified group isomorphism.
+def iso_search(t: Graph, s: Graph):
+    """Graph isomorphism rho lifted to a group isomorphism G_T -> G_S.
 
-    Returns (rho, +1) or None.  The verification composes the induced
-    maps both ways and checks identity on generators via the word
-    problem.
+    Returns (rho, +1) or None.  The lift holds by construction: the map
+    induced by rho sends each relator of G_T letter by letter onto a
+    relator of G_S, and the map induced by rho^{-1} undoes it letter by
+    letter, so the two compose to the identity on generators.
     """
     rho = graph_iso(t, s)
     if rho is None:
         return None
-    inv = [0] * s.n
-    for i, v in enumerate(rho):
-        inv[v] = i
-    p_t = relators_from_graph(t)
-    p_s = relators_from_graph(s)
-    fwd = induced_hom(t, s, rho)
-    bwd = induced_hom(s, t, tuple(inv))
-    for src, dst, gm in ((p_t, p_s, fwd), (p_s, p_t, bwd)):
-        if not is_homomorphism(src, dst, gm, budget):
-            raise InducedMapError(
-                f"the map induced by the graph isomorphism {rho} is not a homomorphism"
-            )
-    for i in range(t.n):
-        if not p_t.equal(apply_hom(bwd, fwd[i]), (gen(i),), budget):
-            return None
-    for j in range(s.n):
-        if not p_s.equal(apply_hom(fwd, bwd[j]), (gen(j),), budget):
-            return None
     return rho, 1

@@ -73,10 +73,7 @@ def concat(w1: Sequence[Letter], w2: Sequence[Letter]) -> Word:
 def power(w: Sequence[Letter], k: int) -> Word:
     if k < 0:
         return power(invert_word(w), -k)
-    out: Word = EMPTY
-    for _ in range(k):
-        out = concat(out, w)
-    return out
+    return reduce_word(tuple(w) * k)
 
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:

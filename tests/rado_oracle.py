@@ -4,22 +4,24 @@
 replaced, kept as it was but for the ``budget`` and ``used`` fields its
 two own raises now pass: it factors and indexes every member of A, tries
 the sorted union of those indices, then the common multiples of
-{p_y : y in A}, and checks every candidate against all of A and B.  The
-new search must return its witness, or raise the same exception type,
-wherever it answers.
+{p_y : y in A}, and checks every candidate against all of A and B.  It
+keeps the scan and multiple limits that bounded the old search, as its
+own constants.  The new search must return its witness, or raise the
+same exception type, wherever it answers.
 """
 
 from typing import Iterable, Set
 
 from sixthgroups.randomgraph import (
-    _MULTIPLE_LIMIT,
-    _SCAN_LIMIT,
     PrimeBudgetError,
     _check_vertex,
     nth_prime,
     prime_factors,
     prime_index,
 )
+
+_SCAN_LIMIT = 2_000_000
+_MULTIPLE_LIMIT = 1_000
 
 
 def _valid_witness(x: int, a: Set[int], b: Set[int]) -> bool:

@@ -307,6 +307,16 @@ def test_usage_errors(k2, tmp_path):
     assert code == EXIT_USAGE and "max-n" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("rigid", "{dir}"), ("aut-extend", "{k2}", "{dir}"), ("hom-check", "{k2}", "{k2}", "{dir}")],
+)
+def test_directory_paths_are_usage_errors(k2, tmp_path, capsys, argv):
+    code, out = run(*(a.format(k2=k2, dir=tmp_path) for a in argv))
+    assert code == EXIT_USAGE and out.startswith("error: ")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_budget_exit(k2):
     code, out = run("--dehn-budget", "1", "wp", k2, " ".join(["g0 g1"] * 40))
     assert code == EXIT_BUDGET

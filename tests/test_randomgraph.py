@@ -47,7 +47,7 @@ def test_index_budget_is_reachable():
     assert randomgraph._sieve_limit == limit
 
 
-def test_budget_errors_carry_budget_and_used(monkeypatch):
+def test_budget_errors_carry_budget_and_used():
     cap = randomgraph._MAX_SIEVE
     q = sympy.nextprime(cap)
     cases = [
@@ -59,11 +59,6 @@ def test_budget_errors_carry_budget_and_used(monkeypatch):
         with pytest.raises(PrimeBudgetError, match=str(cap)) as exc:
             call()
         assert (exc.value.budget, exc.value.used) == (budget, used)
-    # p_2 = 5 divides 5, so the scan below 3 finds nothing
-    monkeypatch.setattr(randomgraph, "_SCAN_LIMIT", 3)
-    with pytest.raises(PrimeBudgetError, match="scan limit 3") as exc:
-        extension_witness(set(), {5})
-    assert (exc.value.budget, exc.value.used) == (3, 3)
 
 
 def test_prime_index_inverts():
@@ -153,17 +148,40 @@ def test_extension_witness_is_least():
             assert not ok, f"witness {w} not least for {a} {b}: {x}"
 
 
-def test_extension_witness_runaway_is_a_budget_error():
-    # every candidate 5k (a common multiple of p_2 = 5) is adjacent to z,
-    # since p_{5k} | z for k <= 1000
+def _sympy_witness_ok(x, a, b, primes):
+    # m ~ n iff p_m | n or p_n | m, with p_i = primes[i] from sympy; as
+    # p_i > i, only the smaller index can divide the larger vertex
+    def adj(m, n):
+        lo, hi = sorted((m, n))
+        return hi % primes[lo] == 0
+
+    return all(adj(x, y) for y in a) and not any(adj(x, z) for z in b)
+
+
+def test_extension_witness_past_the_oracle_multiple_limit():
+    # every candidate 5k (a common multiple of p_2 = 5) with k <= 1000 is
+    # adjacent to z, since p_{5k} | z; the first one past that is 5005
     z = 1
     for k in range(1, 1001):
         z *= nth_prime(5 * k)
-    with pytest.raises(PrimeBudgetError, match="multiple limit 1000") as exc:
-        extension_witness({2}, {z})
-    assert (exc.value.budget, exc.value.used) == (1000, 1000)
+    assert extension_witness({2}, {z}) == 5005
+    primes = list(sympy.primerange(sympy.prime(5006) + 1))
+    assert _sympy_witness_ok(5005, {2}, {z}, primes)
+    assert not any(_sympy_witness_ok(x, {2}, {z}, primes) for x in range(2, 5005))
     with pytest.raises(PrimeBudgetError, match="multiple limit 1000"):
         rado_oracle.extension_witness({2}, {z})
+
+
+def test_extension_witness_empty_a_skips_every_smaller_vertex():
+    # p_x | z for every x in 2..59, so the least witness is 60
+    z = 1
+    for x in range(2, 60):
+        z *= nth_prime(x)
+    assert extension_witness(set(), {z}) == 60
+    assert rado_oracle.extension_witness(set(), {z}) == 60
+    primes = list(sympy.primerange(sympy.prime(61) + 1))
+    assert _sympy_witness_ok(60, set(), {z}, primes)
+    assert not any(_sympy_witness_ok(x, set(), {z}, primes) for x in range(2, 60))
 
 
 ITERATED_PRIMES = [2, 5, 13, 41, 179, 1063, 8431, 87803]  # y -> p_y from 2
