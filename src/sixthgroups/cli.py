@@ -18,8 +18,10 @@ from . import graphs
 from .words import (
     DEFAULT_DEHN_BUDGET,
     BudgetError,
-    WordFormatError,
+    InputError,
+    MapError,
     format_word,
+    parse_natural,
     parse_word,
 )
 
@@ -49,17 +51,20 @@ def read_map(path: str) -> dict[int, int]:
     and lines starting with ``#`` are skipped."""
     s = {}
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MapError(str(exc)) from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ValueError(f"line {lineno}: expected '<arg> <value>'")
-        arg, val = int(parts[0]), int(parts[1])
+        arg, val = map(parse_natural, parts) if len(parts) == 2 else (None, None)
+        if arg is None or val is None:
+            raise MapError(f"line {lineno}: expected '<arg> <value>'")
         if arg in s:
-            raise ValueError(f"line {lineno}: duplicate argument {arg}")
+            raise MapError(f"line {lineno}: duplicate argument {arg}")
         s[arg] = val
     return s
 
@@ -189,7 +194,7 @@ def _cmd_hom_check(args, out):
     s = _load_graph(args, args.graph_s)
     mapping = read_map(args.mapfile)
     if sorted(mapping) != list(range(t.n)):
-        raise ValueError(f"mapfile must map exactly the vertices 0..{t.n - 1}")
+        raise MapError(f"mapfile must map exactly the vertices 0..{t.n - 1}")
     gm = reduction.induced_hom(t, s, [mapping[i] for i in range(t.n)])
     p_t = reduction.relators_from_graph(t)
     p_s = reduction.relators_from_graph(s)
@@ -315,12 +320,7 @@ def main(argv=None, stdout=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args, out)
-    except (
-        WordFormatError,
-        graphs.GraphFormatError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         out(f"error: {exc}")
         return EXIT_USAGE
     except BudgetError as exc:

@@ -46,6 +46,7 @@ from .reduction import (
 from .words import (
     EMPTY,
     BudgetError,
+    MapError,
     Word,
     concat,
     gen,
@@ -315,9 +316,9 @@ PartialMap = Dict[int, int]
 def validate_partial_map(s: PartialMap) -> None:
     vals = list(s.values())
     if len(set(vals)) != len(vals):
-        raise ValueError("partial map must be injective")
+        raise MapError("partial map must be injective")
     if any(a < 0 or v < 0 for a, v in s.items()):
-        raise ValueError("partial map entries must be naturals")
+        raise MapError("partial map entries must be naturals")
 
 
 # -- automorphism extension: checker and oracle ------------------------

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, Iterator, Optional, Tuple
 
+from .words import InputError, parse_natural
+
 DEFAULT_MAX_N = 8
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(InputError):
     pass
 
 
@@ -81,15 +83,15 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate n line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            n = parse_natural(parts[1]) if len(parts) == 2 else None
+            if n is None:
                 raise GraphFormatError(f"line {lineno}: bad n line {line!r}")
-            n = int(parts[1])
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before n line")
-            if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+            i, j = map(parse_natural, parts[1:]) if len(parts) == 3 else (None, None)
+            if i is None or j is None:
                 raise GraphFormatError(f"line {lineno}: bad edge line {line!r}")
-            i, j = int(parts[1]), int(parts[2])
             if not i < j:
                 raise GraphFormatError(f"line {lineno}: edge must have i < j")
             if j >= n:
@@ -112,7 +114,11 @@ def format_graph(g: Graph) -> str:
 
 def load_graph(path) -> Graph:
     with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(str(exc)) from exc
+    return parse_graph(text)
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .words import (
     DEFAULT_DEHN_BUDGET,
     EMPTY,
     BudgetError,
+    InputError,
     Letter,
     Word,
     cyclic_permutations,
@@ -48,7 +50,7 @@ class DehnBudgetError(BudgetError):
         )
 
 
-class AlphabetError(ValueError):
+class AlphabetError(InputError):
     """A word or relator uses a generator outside the presentation's alphabet."""
 
 
@@ -132,12 +134,17 @@ def check_c16(rel: RelatorSet) -> bool:
 
 
 class _TrieNode:
-    __slots__ = ("children", "min_len", "best")
+    __slots__ = ("children", "min_len", "best", "tail")
 
-    def __init__(self):
+    def __init__(self, best: Optional[Word] = None):
         self.children: Dict[int, _TrieNode] = {}
-        self.min_len = None  # length of the shortest relator with this prefix
-        self.best: Optional[Word] = None  # that relator (ties: shortlex least)
+        # the shortest relator with this prefix (ties: shortlex least), and
+        # its length
+        self.best = best
+        self.min_len = None if best is None else len(best)
+        # at depth _pin only: the letters of the one relator with this
+        # prefix that follow it
+        self.tail: Optional[List[Letter]] = None
 
 
 class Presentation:
@@ -147,6 +154,11 @@ class Presentation:
     left-to-right pass: each step is spliced into the word in place, free
     reduction runs only at the two seams of the splice, and the scan
     resumes one relator length left of the lowest letter the step changed.
+
+    Each trie node at depth ``_pin``, one letter past the longest prefix
+    two relators share, has one relator left and keeps the rest of it as
+    ``tail``: a scan of a long word settles a match there with one slice
+    comparison.
     """
 
     def __init__(self, alphabet_size: int, relators: RelatorSet):
@@ -164,13 +176,29 @@ class Presentation:
         # a Dehn step rewrites more than half of a relator
         self._min_step_len = min(lengths, default=0) // 2 + 1
         self._root = _TrieNode()
-        for r in relators.sorted_relators():
-            node = self._root
-            for c in r:
-                node = node.children.setdefault(c, _TrieNode())
-                if node.min_len is None or len(r) < node.min_len:
-                    node.min_len = len(r)
-                    node.best = r
+        # In shortlex order the first relator through a node is its best.
+        # Each relator walks the prefix it shares with those before it and
+        # adds the rest; one letter past the longest shared prefix, only
+        # one relator is left.
+        ordered = relators.sorted_relators()
+        pin = 1
+        for r in ordered:
+            node, depth = self._root, 0
+            while depth < len(r) and r[depth] in node.children:
+                node = node.children[r[depth]]
+                depth += 1
+            pin = max(pin, depth + 1)
+            for c in r[depth:]:
+                child = _TrieNode(r)
+                node.children[c] = child
+                node = child
+        self._pin = pin
+        for r in ordered:
+            if len(r) >= pin:
+                node = self._root
+                for c in r[:pin]:
+                    node = node.children[c]
+                node.tail = list(r[pin:])
 
     def __repr__(self):
         return (
@@ -178,11 +206,17 @@ class Presentation:
             f"|R|={len(self.relators.relators)})"
         )
 
-    def _find_dehn_step(self, w: Sequence[Letter], start: int, cap: int):
+    def _find_dehn_step(self, w: List[Letter], start: int, cap: int):
         """Leftmost (from start), then longest subword u of at most cap
         letters that is a prefix of some relator r with |u| > |r|/2.
-        Returns (pos, length, relator) or None."""
+        Returns (pos, length, relator) or None.
+
+        A word longer than every relator goes to ``_find_pinned_step``;
+        shorter ones, most of the coding layer's, keep this plain walk,
+        which does no more than one lookup per letter."""
         n = len(w)
+        if n > self._max_relator_len:
+            return self._find_pinned_step(w, start, cap)
         root = self._root
         for i in range(start, n - self._min_step_len + 1):
             node = root
@@ -194,6 +228,46 @@ class Presentation:
                 length = d - i + 1
                 if 2 * length > node.min_len and length <= cap:
                     hit = (length, node.best)
+            if hit is not None:
+                return i, hit[0], hit[1]
+        return None
+
+    def _find_pinned_step(self, w: List[Letter], start: int, cap: int):
+        """``_find_dehn_step`` with the walk from each position cut at depth
+        ``_pin``.  Past it the match can only go on along the node's tail:
+        one slice comparison settles a whole relator, and a letter loop
+        finds where a partial match ends.  At depths of at least ``_pin``
+        the node's relator is the only one, so the deepest step there is
+        the match cut to cap letters, if that is more than half of it."""
+        n = len(w)
+        root = self._root
+        pin = self._pin
+        for i in range(start, n - self._min_step_len + 1):
+            node = root
+            hit = None
+            length = 0
+            for c in w[i : i + pin]:
+                node = node.children.get(c)
+                if node is None:
+                    break
+                length += 1
+                if 2 * length > node.min_len and length <= cap:
+                    hit = (length, node.best)
+            else:
+                # tail is None only where the word ended above depth _pin
+                tail = node.tail
+                if tail is not None:
+                    end = i + pin
+                    if w[end : end + len(tail)] == tail:
+                        length = pin + len(tail)
+                    else:
+                        k = end
+                        while k < n and w[k] == tail[k - end]:
+                            k += 1
+                        length = k - i
+                    length = min(length, cap)
+                    if length >= pin and 2 * length > node.min_len:
+                        hit = (length, node.best)
             if hit is not None:
                 return i, hit[0], hit[1]
         return None
@@ -222,7 +296,9 @@ class Presentation:
         ``origin``, the word the caller was asked to reduce."""
         if not self._letters.issuperset(w):
             raise self._alphabet_error(w)
-        word = list(reduce_word(w))
+        # the input is nearly always freely reduced already: it is when no
+        # two neighbouring letters add up to 0
+        word = list(reduce_word(w) if 0 in map(operator.add, w, w[1:]) else w)
         max_len = self._max_relator_len
         start = 0
         while (step := self._find_dehn_step(word, start, len(word))) is not None:
@@ -273,7 +349,7 @@ class Presentation:
         while True:
             core, _ = cyclic_reduce(core)
             m = min(self._max_relator_len, len(core))
-            step = self._find_dehn_step(core + core[: m - 1], len(core) - m + 1, len(core))
+            step = self._find_dehn_step([*core, *core[: m - 1]], len(core) - m + 1, len(core))
             if step is None:
                 return core
             i = step[0]

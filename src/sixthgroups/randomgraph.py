@@ -27,7 +27,7 @@ from itertools import compress, count
 from typing import Collection, Dict, Iterable, List, Set
 
 from .graphs import Graph
-from .words import BudgetError
+from .words import BudgetError, InputError
 
 # The largest index whose sieve bound (_prime_bound) fits _MAX_SIEVE.
 MAX_PRIME_INDEX = 9_590_648
@@ -141,14 +141,14 @@ def prime_factors(y: int) -> List[int]:
 
 def _check_vertex(v: int) -> None:
     if v < 2:
-        raise ValueError(f"vertex {v} out of range: vertices start at 2")
+        raise InputError(f"vertex {v} out of range: vertices start at 2")
 
 
 def adjacent(m: int, n: int) -> bool:
     _check_vertex(m)
     _check_vertex(n)
     if m == n:
-        raise ValueError("adjacency is only defined for distinct vertices")
+        raise InputError("adjacency is only defined for distinct vertices")
     # p_k > k, so p_m can only divide n if m < n (and vice versa).
     if m < n:
         return n % nth_prime(m) == 0

@@ -20,6 +20,7 @@ from .graphs import Graph, graph_iso, is_automorphism
 from .presentation import DEFAULT_DEHN_BUDGET, Presentation, symmetrize
 from .words import (
     EMPTY,
+    MapError,
     Word,
     gen,
     invert_word,
@@ -64,9 +65,9 @@ def induced_hom(
 ) -> GeneratorMap:
     """Generator map v_i -> conj . v_{mapping(i)}^epsilon . conj^{-1}."""
     if len(set(mapping)) != len(mapping):
-        raise ValueError("mapping must be injective")
+        raise MapError("mapping must be injective")
     if any(not 0 <= v < s.n for v in mapping):
-        raise ValueError("mapping target out of range")
+        raise MapError("mapping target out of range")
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
     return tuple(

@@ -8,7 +8,8 @@ v_0 < v_0^{-1} < v_1 < v_1^{-1} < ...
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+import operator
+from typing import Iterable, Optional, Sequence, Tuple
 
 Letter = int
 Word = Tuple[int, ...]
@@ -25,7 +26,18 @@ class BudgetError(RuntimeError):
     prime layers each raise their own subclass."""
 
 
-class WordFormatError(ValueError):
+class InputError(ValueError):
+    """Input the engine rejects: malformed text, a letter, vertex or map
+    that does not fit.  The CLI reports these, and only these, as usage
+    errors; any other ValueError is a bug."""
+
+
+class MapError(InputError):
+    """A map file or vertex map that is malformed, not injective, or does
+    not fit its graph."""
+
+
+class WordFormatError(InputError):
     """Malformed word text; carries the offending token position."""
 
     def __init__(self, message, position):
@@ -63,7 +75,7 @@ def reduce_word(raw: Iterable[Letter]) -> Word:
 
 
 def invert_word(w: Sequence[Letter]) -> Word:
-    return tuple(-c for c in reversed(w))
+    return tuple(map(operator.neg, reversed(w)))
 
 
 def concat(w1: Sequence[Letter], w2: Sequence[Letter]) -> Word:
@@ -98,6 +110,18 @@ def cyclic_permutations(w: Word) -> set:
     return {w[i:] + w[:i] for i in range(len(w))}
 
 
+def parse_natural(text: str) -> Optional[int]:
+    """The natural number written in decimal digits, or None.  ``int``
+    also takes signs, spaces and underscores, and str.isdigit also passes
+    digits such as superscripts that ``int`` refuses."""
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_word(text: str) -> Word:
     tokens = text.split()
     if not tokens:
@@ -106,9 +130,10 @@ def parse_word(text: str) -> Word:
     for pos, tok in enumerate(tokens):
         if tok == "e":
             continue
-        if len(tok) < 2 or tok[0] not in "gG" or not tok[1:].isdigit():
+        index = parse_natural(tok[1:])
+        if tok[0] not in "gG" or index is None:
             raise WordFormatError(f"bad token {tok!r}", pos)
-        letters.append(gen(int(tok[1:]), 1 if tok[0] == "g" else -1))
+        letters.append(gen(index, 1 if tok[0] == "g" else -1))
     return reduce_word(letters)
 
 

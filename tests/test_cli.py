@@ -1,13 +1,15 @@
 import io
+import itertools
 import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sixthgroups
-from sixthgroups import coding, graphs
+from sixthgroups import coding, graphs, presentation, randomgraph, reduction
 from sixthgroups.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -17,6 +19,7 @@ from sixthgroups.cli import (
     main,
     read_map,
 )
+from sixthgroups.words import InputError, MapError, WordFormatError
 
 K2_TEXT = "n 2\ne 0 1\n"
 E2_TEXT = "n 2\n"
@@ -356,3 +359,195 @@ def test_internal_errors_exit_4(k2, tmp_path, monkeypatch, capsys):
     assert code == EXIT_INTERNAL
     assert "disagreement: checker and oracle differ" in out
     assert "internal-error: OracleDisagreement:" in out
+
+
+def test_input_errors_are_value_errors():
+    for cls in (WordFormatError, presentation.AlphabetError, graphs.GraphFormatError, MapError):
+        assert issubclass(cls, InputError)
+    assert issubclass(InputError, ValueError)
+    # library callers still get a ValueError
+    with pytest.raises(ValueError):
+        randomgraph.adjacent(1, 5)
+    with pytest.raises(ValueError):
+        reduction.induced_hom(graphs.graph(2), graphs.graph(2), [0, 0])
+
+
+@pytest.mark.parametrize(
+    "argv, text, line",
+    [
+        (["rado-adj", "1", "5"], None, "vertex 1 out of range: vertices start at 2"),
+        (["rado-adj", "5", "5"], None, "adjacency is only defined for distinct vertices"),
+        (["hom-check", "K2", "P3", "MAP"], "0 0\n1 x\n", "line 2: expected '<arg> <value>'"),
+        (["hom-check", "K2", "P3", "MAP"], "0 0\n0 1\n", "line 2: duplicate argument 0"),
+        (["hom-check", "K2", "P3", "MAP"], "0 0\n", "mapfile must map exactly the vertices 0..1"),
+        (["hom-check", "K2", "P3", "MAP"], "0 0\n1 0\n", "mapping must be injective"),
+        (["hom-check", "K2", "P3", "MAP"], "0 0\n1 7\n", "mapping target out of range"),
+        (["aut-extend", "K2", "MAP"], "1 4\n2 4\n", "partial map must be injective"),
+        (["aut-extend", "K2", "MAP"], "1 \u00b2\n", "line 1: expected '<arg> <value>'"),
+        (["rigid", "MAP"], "n \u00b2\n", "line 1: bad n line 'n \u00b2'"),
+        (["wp", "K2", "g\u00b2"], None, "bad token 'g\u00b2' (token 0)"),
+        (["wp", "K2", "g" + "9" * 5000], None, None),
+    ],
+)
+def test_input_errors_are_usage_errors(k2, p3, tmp_path, argv, text, line):
+    # a superscript digit passes str.isdigit but not int(); 5 000 digits
+    # are more than int() converts
+    mapfile = tmp_path / "f.map"
+    if text is not None:
+        mapfile.write_text(text, encoding="utf-8")
+    argv = [{"K2": k2, "P3": p3, "MAP": str(mapfile)}.get(a, a) for a in argv]
+    code, out = run(*argv)
+    assert code == EXIT_USAGE
+    assert out.startswith("error: ")
+    if line is not None:
+        assert out.splitlines() == [f"error: {line}"]
+
+
+def test_files_that_are_not_utf8_are_usage_errors(k2, tmp_path):
+    junk = tmp_path / "junk"
+    junk.write_bytes(b"n 2\n\xff\n")
+    for argv in (["rigid", str(junk)], ["aut-extend", k2, str(junk)]):
+        code, out = run(*argv)
+        assert code == EXIT_USAGE
+        assert out.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_value_error_inside_an_engine_call_is_internal(k2, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("planted bug")
+
+    monkeypatch.setattr(presentation.Presentation, "dehn_reduce", broken)
+    monkeypatch.setattr(randomgraph, "adjacent", broken)
+    for argv in (["wp", k2, "g0"], ["rado-adj", "2", "5"]):
+        code, out = run(*argv)
+        assert code == EXIT_INTERNAL
+        assert out.splitlines() == ["internal-error: ValueError: planted bug"]
+        assert "Traceback" in capsys.readouterr().err
+
+
+# -- fuzzing main: random argv and random file contents -------------------
+
+_NUMBER = st.one_of(
+    # digits to str.isdigit but not to int(), other forms int() takes, too
+    # many digits for int(), and naturals in Arabic-Indic digits
+    st.sampled_from(["\u00b2", "1_0", "+1", "9" * 5000, "\u0663", "x"]),
+    st.integers(-1, 5).map(str),
+)
+
+
+def _graph_text(n, mask):
+    pairs = itertools.combinations(range(n), 2)
+    edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+    return graphs.format_graph(graphs.graph(n, edges))
+
+
+_GRAPH = st.builds(_graph_text, st.integers(0, 4), st.integers(0, 63))
+_MAP = st.one_of(
+    # vertex maps for hom-check, code maps for aut-extend
+    st.builds(
+        lambda n, p: "".join(f"{i} {p[i]}\n" for i in range(n)),
+        st.integers(0, 5),
+        st.permutations(range(6)),
+    ),
+    st.dictionaries(st.integers(0, 40), st.integers(0, 40), max_size=4).map(
+        lambda m: "".join(f"{a} {v}\n" for a, v in m.items())
+    ),
+)
+_JUNK = st.one_of(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(["n", "e", "#", "x", ""]), st.lists(_NUMBER, max_size=3)
+            ).map(lambda t: " ".join((t[0], *t[1]))),
+            st.text(max_size=6),
+        ),
+        max_size=5,
+    ).map("\n".join),
+    st.binary(max_size=4),
+)
+_LETTERS = ["g0", "G0", "g1", "G1", "g2", "G3", "e"]
+_WORD = st.one_of(
+    st.lists(st.sampled_from(_LETTERS), max_size=30),
+    st.lists(
+        st.sampled_from(["g\u00b2", "g" + "9" * 5000, "g\u0663", "x", "g"] + _LETTERS),
+        max_size=6,
+    ),
+).map(" ".join)
+_VERTEX = st.one_of(st.integers(-2, 300).map(str), st.sampled_from(["x", "10" * 20]))
+_OPERANDS = {
+    "relators": "G",
+    "check-c16": "G",
+    "wp": "GW",
+    "order": "GW",
+    "code": "G",
+    "star-table": "G",
+    "aut-extend": "GM",
+    "embed-graph": "GG",
+    "graph-iso": "GG",
+    "hom-check": "GGM",
+    "rado-adj": "VV",
+    "rado-embed": "G",
+    "rigid": "G",
+    "tree": "G",
+}
+_FLAG = st.sampled_from(
+    ["--dehn-budget", "--max-n", "--max-code", "--conj-bound", "--oracle", "--bogus"]
+).flatmap(lambda f: st.tuples(st.just(f), st.sampled_from(["3", "40", "1", "0", "-1", "x"])))
+# hypothesis favours small integers, so a middle value is a rare case
+_RARELY = st.integers(0, 7).map(lambda k: k == 5)
+
+
+@st.composite
+def _cli_calls(draw):
+    """argv for one subcommand, and the files its operands name.  Every
+    call is bounded: at most 12 codes, conjugators of at most 1 letter,
+    graphs of at most 5 vertices.  Some calls have a junk file, dropped
+    operands or a stray flag."""
+    command = draw(st.sampled_from(sorted(_OPERANDS)))
+    files = {}
+    operands = []
+    for kind in _OPERANDS[command]:
+        if kind in "GM":
+            name = f"f{len(files)}"
+            valid = _GRAPH if kind == "G" else _MAP
+            files[name] = draw(_JUNK if draw(_RARELY) else valid)
+            operands.append(name)
+        else:
+            operands.append(draw(_WORD if kind == "W" else _VERTEX))
+    if draw(_RARELY):
+        operands = draw(st.permutations(operands))[: draw(st.integers(0, len(operands)))]
+    flags = [
+        "--max-code", draw(st.sampled_from(["1", "6", "12"])),
+        "--conj-bound", draw(st.sampled_from(["0", "1"])),
+    ]
+    if command == "aut-extend" and draw(st.booleans()):
+        flags.append("--oracle")
+    if draw(_RARELY):
+        flag, value = draw(_FLAG)
+        # a value may pass the bounds above only in a flag argparse rejects
+        if flag == "--oracle":
+            flags.append(flag)
+        elif flag not in ("--max-code", "--conj-bound") or value in ("-1", "x"):
+            flags += [flag, value]
+    return [command, *operands, *flags], files
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(_cli_calls())
+def test_main_survives_random_argv_and_files(tmp_path, call):
+    argv, files = call
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out = run(*argv)
+    assert code in (EXIT_OK, EXIT_NO, EXIT_USAGE, EXIT_BUDGET), out
+    assert "internal-error:" not in out and "Traceback" not in out

@@ -484,3 +484,121 @@ def test_order_budget_covers_all_rounds():
         P_K2.order(w, budget=1)
     assert (info.value.budget, info.value.word) == (1, w)
     assert P_K2.order(w, budget=2) == INFINITE
+
+
+def _long_piece_presentations(rng, count):
+    """Seeded C'(1/6) presentations whose longest piece has 3 or more
+    letters, so the trie pins each relator only from depth 4 on.  Seeds:
+    random cyclically reduced words of 20-34 letters on 2-3 generators,
+    sometimes a proper power u^k of at least 24 letters, and g^5 on one
+    more generator, whose 3-letter steps end above the pinned depth."""
+
+    def cyclic_word(gens, length):
+        w = reduce_word(tuple(rng.choice((1, -1)) * rng.randint(1, gens) for _ in range(length)))
+        return cyclic_reduce(w)[0]
+
+    found = []
+    while len(found) < count:
+        gens = rng.randint(2, 3)
+        seeds = [cyclic_word(gens, rng.randint(20, 34)) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            u = cyclic_word(gens, rng.randint(3, 6))
+            if u:
+                seeds.append(power(u, -(-24 // len(u))))
+        seeds.append((gens + 1,) * 5)
+        pres = presentation_from_seeds(gens + 1, seeds)
+        if max_piece_length(pres.relators) >= 3 and check_c16(pres.relators):
+            found.append(pres)
+    return found
+
+
+def test_dehn_reduce_matches_naive_rescan_with_long_pieces():
+    rng = random.Random(20171231)
+    for pres in _long_piece_presentations(rng, 12):
+        for target_len in (10, 60, 300, 900):
+            w = _noisy_relator_product(rng, pres, target_len)
+            expected, steps = _naive_dehn_reduce(pres, w)
+            assert pres.dehn_reduce(w) == expected, format_word(w)
+            assert pres.dehn_reduce(w, budget=steps) == expected
+            if steps:
+                with pytest.raises(DehnBudgetError):
+                    pres.dehn_reduce(w, budget=steps - 1)
+
+
+def test_order_matches_rotation_sorting_oracle_with_long_pieces():
+    # Rotations r[j:c] + r[:j] of relator prefixes of c > |r|/2 letters:
+    # neither part is a step, but the rotation r[:c] is, and where
+    # r[c] = r[0] its match runs on past the c letters of the core, so the
+    # scan of core + core[:m - 1] must cut it at c.  Cores longer than
+    # half the longest relator are scanned by the pinned walk.
+    rng = random.Random(20180101)
+    capped = finite = 0
+    for pres in _long_piece_presentations(rng, 12):
+        longest = max(map(len, pres.relators.relators))
+        rels = pres.relators.sorted_relators()
+        words = [power(root, k) for root, n in pres.relators.roots for k in range(1, n)]
+        for r in rels:
+            half = len(r) // 2
+            for c in range(half + 1, len(r)):
+                if r[c] == r[0] or rng.random() < 0.1:
+                    j = rng.randint(c - half, half)
+                    words.append(r[j:c] + r[:j])
+        for w in words:
+            t = reduce_word(
+                tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(rng.randint(0, 3)))
+            )
+            w = reduce_word(t + w + invert_word(t))
+            expected = _rotation_sorting_order(pres, w)
+            assert pres.order(w) == expected, format_word(w)
+            finite += expected not in (1, INFINITE)
+            core = cyclic_reduce(pres.dehn_reduce(w))[0]
+            if 2 * len(core) - 1 > longest:
+                prefixes = {r[: len(core) + 1] for r in rels}
+                capped += any(
+                    core[i:] + core[: i + 1] in prefixes for i in range(len(core))
+                )
+    assert capped > 400 and finite > 150, (capped, finite)
+
+
+def _plain_dehn_step(pres, w, start, cap):
+    """Oracle for ``Presentation._find_dehn_step``: from each position
+    walk the trie to the end of the match and keep the longest step of at
+    most cap letters."""
+    for i in range(start, len(w)):
+        node = pres._root
+        hit = None
+        for d in range(i, len(w)):
+            node = node.children.get(w[d])
+            if node is None:
+                break
+            length = d - i + 1
+            if 2 * length > node.min_len and length <= cap:
+                hit = (length, node.best)
+        if hit is not None:
+            return i, hit[0], hit[1]
+    return None
+
+
+def test_pinned_walk_keeps_leftmost_longest_steps_under_every_cap():
+    # Words longer than every relator take the pinned walk; caps run from
+    # 1, below the pinned depth, to past the longest relator.  The walk
+    # needs no C'(1/6): random short seeds share long prefixes, so the
+    # relator pinned at depth _pin can be shorter than twice that depth.
+    rng = random.Random(20180102)
+    presentations = _long_piece_presentations(rng, 6)
+    presentations += [relators_from_graph(_random_graph(rng, n)) for n in (2, 5, 8)]
+    for _ in range(20):
+        seeds = [
+            tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(rng.randint(2, 6)))
+            for _ in range(rng.randint(2, 4))
+        ]
+        presentations.append(presentation_from_seeds(2, seeds))
+    for pres in presentations:
+        longest = max(map(len, pres.relators.relators))
+        for _ in range(60):
+            w = list(_noisy_relator_product(rng, pres, rng.randint(longest + 1, 4 * longest)))
+            if len(w) <= longest:
+                continue
+            start = rng.randrange(len(w))
+            cap = rng.randint(1, longest + 2)
+            assert pres._find_dehn_step(w, start, cap) == _plain_dehn_step(pres, w, start, cap)
