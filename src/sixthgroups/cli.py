@@ -31,6 +31,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
+# The largest --max-n.  A presentation has a relator for every vertex and
+# every pair of vertices, so its build grows as n^2, with no budget of its
+# own: 64 vertices build in about half a second and 70 MB.
+MAX_N_LIMIT = 64
+
 
 class OracleDisagreement(RuntimeError):
     """The extension checker and the brute-force oracle answered differently."""
@@ -240,13 +245,16 @@ def _cmd_tree(args, out):
     return EXIT_OK if ok else EXIT_NO
 
 
-def _at_least(low: int):
-    """An argparse type: an integer of at least low."""
+def _at_least(low: int, high: int | None = None):
+    """An argparse type: an integer of at least low, and at most high if
+    high is given."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, not {value}")
         return value
 
     return integer
@@ -269,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--dehn-budget", type=_at_least(1), default=default(DEFAULT_DEHN_BUDGET)
         )
-        p.add_argument("--max-n", type=_at_least(1), default=default(graphs.DEFAULT_MAX_N))
+        p.add_argument(
+            "--max-n", type=_at_least(1, MAX_N_LIMIT), default=default(graphs.DEFAULT_MAX_N)
+        )
 
     add_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)

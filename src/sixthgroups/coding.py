@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, automorphisms
 from .presentation import DEFAULT_DEHN_BUDGET
@@ -156,22 +155,39 @@ def _unrank(n: int, r: int) -> Word:
     return tuple(w)
 
 
-def _stable_words(letters: Sequence[int]) -> Iterator[Word]:
-    """Every stable word of length >= 2, in shortlex order.  Each length
-    is built from the list of the length before it, so a consumer that
-    stops early holds only what it has taken."""
-    after = {c: tuple(d for d in letters if d != -c) for c in letters}
-    capped = {c: tuple(d for d in after[c] if d != c) for c in letters}
-    prev = [(c,) for c in letters]
-    while prev:
-        cur: List[Word] = []
-        for w in prev:
-            last = w[-1]
-            full_run = len(w) >= 3 and w[-3] == w[-2] == last
-            longer = [w + (d,) for d in (capped if full_run else after)[last]]
-            cur += longer
-            yield from longer
-        prev = cur
+def _stable_words(letters: Sequence[int], count: int) -> List[Word]:
+    """The first count stable words of length >= 2, in shortlex order.
+
+    The words are built one length at a time, each with its state: the
+    position of its last letter in ``letters`` and the length (1..3) of its
+    last run.  A state indexes the one-letter tails a word in it may take,
+    in shortlex order, and the states they lead to, so no word is read
+    back.  Every stable word has at least 2n - 2 tails (every letter but
+    its last and that letter's inverse), so need // (2n - 2) + 1 words of
+    one length give the next length's first need words; on one vertex
+    every length has at most two words, which need + 1 covers.
+    """
+    tails: List[Tuple[Word, ...]] = []
+    succ: List[Tuple[int, ...]] = []
+    for c in letters:
+        for run in (1, 2, 3):
+            # state 3 * j + run - 1: last letter letters[j], run of that length
+            ok = [(j, d) for j, d in enumerate(letters) if d != -c and (d != c or run < 3)]
+            tails.append(tuple((d,) for _, d in ok))
+            succ.append(tuple(3 * j + (run if d == c else 0) for j, d in ok))
+    fan = max(len(letters) - 2, 1)
+    words: List[Word] = []
+    layer = [(c,) for c in letters]
+    states = list(range(0, 3 * len(letters), 3))
+    while len(words) < count and layer:
+        need = count - len(words)
+        del layer[need // fan + 1 :], states[need // fan + 1 :]
+        layer, states = (
+            [w + t for w, r in zip(layer, states) for t in tails[r]],
+            [s for r in states for s in succ[r]],
+        )
+        words += layer[:need]
+    return words
 
 
 def _letter_code(c: int) -> int:
@@ -184,7 +200,8 @@ class CodingTable:
     ``code_to_word`` and ``word_to_code`` are filled by ``enumerate_to``,
     ``code_of`` and ``word_of``, and each stops growing at
     ``max_elements`` entries, which is also the largest table
-    ``enumerate_to`` returns.
+    ``enumerate_to`` returns.  ``enumerate_to`` builds its table from
+    ``_stable_words``, one length at a time and in code order.
     """
 
     def __init__(
@@ -205,16 +222,12 @@ class CodingTable:
         self.code_to_word: Dict[int, Word] = {0: EMPTY}
         self.word_to_code: Dict[Word, int] = {EMPTY: 0}
 
-    def _remember(self, pairs: List[Tuple[int, Word]]) -> None:
-        """Memoise (code, word) pairs while the memos have room."""
-        room = self.max_elements - len(self.code_to_word)
-        if room > 0:
-            self.code_to_word.update(pairs[:room])
-        room = self.max_elements - len(self.word_to_code)
-        if room > 0:
-            kept = pairs[:room]
-            words, codes = map(itemgetter(1), kept), map(itemgetter(0), kept)
-            self.word_to_code.update(zip(words, codes))
+    def _remember(self, code: int, w: Word) -> None:
+        """Memoise one (code, word) pair where the memos have room."""
+        if len(self.code_to_word) < self.max_elements:
+            self.code_to_word[code] = w
+        if len(self.word_to_code) < self.max_elements:
+            self.word_to_code[w] = code
 
     def _reach_error(self, code: int) -> CodingBudgetError:
         """In an infinite group, a composite code past the last
@@ -256,7 +269,7 @@ class CodingTable:
                 code = 3 * (1 + _rank(self.graph.n, nf))
             else:
                 code = _letter_code(nf[0]) if nf else 0
-            self._remember([(code, nf)])
+            self._remember(code, nf)
         return code
 
     def word_of(self, code: int) -> Word:
@@ -268,7 +281,7 @@ class CodingTable:
                 w = (gen((code - 1) // 3, 1 if code % 3 == 1 else -1),)
             else:
                 w = _unrank(self.graph.n, code // 3 - 1) if code else EMPTY
-            self._remember([(code, w)])
+            self._remember(code, w)
         return w
 
     def star(self, n: int, m: int) -> int:
@@ -281,9 +294,18 @@ class CodingTable:
         """All assigned (code, representative) pairs with code <= max_code,
         in code order.  The size of the table is checked against
         max_elements, and its reach against MAX_REP_LEN, before anything
-        is built."""
+        is built.
+
+        The table is laid out in code order, never sorted: composite
+        3(i + 1) follows v_i and v_i^{-1} for i < n, and the composites
+        past 3n take the rest of ``_stable_words`` in turn.  Both memos
+        take the table's first pairs while they have room; the word memo
+        is filled from the word list past the first 3n codes, so no pair
+        is unpacked to key it.
+        """
         if max_code < 0:
             return []
+        n = self.graph.n
         singles = [(_letter_code(c), (c,)) for c in self._letters if _letter_code(c) <= max_code]
         composites = max_code // 3
         if self._finite:
@@ -298,13 +320,25 @@ class CodingTable:
             )
         if composites > self._reach:
             raise self._reach_error(3 * (self._reach + 1))
-        table = [(0, EMPTY)] + singles
-        table += zip(
-            range(3, 3 * composites + 1, 3),
-            itertools.islice(_stable_words(self._letters), composites),
-        )
-        table.sort()
-        self._remember(table)
+        words = _stable_words(self._letters, composites)
+        head = min(n, composites)
+        table = [(0, EMPTY)]
+        for i in range(head):
+            table += singles[2 * i : 2 * i + 2]
+            table.append((3 * i + 3, words[i]))
+        table += singles[2 * head :]
+        start = len(table)
+        # one int object per code, shared by the table and both memos
+        rest = list(range(3 * n + 3, 3 * composites + 1, 3))
+        table += zip(rest, itertools.islice(words, n, None))
+        room = self.max_elements - len(self.code_to_word)
+        if room > 0:
+            self.code_to_word.update(itertools.islice(table, room))
+        room = self.max_elements - len(self.word_to_code)
+        if room > 0:
+            self.word_to_code.update((w, c) for c, w in table[: min(room, start)])
+            kept = rest[: max(room - start, 0)]
+            self.word_to_code.update(zip(itertools.islice(words, n, None), kept))
         return table
 
 

@@ -16,6 +16,8 @@ from sixthgroups.cli import (
     EXIT_NO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_N_LIMIT,
+    build_parser,
     main,
     read_map,
 )
@@ -47,7 +49,7 @@ def p3(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--max-code=0", "--dehn-budget=-1", "--max-n=0", "--conj-bound=-1"]
+    "flag", ["--max-code=0", "--dehn-budget=-1", "--max-n=0", "--max-n=65", "--conj-bound=-1"]
 )
 def test_flags_out_of_range_are_usage_errors(k2, tmp_path, flag):
     # a negative --conj-bound leaves no conjugator to try, which must not
@@ -56,6 +58,19 @@ def test_flags_out_of_range_are_usage_errors(k2, tmp_path, flag):
     mapfile.write_text("1 1\n")
     for argv in ([flag, "aut-extend", k2, str(mapfile)], ["aut-extend", flag, k2, str(mapfile)]):
         assert run(*argv) == (EXIT_USAGE, "")
+
+
+def test_max_n_is_bounded(k2, monkeypatch):
+    # a presentation grows as n^2 with no budget of its own, so a --max-n
+    # past the limit is refused before any graph is read or built
+    def refuse(*args):
+        raise AssertionError("a graph was loaded")
+
+    monkeypatch.setattr(graphs, "load_graph", refuse)
+    assert MAX_N_LIMIT == 64
+    assert run("--max-n", "65", "rigid", k2) == (EXIT_USAGE, "")
+    for argv in (["--max-n", "64", "rigid", k2], ["rigid", "--max-n=64", k2]):
+        assert build_parser().parse_args(argv).max_n == 64
 
 
 def test_relators(k2):

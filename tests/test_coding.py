@@ -11,7 +11,9 @@ from sixthgroups.coding import (
     CodingBudgetError,
     CodingTable,
     ExtensionWitness,
+    _counts,
     _rank,
+    _stable_words,
     _unrank,
     default_star_conj_bound,
     oracle_aut_extends,
@@ -363,6 +365,77 @@ def test_coding_equals_enumeration_oracle():
             else:
                 assert not by_code.registrable(c), (t, c)
         assert CodingTable(t).enumerate_to(3000) == sorted(oracle.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stable_words_match_the_oracle_at_every_length_boundary(n):
+    # counts one short of, at and one past the first word of each length,
+    # within the reach of the coding; on 3 and 4 vertices only the lengths
+    # whose words fit in the cap
+    letters, _, first = _counts(n)
+    cap = first[-1] if n < 3 else 25_000
+    counts = {c for f in first[2:] for c in (f - 1, f, f + 1) if 0 <= c <= cap}
+    if n == 1:
+        counts |= set(range(8))  # Z/7 has 4 composites; asking for more gives those 4
+    oracle = list(itertools.islice(_oracle_composites(n), max(counts)))
+    if n == 1:
+        assert len(oracle) == 4
+    else:
+        assert len(counts) >= 12
+    for count in sorted(counts):
+        assert _stable_words(letters, count) == oracle[:count], count
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_enumerate_to_every_small_cut_matches_word_of(n):
+    # every cut from the identity to 3n + 9 code by code, including those
+    # between v_i and v_i^{-1}: the table in code order, as word_of gives
+    # each code, and the code memo holding exactly the table
+    t = graph(n, [(0, 1)] if n > 1 else [])
+    unrank = CodingTable(t)
+    for max_code in range(3 * n + 10):
+        ct = CodingTable(t)
+        table = ct.enumerate_to(max_code)
+        want = [(c, unrank.word_of(c)) for c in range(max_code + 1) if unrank.registrable(c)]
+        assert table == want, max_code
+        assert ct.code_to_word == dict(want)
+        assert ct.word_to_code == {w: c for c, w in want}
+
+
+def _pairwise_fill(code_to_word, word_to_code, table, max_elements):
+    """Oracle: the memo fill enumerate_to made before it filled the memos
+    directly, taking table pairs in code order while each memo had room."""
+    room = max_elements - len(code_to_word)
+    if room > 0:
+        code_to_word.update(table[:room])
+    room = max_elements - len(word_to_code)
+    if room > 0:
+        word_to_code.update((w, c) for c, w in table[:room])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_enumerate_to_fills_the_memos_as_the_pairwise_fill(n):
+    # lookups before the enumeration take room, some of it past max_code,
+    # so the room left ends inside the head (codes up to 3n) or inside the
+    # rest of the table
+    t = graph(n, [(0, 1)] if n > 1 else [])
+    max_code = 60
+    probe = CodingTable(t)
+    size = len(probe.enumerate_to(max_code))
+    far_first = [c for c in range(400, 2, -1) if probe.registrable(c)]
+    cuts = 0
+    for ahead in range(0, size + 2):
+        for extra in (0, 3):
+            ct = CodingTable(t, max_elements=size + extra)
+            for c in far_first[: ahead + extra]:
+                ct.word_of(c)
+            code_to_word, word_to_code = dict(ct.code_to_word), dict(ct.word_to_code)
+            cuts += 0 < ct.max_elements - len(code_to_word) < size
+            table = ct.enumerate_to(max_code)
+            _pairwise_fill(code_to_word, word_to_code, table, ct.max_elements)
+            assert ct.code_to_word == code_to_word, (ahead, extra)
+            assert ct.word_to_code == word_to_code, (ahead, extra)
+    assert cuts > size // 2
 
 
 @pytest.mark.parametrize("n", [5, 8])
