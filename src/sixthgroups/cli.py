@@ -31,9 +31,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# The largest --max-n.  A presentation has a relator for every vertex and
-# every pair of vertices, so its build grows as n^2, with no budget of its
-# own: 64 vertices build in about half a second and 70 MB.
+# The largest --max-n.  A presentation is built in closed form, but the
+# graph searches of rigid, graph-iso, embed-graph and aut-extend walk every
+# permutation or injection with no budget of their own.
 MAX_N_LIMIT = 64
 
 
@@ -76,10 +76,11 @@ def read_map(path: str) -> dict[int, int]:
 
 def _cmd_relators(args, out):
     from . import reduction
+    from .presentation import relator_seeds
 
     g = _load_graph(args, args.graph)
     pres = reduction.relators_from_graph(g)
-    for seed in reduction.relator_seeds(g):
+    for seed in relator_seeds(g):
         out(f"seed: {format_word(seed)}")
     out(f"symmetrized-size: {len(pres.relators.relators)}")
     return EXIT_OK

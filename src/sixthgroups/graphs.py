@@ -9,7 +9,7 @@ correct.  Vertex counts are expected to stay small (n <= 8 or so).
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .words import InputError, parse_natural
 
@@ -25,14 +25,16 @@ def _norm_edge(i: int, j: int) -> Tuple[int, int]:
 
 
 class Graph:
-    """A graph on vertices 0..n-1 with edges (i, j), i < j.  Immutable,
-    equal and hashed by (n, edges), so it can key caches."""
+    """A graph on vertices 0..n-1 with edges (i, j), i < j, taken from any
+    iterable and kept as a frozenset.  Immutable, equal and hashed by
+    (n, edges), so it can key caches."""
 
     __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges: FrozenSet[Tuple[int, int]] = frozenset()):
+    def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("negative vertex count")
+        edges = frozenset(edges)
         for i, j in edges:
             if not (0 <= i < j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
@@ -69,7 +71,7 @@ class Graph:
 
 
 def graph(n: int, edges=()) -> Graph:
-    return Graph(n, frozenset(_norm_edge(i, j) for i, j in edges))
+    return Graph(n, (_norm_edge(i, j) for i, j in edges))
 
 
 def parse_graph(text: str) -> Graph:

@@ -1,19 +1,31 @@
-"""Symmetrized relator sets, the C'(1/6) small-cancellation condition,
-Dehn's algorithm, and the torsion (order) algorithm for sixth groups.
+"""The presentation of the sixth group G_T of a graph T: Dehn's algorithm
+and the torsion (order) algorithm in closed form, plus symmetrized
+relator sets and the C'(1/6) condition.
 
 A relator set is symmetrized: cyclically reduced, closed under inverses
 and cyclic permutations.  ``roots`` records each defining relator as a
-maximal proper power root^exponent; the order algorithm matches against
-these, which is exactly what the torsion theorem for sixth groups licenses.
+maximal proper power root^exponent.
+
+In G_T the first two letters of a relator fix it: a a begins only a^7,
+a b with a and b distinct generators of one sign begins only the
+rotation of (ab)^k that starts there, and a b^-1 begins none.  So a Dehn
+step, more than half of a relator, is a run of 4 to 7 equal letters or
+an alternation a b a b ... of more than k letters, and it is found with
+no table of relators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+import re
+import struct
+from array import array
+from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
+from .graphs import Graph
 from .words import (
     DEFAULT_DEHN_BUDGET,
     EMPTY,
@@ -24,6 +36,7 @@ from .words import (
     cyclic_permutations,
     cyclic_reduce,
     format_word,
+    gen,
     invert_word,
     preview_word,
     reduce_word,
@@ -31,6 +44,40 @@ from .words import (
 )
 
 INFINITE = math.inf
+
+GENERATOR_ORDER = 7
+EDGE_ORDER = 11
+NONEDGE_ORDER = 13
+LONGEST_RELATOR = 2 * NONEDGE_ORDER
+
+# Dehn's algorithm keeps a word as one signed byte per letter.
+MAX_ALPHABET_SIZE = 127
+
+# Where a Dehn step may start: a run of 4 to 7 equal letters, or an
+# alternation a b a b ... of 12 to 27 letters, one past the longest step.
+# A letter is one byte, so '.' must match every byte.
+_CANDIDATE = re.compile(rb"(.)\1{3,6}|(.)(.)(?:\2\3){5,12}\2?", re.DOTALL)
+
+# the byte of each letter's inverse, by the byte of the letter
+_NEGATE = bytes(-c & 0xFF for c in range(256))
+
+
+def _signed_bytes(w: Sequence[Letter]) -> array:
+    """w freely reduced, one signed byte per letter.
+
+    The input is nearly always freely reduced already: it is when no
+    letter is followed by its inverse.  A short word is checked and packed
+    letter by letter.  A long one is packed by struct, about three times
+    as fast, and checked in one pass: XOR-ed with its own negation, shifted
+    by one letter, it has a zero byte where a letter meets its inverse.
+    """
+    if len(w) < 32:
+        return array("b", reduce_word(w) if 0 in map(operator.add, w, w[1:]) else w)
+    data = struct.pack(f"{len(w)}b", *w)
+    meets = int.from_bytes(data[1:], "big") ^ int.from_bytes(
+        data.translate(_NEGATE)[:-1], "big"
+    )
+    return array("b", reduce_word(w) if b"\0" in meets.to_bytes(len(w) - 1, "big") else data)
 
 
 class DehnBudgetError(BudgetError):
@@ -133,143 +180,83 @@ def check_c16(rel: RelatorSet) -> bool:
     return all(6 * len(u) < shorter for u, shorter in _neighbour_prefixes(rel))
 
 
-class _TrieNode:
-    __slots__ = ("children", "min_len", "best", "tail")
+def relator_roots(t: Graph) -> List[Tuple[Word, int]]:
+    """(root, exponent) of each defining relator of G_T: v_i^7 for every
+    vertex, then (v_i v_j)^11 for every edge ij and (v_i v_j)^13 for every
+    non-edge, i < j."""
+    roots = [((gen(i),), GENERATOR_ORDER) for i in range(t.n)]
+    for i, j in itertools.combinations(range(t.n), 2):
+        roots.append(((gen(i), gen(j)), EDGE_ORDER if t.adj(i, j) else NONEDGE_ORDER))
+    return roots
 
-    def __init__(self, best: Optional[Word] = None):
-        self.children: Dict[int, _TrieNode] = {}
-        # the shortest relator with this prefix (ties: shortlex least), and
-        # its length
-        self.best = best
-        self.min_len = None if best is None else len(best)
-        # at depth _pin only: the letters of the one relator with this
-        # prefix that follow it
-        self.tail: Optional[List[Letter]] = None
+
+def relator_seeds(t: Graph) -> List[Word]:
+    return [root * exp for root, exp in relator_roots(t)]
 
 
 class Presentation:
-    """A group presentation with a prefix trie for fast Dehn steps.
+    """The presentation of G_T, immutable.
 
-    Immutable after construction.  Dehn's algorithm makes one resumable
-    left-to-right pass: each step is spliced into the word in place, free
-    reduction runs only at the two seams of the splice, and the scan
-    resumes one relator length left of the lowest letter the step changed.
-
-    Each trie node at depth ``_pin``, one letter past the longest prefix
-    two relators share, has one relator left and keeps the rest of it as
-    ``tail``: a scan of a long word settles a match there with one slice
-    comparison.
+    Dehn's algorithm makes one resumable left-to-right pass over the word,
+    kept as one signed byte per letter: each step is spliced into the word
+    in place, free reduction runs only at the two seams of the splice, and
+    the scan resumes one relator length left of the lowest letter the step
+    changed.  ``relators``, the symmetrized set, is built on first use.
     """
 
-    def __init__(self, alphabet_size: int, relators: RelatorSet):
-        self._letters = frozenset(range(-alphabet_size, alphabet_size + 1)) - {0}
-        for r in relators.relators:
-            if not self._letters.issuperset(r):
-                raise AlphabetError(
-                    f"relator {format_word(r)} uses generator outside "
-                    f"alphabet of size {alphabet_size}"
-                )
-        self.alphabet_size = alphabet_size
-        self.relators = relators
-        lengths = [len(r) for r in relators.relators]
-        self._max_relator_len = max(lengths, default=0)
-        # a Dehn step rewrites more than half of a relator
-        self._min_step_len = min(lengths, default=0) // 2 + 1
-        self._root = _TrieNode()
-        # In shortlex order the first relator through a node is its best.
-        # Each relator walks the prefix it shares with those before it and
-        # adds the rest; one letter past the longest shared prefix, only
-        # one relator is left.
-        ordered = relators.sorted_relators()
-        pin = 1
-        for r in ordered:
-            node, depth = self._root, 0
-            while depth < len(r) and r[depth] in node.children:
-                node = node.children[r[depth]]
-                depth += 1
-            pin = max(pin, depth + 1)
-            for c in r[depth:]:
-                child = _TrieNode(r)
-                node.children[c] = child
-                node = child
-        self._pin = pin
-        for r in ordered:
-            if len(r) >= pin:
-                node = self._root
-                for c in r[:pin]:
-                    node = node.children[c]
-                node.tail = list(r[pin:])
+    def __init__(self, t: Graph):
+        if t.n > MAX_ALPHABET_SIZE:
+            raise InputError(
+                f"{t.n} generators: Dehn's algorithm takes at most "
+                f"{MAX_ALPHABET_SIZE}, one signed byte per letter"
+            )
+        self.graph = t
+        self.alphabet_size = t.n
+        self._letters = frozenset(range(-t.n, t.n + 1)) - {0}
+        roots = relator_roots(t)
+        # copied from a set, as ``symmetrize`` copies its roots, so the
+        # two iterate in the same order
+        self.roots = frozenset(set(roots))
+        # (a, b) -> the inverse of the relator that begins a b
+        self._inverses = {}
 
     def __repr__(self):
-        return (
-            f"Presentation(alphabet_size={self.alphabet_size}, "
-            f"|R|={len(self.relators.relators)})"
-        )
+        return f"Presentation({self.graph!r})"
 
-    def _find_dehn_step(self, w: List[Letter], start: int, cap: int):
+    @functools.cached_property
+    def relators(self) -> RelatorSet:
+        return symmetrize(relator_seeds(self.graph))
+
+    def _relator_inverse(self, a: Letter, b: Letter):
+        """The inverse of the relator that begins with the letters a b, as
+        an array of signed bytes, or None if none does."""
+        inv = self._inverses.get((a, b))
+        if inv is None and a * b > 0:
+            if a == b:
+                inv = array("b", (-a,)) * GENERATOR_ORDER
+            else:
+                adjacent = self.graph.adj(abs(a) - 1, abs(b) - 1)
+                inv = array("b", (-b, -a)) * (EDGE_ORDER if adjacent else NONEDGE_ORDER)
+            self._inverses[a, b] = inv
+        return inv
+
+    def _next_step(self, word: array, start: int, cap: int):
         """Leftmost (from start), then longest subword u of at most cap
         letters that is a prefix of some relator r with |u| > |r|/2.
-        Returns (pos, length, relator) or None.
+        Returns (pos, |u|, r^-1) or None.
 
-        A word longer than every relator goes to ``_find_pinned_step``;
-        shorter ones, most of the coding layer's, keep this plain walk,
-        which does no more than one lookup per letter."""
-        n = len(w)
-        if n > self._max_relator_len:
-            return self._find_pinned_step(w, start, cap)
-        root = self._root
-        for i in range(start, n - self._min_step_len + 1):
-            node = root
-            hit = None
-            for d in range(i, n):
-                node = node.children.get(w[d])
-                if node is None:
-                    break
-                length = d - i + 1
-                if 2 * length > node.min_len and length <= cap:
-                    hit = (length, node.best)
-            if hit is not None:
-                return i, hit[0], hit[1]
-        return None
-
-    def _find_pinned_step(self, w: List[Letter], start: int, cap: int):
-        """``_find_dehn_step`` with the walk from each position cut at depth
-        ``_pin``.  Past it the match can only go on along the node's tail:
-        one slice comparison settles a whole relator, and a letter loop
-        finds where a partial match ends.  At depths of at least ``_pin``
-        the node's relator is the only one, so the deepest step there is
-        the match cut to cap letters, if that is more than half of it."""
-        n = len(w)
-        root = self._root
-        pin = self._pin
-        for i in range(start, n - self._min_step_len + 1):
-            node = root
-            hit = None
-            length = 0
-            for c in w[i : i + pin]:
-                node = node.children.get(c)
-                if node is None:
-                    break
-                length += 1
-                if 2 * length > node.min_len and length <= cap:
-                    hit = (length, node.best)
-            else:
-                # tail is None only where the word ended above depth _pin
-                tail = node.tail
-                if tail is not None:
-                    end = i + pin
-                    if w[end : end + len(tail)] == tail:
-                        length = pin + len(tail)
-                    else:
-                        k = end
-                        while k < n and w[k] == tail[k - end]:
-                            k += 1
-                        length = k - i
-                    length = min(length, cap)
-                    if length >= pin and 2 * length > node.min_len:
-                        hit = (length, node.best)
-            if hit is not None:
-                return i, hit[0], hit[1]
+        Every step matches ``_CANDIDATE``; the relator that its first two
+        letters begin, if any, settles whether a match is one and how long
+        it is."""
+        search = _CANDIDATE.search
+        while (m := search(word, start)) is not None:
+            i = m.start()
+            inv = self._relator_inverse(word[i], word[i + 1])
+            if inv is not None:
+                length = min(m.end() - i, len(inv), cap)
+                if 2 * length > len(inv):
+                    return i, length, inv
+            start = i + 1
         return None
 
     def _alphabet_error(self, w: Sequence[Letter]) -> AlphabetError:
@@ -296,34 +283,31 @@ class Presentation:
         ``origin``, the word the caller was asked to reduce."""
         if not self._letters.issuperset(w):
             raise self._alphabet_error(w)
-        # the input is nearly always freely reduced already: it is when no
-        # two neighbouring letters add up to 0
-        word = list(reduce_word(w) if 0 in map(operator.add, w, w[1:]) else w)
-        max_len = self._max_relator_len
+        word = _signed_bytes(w)
         start = 0
-        while (step := self._find_dehn_step(word, start, len(word))) is not None:
+        while (step := self._next_step(word, start, len(word))) is not None:
             used += 1
             if used > budget:
                 raise DehnBudgetError(budget, budget, origin)
-            i, length, r = step
-            # r = u . s with u the matched prefix; replace u by s^{-1}.  The
-            # prefix word[:i], the complement and the suffix word[i+length:]
-            # are each freely reduced, so letters cancel only at the seams.
-            comp = invert_word(r[length:])
+            i, length, inv = step
+            # r = u . s with u the matched prefix; replace u by s^{-1}, the
+            # first |r| - |u| letters of r^{-1}.  The prefix word[:i], the
+            # complement and the suffix word[i+length:] are each freely
+            # reduced, so letters cancel only at the seams.
             a, b = i, i + length
-            lo, hi = 0, len(comp)
-            while lo < hi and a > 0 and word[a - 1] == -comp[lo]:
+            lo, hi = 0, len(inv) - length
+            while lo < hi and a > 0 and word[a - 1] == -inv[lo]:
                 a -= 1
                 lo += 1
-            while lo < hi and b < len(word) and comp[hi - 1] == -word[b]:
+            while lo < hi and b < len(word) and inv[hi - 1] == -word[b]:
                 hi -= 1
                 b += 1
             if lo == hi:
                 while a > 0 and b < len(word) and word[a - 1] == -word[b]:
                     a -= 1
                     b += 1
-            word[a:b] = comp[lo:hi]
-            start = max(0, a - max_len)
+            word[a:b] = inv[lo:hi]
+            start = max(0, a - LONGEST_RELATOR)
         return tuple(word), used
 
     def is_identity(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> bool:
@@ -348,8 +332,10 @@ class Presentation:
         core, used = self._reduce(w, budget, 0, w)
         while True:
             core, _ = cyclic_reduce(core)
-            m = min(self._max_relator_len, len(core))
-            step = self._find_dehn_step([*core, *core[: m - 1]], len(core) - m + 1, len(core))
+            m = min(LONGEST_RELATOR, len(core))
+            step = self._next_step(
+                _signed_bytes(core + core[: m - 1]), len(core) - m + 1, len(core)
+            )
             if step is None:
                 return core
             i = step[0]
@@ -358,28 +344,20 @@ class Presentation:
     def order(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET):
         """Order of the element w, or INFINITE.
 
-        Valid for sixth groups with populated roots.  By the torsion
-        theorem (Lyndon-Schupp, Combinatorial Group Theory, Ch. V) a
-        finite-order element cyclically reduces to a rotation of root^k or
-        its inverse, for some root with root^n a relator and 0 < k < n.
-        Such a core is shorter than its relator, so a core of at least the
-        longest relator's length has infinite order.  ``budget`` bounds
-        all the Dehn steps of the call.
+        By the torsion theorem (Lyndon-Schupp, Combinatorial Group Theory,
+        Ch. V) a finite-order element of a sixth group cyclically
+        Dehn-reduces to a rotation of root^j, for some root with root^e a
+        relator and 0 < j < e, and its order is e / gcd(j, e).  In G_T a
+        root is one letter (e = 7) or two of one sign (e = k), and a
+        rotation of (ab)^j is (ab)^j or (ba)^j, so the root is the first
+        letter or the first two letters of the core.  Each e is prime, so
+        the order is e.  ``budget`` bounds all the Dehn steps of the call.
         """
         core = self.cyclic_dehn_reduce(w, budget)
         if not core:
             return 1
-        if len(core) >= self._max_relator_len:
+        root = core[:1] if core.count(core[0]) == len(core) else core[:2]
+        inv = self._relator_inverse(core[0], root[-1])
+        if inv is None or root * (len(core) // len(root)) != core:
             return INFINITE
-        rotations = {core[i:] + core[:i] for i in range(len(core))}
-        for root, n in sorted(self.relators.roots, key=lambda rn: word_key(rn[0])):
-            if len(core) % len(root) != 0:
-                continue
-            k = len(core) // len(root)
-            if root * k in rotations or invert_word(root) * k in rotations:
-                return n // math.gcd(k, n)
-        return INFINITE
-
-
-def presentation_from_seeds(alphabet_size: int, seeds: Iterable[Word]) -> Presentation:
-    return Presentation(alphabet_size, symmetrize(seeds))
+        return len(inv) // len(root)

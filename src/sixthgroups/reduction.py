@@ -17,31 +17,18 @@ import itertools
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, graph_iso, is_automorphism
-from .presentation import DEFAULT_DEHN_BUDGET, Presentation, symmetrize
+from .presentation import DEFAULT_DEHN_BUDGET, Presentation
 from .words import (
     EMPTY,
     MapError,
     Word,
     gen,
     invert_word,
-    power,
     reduce_word,
 )
 
-GENERATOR_ORDER = 7
-EDGE_ORDER = 11
-NONEDGE_ORDER = 13
-
 # Images of v_0 .. v_{n-1}, one reduced word each.
 GeneratorMap = Tuple[Word, ...]
-
-
-def relator_seeds(t: Graph):
-    seeds = [power((gen(i),), GENERATOR_ORDER) for i in range(t.n)]
-    for i, j in itertools.combinations(range(t.n), 2):
-        exp = EDGE_ORDER if t.adj(i, j) else NONEDGE_ORDER
-        seeds.append(power((gen(i), gen(j)), exp))
-    return seeds
 
 
 # A Presentation and a Graph are both immutable, so the last few
@@ -49,7 +36,7 @@ def relator_seeds(t: Graph):
 # build many small tables.
 @functools.lru_cache(maxsize=8)
 def relators_from_graph(t: Graph) -> Presentation:
-    return Presentation(t.n, symmetrize(relator_seeds(t)))
+    return Presentation(t)
 
 
 def conjugate(t_word: Word, w: Word) -> Word:
@@ -103,7 +90,7 @@ def is_homomorphism(
     """
     if len(gm) != p_t.alphabet_size:
         raise ValueError("generator map has wrong arity")
-    for root, exp in p_t.relators.roots:
+    for root, exp in p_t.roots:
         if not p_s.is_identity(apply_hom(gm, root * exp), budget):
             return False
     return True

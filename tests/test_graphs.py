@@ -64,6 +64,18 @@ def test_graph_basics():
     assert pickle.loads(pickle.dumps(g)) == g
 
 
+def test_graph_keeps_a_frozenset_of_any_edge_container():
+    # a list or set of edges is checked edge by edge and kept frozen, so
+    # the graph hashes and keys the presentation cache
+    for edges in ([(0, 1)], {(0, 1)}, ((0, 1),), iter([(0, 1)])):
+        g = Graph(4, edges)
+        assert g.edges == frozenset({(0, 1)}) and g == graph(4, [(0, 1)])
+        assert hash(g) == hash(graph(4, [(0, 1)]))
+        assert relators_from_graph(g) is relators_from_graph(graph(4, [(0, 1)]))
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1), (1, 3)])
+
+
 def test_parse_format_roundtrip():
     text = "n 3\ne 0 1\ne 1 2\n"
     assert parse_graph(text) == P3

@@ -3,6 +3,7 @@ import math
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from sixthgroups.graphs import graph, graphs_up_to
 from sixthgroups.presentation import (
     INFINITE,
+    MAX_ALPHABET_SIZE,
     AlphabetError,
     DehnBudgetError,
-    Presentation,
     check_c16,
     max_piece_length,
     pieces,
-    presentation_from_seeds,
+    _signed_bytes,
     primitive_root,
+    relator_roots,
     symmetrize,
 )
 from sixthgroups.reduction import relators_from_graph
@@ -31,6 +33,7 @@ from sixthgroups.words import (
     reduce_word,
     word_key,
 )
+from trie_oracle import Presentation, presentation_from_graph, presentation_from_seeds
 
 K2 = graph(2, [(0, 1)])
 E2 = graph(2, [])
@@ -43,8 +46,9 @@ words = st.lists(letters, max_size=10).map(lambda w: reduce_word(tuple(w)))
 
 
 def _naive_dehn_reduce(pres, w):
-    """Reference Dehn's algorithm: rescan from position 0 and freely reduce
-    the whole word after every step.  Returns (normal form, steps)."""
+    """Reference Dehn's algorithm on the trie oracle ``pres``: rescan from
+    position 0 and freely reduce the whole word after every step.  Returns
+    (normal form, steps)."""
 
     def find_step(w):
         n = len(w)
@@ -348,10 +352,11 @@ def _noisy_relator_product(rng, pres, target_len):
 def test_dehn_reduce_matches_naive_rescan():
     rng = random.Random(20170213)
     for n in range(1, 9):
-        pres = relators_from_graph(_random_graph(rng, n))
+        t = _random_graph(rng, n)
+        pres = relators_from_graph(t)
         for target_len in (10, 60, 300, 900, 2000):
             w = _noisy_relator_product(rng, pres, target_len)
-            expected, steps = _naive_dehn_reduce(pres, w)
+            expected, steps = _naive_dehn_reduce(presentation_from_graph(t), w)
             assert pres.dehn_reduce(w) == expected, (n, format_word(w))
             assert pres.dehn_reduce(w, budget=steps) == expected
             if steps:
@@ -561,7 +566,7 @@ def test_order_matches_rotation_sorting_oracle_with_long_pieces():
 
 
 def _plain_dehn_step(pres, w, start, cap):
-    """Oracle for ``Presentation._find_dehn_step``: from each position
+    """Oracle for the trie oracle's ``_find_dehn_step``: from each position
     walk the trie to the end of the match and keep the longest step of at
     most cap letters."""
     for i in range(start, len(w)):
@@ -586,7 +591,7 @@ def test_pinned_walk_keeps_leftmost_longest_steps_under_every_cap():
     # relator pinned at depth _pin can be shorter than twice that depth.
     rng = random.Random(20180102)
     presentations = _long_piece_presentations(rng, 6)
-    presentations += [relators_from_graph(_random_graph(rng, n)) for n in (2, 5, 8)]
+    presentations += [presentation_from_graph(_random_graph(rng, n)) for n in (2, 5, 8)]
     for _ in range(20):
         seeds = [
             tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(rng.randint(2, 6)))
@@ -602,3 +607,127 @@ def test_pinned_walk_keeps_leftmost_longest_steps_under_every_cap():
             start = rng.randrange(len(w))
             cap = rng.randint(1, longest + 2)
             assert pres._find_dehn_step(w, start, cap) == _plain_dehn_step(pres, w, start, cap)
+
+
+def _random_reduced(rng, n, length):
+    w = []
+    while len(w) < length:
+        c = rng.choice((1, -1)) * rng.randint(1, n)
+        if not w or w[-1] != -c:
+            w.append(c)
+    return tuple(w)
+
+
+def _identity_product(rng, t, length):
+    """Conjugated rotations of relators of G_T and of their inverses, about
+    length letters of them, multiplied and freely reduced."""
+    roots = relator_roots(t)
+    raw = ()
+    for _ in range(max(1, length // 25)):
+        root, e = rng.choice(roots)
+        r = root * e if rng.random() < 0.5 else invert_word(root * e)
+        k = rng.randrange(len(r))
+        c = _random_reduced(rng, t.n, rng.randint(0, 6))
+        raw += c + r[k:] + r[:k] + invert_word(c)
+    return reduce_word(raw)
+
+
+def _order_word(rng, t, length):
+    """An identity product times a conjugate of a power of a root, of an
+    inverse root, or of a short random word."""
+    root, e = rng.choice(relator_roots(t))
+    kind = rng.random()
+    if kind < 0.4:
+        x = root * rng.randint(1, e)
+    elif kind < 0.7:
+        x = invert_word(root) * rng.randint(1, e)
+    else:
+        x = _random_reduced(rng, t.n, rng.randint(1, 5))
+    c = _random_reduced(rng, t.n, rng.randint(0, 4))
+    return reduce_word(_identity_product(rng, t, length) + c + x + invert_word(c))
+
+
+def _outcome(call, w, budget):
+    try:
+        return call(w, budget)
+    except DehnBudgetError as err:
+        return "budget", err.budget, err.used, err.word, str(err)
+
+
+def test_closed_form_matches_trie_oracle():
+    # Normal forms, step counts, cyclic cores, orders and budget errors
+    # of the closed-form presentation equal the trie oracle's, on random
+    # graphs of 1-8 vertices and one each of 16 and 64.
+    rng = random.Random(20261019)
+    graphs = [_random_graph(rng, n) for n in range(1, 9) for _ in range(3)]
+    graphs += [_random_graph(rng, 16), _random_graph(rng, 64)]
+    finite = nonempty = over_budget = 0
+    for t in graphs:
+        pres, oracle = relators_from_graph(t), presentation_from_graph(t)
+        for make in (_identity_product, _order_word, _random_reduced):
+            for _ in range(2):
+                length = rng.choice((rng.randint(10, 300), rng.randint(300, 3000)))
+                w = make(rng, t.n if make is _random_reduced else t, length)
+                expected = oracle._reduce(w, math.inf, 0, w)
+                assert pres._reduce(w, math.inf, 0, w) == expected, (t, format_word(w))
+                steps = expected[1]
+                for budget in {0, 1, steps - 1, steps} - {-1}:
+                    got = _outcome(pres.dehn_reduce, w, budget)
+                    assert got == _outcome(oracle.dehn_reduce, w, budget), (t, budget)
+                    over_budget += got[:1] == ("budget",)
+                assert pres.cyclic_dehn_reduce(w) == oracle.cyclic_dehn_reduce(w), t
+                order = pres.order(w)
+                assert order == oracle.order(w), (t, format_word(w))
+                assert _outcome(pres.order, w, steps) == _outcome(oracle.order, w, steps)
+                finite += order not in (1, INFINITE)
+                nonempty += bool(expected[0])
+    assert finite > 25 and nonempty > 60 and over_budget > 250, (finite, nonempty, over_budget)
+
+
+def test_closed_form_steps_match_plain_trie_walk_under_every_cap():
+    # the leftmost, then longest, step of at most cap letters, from any
+    # start, and the inverse of its relator
+    rng = random.Random(20261020)
+    for n in (1, 2, 3, 5, 8):
+        t = _random_graph(rng, n)
+        pres, oracle = relators_from_graph(t), presentation_from_graph(t)
+        for _ in range(60):
+            w = list(_noisy_relator_product(rng, pres, rng.randint(5, 120)))
+            start = rng.randrange(len(w))
+            cap = rng.randint(1, 28)
+            expected = _plain_dehn_step(oracle, w, start, cap)
+            step = pres._next_step(array("b", w), start, cap)
+            if expected is None:
+                assert step is None
+            else:
+                i, length, inv = step
+                assert (i, length, tuple(inv)) == expected[:2] + (invert_word(expected[2]),)
+
+
+def test_alphabet_fits_one_signed_byte():
+    n = MAX_ALPHABET_SIZE
+    assert n == 127
+    big = relators_from_graph(graph(n, [(n - 2, n - 1)]))
+    last = (n,)  # v_126
+    assert big.dehn_reduce(last * 4) == (-n,) * 3
+    assert big.dehn_reduce(power((n - 1, n), 7)) == power((-n, -(n - 1)), 4)
+    assert big.order((-n,)) == 7 and big.order((n - 1, n)) == 11 and big.order((1, n)) == 13
+    with pytest.raises(AlphabetError):
+        big.dehn_reduce((n + 1,))
+    # the symmetrized set is built only when asked for
+    assert "relators" not in vars(big)
+    with pytest.raises(ValueError, match="at most 127"):
+        relators_from_graph(graph(n + 1))
+
+
+def test_signed_bytes_reduce_freely_at_every_length():
+    # short words are checked letter by letter, long ones in one pass;
+    # a letter meets its inverse anywhere, the ends included
+    rng = random.Random(20261021)
+    for length in (1, 2, 30, 31, 32, 33, 100, 1000):
+        for _ in range(30):
+            w = _random_reduced(rng, MAX_ALPHABET_SIZE, length)
+            if rng.random() < 0.7:
+                k = rng.choice((0, len(w) - 1, rng.randrange(len(w))))
+                w = w[: k + 1] + (-w[k],) + w[k + 1 :]
+            assert tuple(_signed_bytes(w)) == reduce_word(w), format_word(w)

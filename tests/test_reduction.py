@@ -7,10 +7,13 @@ from hypothesis import given, strategies as st
 from injectivity_oracle import check_injective_up_to
 from sixthgroups.coding import CodingTable, sigma_ns_nonempty
 from sixthgroups.graphs import all_graphs, automorphisms, graph, graphs_up_to
-from sixthgroups.reduction import (
+from sixthgroups.presentation import (
     EDGE_ORDER,
     GENERATOR_ORDER,
     NONEDGE_ORDER,
+    relator_seeds,
+)
+from sixthgroups.reduction import (
     CanonicalAuto,
     apply_hom,
     aut_canonical_check,
@@ -23,7 +26,6 @@ from sixthgroups.reduction import (
     read_off_letters,
     reduced_words,
     relators_from_graph,
-    relator_seeds,
 )
 from sixthgroups.words import EMPTY, concat, gen, invert_word, power, word_key
 
