@@ -2,7 +2,8 @@
 
 Exit codes: 0 computed, 1 negative answer for yes/no queries, 2 usage or
 parse error, 3 budget exceeded, 4 internal error (a bug, never an
-answer).  Reports are line oriented `key: value`.
+answer), 141 (128 + SIGPIPE) the reader closed stdout before the report
+ended.  Reports are line oriented `key: value`.
 
 Each subcommand imports the engine modules it runs when it runs: start-up
 is most of a call's time, and every imported module is compiled unless
@@ -12,6 +13,7 @@ its bytecode is cached.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import graphs
@@ -30,6 +32,7 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 128 + 13  # SIGPIPE, as a shell reports a process it killed
 
 # The largest --max-n.  A presentation is built in closed form, but the
 # graph searches of rigid, graph-iso, embed-graph and aut-extend walk every
@@ -331,6 +334,11 @@ def main(argv=None, stdout=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args, out)
+    except BrokenPipeError:
+        # Nothing more can be reported.  Point stdout at the null device so
+        # that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        return EXIT_PIPE
     except (InputError, OSError) as exc:
         out(f"error: {exc}")
         return EXIT_USAGE

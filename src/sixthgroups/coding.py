@@ -20,10 +20,11 @@ group elements.  Stable words form a regular language, so a code is a
 rank in a finite automaton (the shortlex automatic structure of the
 group, cut off at MAX_REP_LEN): ``_rank`` and ``_unrank`` compute it in
 closed form from a table of completion counts built once per generator
-count.  A CodingTable adds memos of both directions, each bounded by
-``max_elements``; they change speed, never answers.  A
-word or code whose representative would be longer than MAX_REP_LEN
-letters is a budget error, never a wrong answer.
+count.  A CodingTable's memos of both directions hold exactly the largest
+table ``enumerate_to`` has returned, and no lookup writes to them: they
+change speed, never answers, and a long session of lookups leaves them as
+they were.  A word or code whose representative would be longer than
+MAX_REP_LEN letters is a budget error, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ from .words import (
 )
 
 MAX_REP_LEN = 10
-DEFAULT_MAX_ELEMENTS = 500_000
+MAX_ELEMENTS = 500_000  # the largest table enumerate_to builds
 
 
 class CodingBudgetError(BudgetError):
     """A request the coding cannot answer within its budgets: a
     representative longer than MAX_REP_LEN letters, or a table of more
-    than max_elements codes.
+    than MAX_ELEMENTS codes.
 
     Carries the budget, how much of it the request needs and the word
     concerned (empty when the request was a code); the message names the
@@ -197,22 +198,16 @@ def _letter_code(c: int) -> int:
 class CodingTable:
     """The coding of G_T: rank and unrank in closed form, with memos.
 
-    ``code_to_word`` and ``word_to_code`` are filled by ``enumerate_to``,
-    ``code_of`` and ``word_of``, and each stops growing at
-    ``max_elements`` entries, which is also the largest table
-    ``enumerate_to`` returns.  ``enumerate_to`` builds its table from
-    ``_stable_words``, one length at a time and in code order.
+    ``code_to_word`` and ``word_to_code`` hold the largest table
+    ``enumerate_to`` has returned (at first the identity alone), and only
+    ``enumerate_to`` writes them: tables are prefixes of one another, so
+    a longer one replaces both memos wholesale.  ``code_of`` and
+    ``word_of`` read the memos and otherwise compute, never store.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        max_elements: int = DEFAULT_MAX_ELEMENTS,
-        dehn_budget: int = DEFAULT_DEHN_BUDGET,
-    ):
+    def __init__(self, graph: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET):
         self.graph = graph
         self.pres = relators_from_graph(graph)
-        self.max_elements = max_elements
         self.dehn_budget = dehn_budget
         self._letters, completions, first = _counts(graph.n)
         self._reach = first[-1]  # composite codes 3 .. 3 * _reach
@@ -221,13 +216,6 @@ class CodingTable:
         self._finite = completions[MAX_REP_LEN + 1][0] == 0
         self.code_to_word: Dict[int, Word] = {0: EMPTY}
         self.word_to_code: Dict[Word, int] = {EMPTY: 0}
-
-    def _remember(self, code: int, w: Word) -> None:
-        """Memoise one (code, word) pair where the memos have room."""
-        if len(self.code_to_word) < self.max_elements:
-            self.code_to_word[code] = w
-        if len(self.word_to_code) < self.max_elements:
-            self.word_to_code[w] = code
 
     def _reach_error(self, code: int) -> CodingBudgetError:
         """In an infinite group, a composite code past the last
@@ -239,14 +227,6 @@ class CodingTable:
             MAX_REP_LEN + 1,
             context=f": code {code} has a representative longer than {MAX_REP_LEN} letters",
         )
-
-    def normal_form(self, w: Word) -> Word:
-        nf = self.pres.dehn_reduce(w, self.dehn_budget)
-        if len(nf) > MAX_REP_LEN:
-            raise CodingBudgetError(
-                "representative length MAX_REP_LEN", MAX_REP_LEN, len(nf), w
-            )
-        return nf
 
     def registrable(self, code: int) -> bool:
         if code < 0:
@@ -262,27 +242,31 @@ class CodingTable:
     # -- the coding proper ---------------------------------------------
 
     def code_of(self, w: Word) -> int:
-        nf = self.normal_form(w)
-        code = self.word_to_code.get(nf)
-        if code is None:
-            if len(nf) > 1:
-                code = 3 * (1 + _rank(self.graph.n, nf))
-            else:
-                code = _letter_code(nf[0]) if nf else 0
-            self._remember(code, nf)
-        return code
+        # A key is a stable word: its own normal form, in the alphabet and
+        # 0 Dehn steps from it.  Only a tuple can be one (a list is
+        # unhashable).
+        if isinstance(w, tuple):
+            code = self.word_to_code.get(w)
+            if code is not None:
+                return code
+        nf = self.pres.dehn_reduce(w, self.dehn_budget)
+        if len(nf) > MAX_REP_LEN:
+            raise CodingBudgetError(
+                "representative length MAX_REP_LEN", MAX_REP_LEN, len(nf), w
+            )
+        if len(nf) > 1:
+            return 3 * (1 + _rank(self.graph.n, nf))
+        return _letter_code(nf[0]) if nf else 0
 
     def word_of(self, code: int) -> Word:
-        w = self.code_to_word.get(code)
-        if w is None:
-            if not self.registrable(code):
-                raise KeyError(f"code {code} is not assigned for this graph")
-            if code % 3:
-                w = (gen((code - 1) // 3, 1 if code % 3 == 1 else -1),)
-            else:
-                w = _unrank(self.graph.n, code // 3 - 1) if code else EMPTY
-            self._remember(code, w)
-        return w
+        w = self.code_to_word.get(code)  # code 0 is always there
+        if w is not None:
+            return w
+        if not self.registrable(code):
+            raise KeyError(f"code {code} is not assigned for this graph")
+        if code % 3:
+            return (gen((code - 1) // 3, 1 if code % 3 == 1 else -1),)
+        return _unrank(self.graph.n, code // 3 - 1)
 
     def star(self, n: int, m: int) -> int:
         return self.code_of(concat(self.word_of(n), self.word_of(m)))
@@ -293,15 +277,14 @@ class CodingTable:
     def enumerate_to(self, max_code: int) -> List[Tuple[int, Word]]:
         """All assigned (code, representative) pairs with code <= max_code,
         in code order.  The size of the table is checked against
-        max_elements, and its reach against MAX_REP_LEN, before anything
+        MAX_ELEMENTS, and its reach against MAX_REP_LEN, before anything
         is built.
 
         The table is laid out in code order, never sorted: composite
         3(i + 1) follows v_i and v_i^{-1} for i < n, and the composites
-        past 3n take the rest of ``_stable_words`` in turn.  Both memos
-        take the table's first pairs while they have room; the word memo
-        is filled from the word list past the first 3n codes, so no pair
-        is unpacked to key it.
+        past 3n take the rest of ``_stable_words`` in turn.  A table
+        longer than the memos replaces them; the word memo is keyed
+        straight from the word list, so no pair is unpacked to key it.
         """
         if max_code < 0:
             return []
@@ -311,34 +294,30 @@ class CodingTable:
         if self._finite:
             composites = min(composites, self._reach)
         size = 1 + len(singles) + composites
-        if size > self.max_elements:
+        if size > MAX_ELEMENTS:
             raise CodingBudgetError(
                 "element budget max_elements",
-                self.max_elements,
+                MAX_ELEMENTS,
                 size,
                 context=f": codes up to {max_code}",
             )
         if composites > self._reach:
             raise self._reach_error(3 * (self._reach + 1))
         words = _stable_words(self._letters, composites)
+        # one int object per code, shared by the table and both memos
+        codes = list(range(3, 3 * composites + 1, 3))
         head = min(n, composites)
         table = [(0, EMPTY)]
         for i in range(head):
             table += singles[2 * i : 2 * i + 2]
-            table.append((3 * i + 3, words[i]))
+            table.append((codes[i], words[i]))
         table += singles[2 * head :]
-        start = len(table)
-        # one int object per code, shared by the table and both memos
-        rest = list(range(3 * n + 3, 3 * composites + 1, 3))
-        table += zip(rest, itertools.islice(words, n, None))
-        room = self.max_elements - len(self.code_to_word)
-        if room > 0:
-            self.code_to_word.update(itertools.islice(table, room))
-        room = self.max_elements - len(self.word_to_code)
-        if room > 0:
-            self.word_to_code.update((w, c) for c, w in table[: min(room, start)])
-            kept = rest[: max(room - start, 0)]
-            self.word_to_code.update(zip(itertools.islice(words, n, None), kept))
+        table += zip(itertools.islice(codes, n, None), itertools.islice(words, n, None))
+        if len(table) > len(self.code_to_word):
+            self.code_to_word = dict(table)
+            self.word_to_code = dict(zip(words, codes))
+            self.word_to_code.update((w, c) for c, w in singles)
+            self.word_to_code[EMPTY] = 0
         return table
 
 

@@ -15,6 +15,7 @@ from sixthgroups.cli import (
     EXIT_INTERNAL,
     EXIT_NO,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     MAX_N_LIMIT,
     build_parser,
@@ -258,6 +259,23 @@ def test_runs_without_numpy():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "adjacent: true" in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_quietly(k2):
+    # the reader takes the first line and closes the pipe; the table's
+    # 130 kB fill the pipe, so the writer meets the closed end
+    src = os.path.dirname(os.path.dirname(sixthgroups.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sixthgroups.cli", "--max-code", "300", "star-table", k2],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,m,star\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == EXIT_PIPE == 141
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 
 from sixthgroups import coding, reduction
 from sixthgroups.coding import (
+    MAX_ELEMENTS,
     MAX_REP_LEN,
     CodingBudgetError,
     CodingTable,
@@ -20,7 +21,8 @@ from sixthgroups.coding import (
     sigma_ns_nonempty,
 )
 from coding_rows import star_search
-from sixthgroups.graphs import automorphisms, graph, graphs_up_to
+from sixthgroups.graphs import automorphisms, graph, graphs_up_to, nonisomorphic_graphs
+from sixthgroups.presentation import AlphabetError, relator_seeds
 from sixthgroups.reduction import apply_hom, induced_hom, reduced_words
 from sixthgroups.words import EMPTY, Word, gen, invert_word, letter_key, parse_word, power
 
@@ -117,9 +119,9 @@ def test_word_of_unassigned_raises():
 
 
 def test_budget_errors():
-    ct = CodingTable(K2, max_elements=5)
+    ct = CodingTable(K2)
     with pytest.raises(CodingBudgetError):
-        ct.enumerate_to(30)
+        ct.enumerate_to(3 * MAX_ELEMENTS)
     ct2 = CodingTable(K2)
     with pytest.raises(CodingBudgetError):
         # normal form (g0 g1)^5 g0 has length 11 > MAX_REP_LEN
@@ -402,42 +404,6 @@ def test_enumerate_to_every_small_cut_matches_word_of(n):
         assert ct.word_to_code == {w: c for c, w in want}
 
 
-def _pairwise_fill(code_to_word, word_to_code, table, max_elements):
-    """Oracle: the memo fill enumerate_to made before it filled the memos
-    directly, taking table pairs in code order while each memo had room."""
-    room = max_elements - len(code_to_word)
-    if room > 0:
-        code_to_word.update(table[:room])
-    room = max_elements - len(word_to_code)
-    if room > 0:
-        word_to_code.update((w, c) for c, w in table[:room])
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_enumerate_to_fills_the_memos_as_the_pairwise_fill(n):
-    # lookups before the enumeration take room, some of it past max_code,
-    # so the room left ends inside the head (codes up to 3n) or inside the
-    # rest of the table
-    t = graph(n, [(0, 1)] if n > 1 else [])
-    max_code = 60
-    probe = CodingTable(t)
-    size = len(probe.enumerate_to(max_code))
-    far_first = [c for c in range(400, 2, -1) if probe.registrable(c)]
-    cuts = 0
-    for ahead in range(0, size + 2):
-        for extra in (0, 3):
-            ct = CodingTable(t, max_elements=size + extra)
-            for c in far_first[: ahead + extra]:
-                ct.word_of(c)
-            code_to_word, word_to_code = dict(ct.code_to_word), dict(ct.word_to_code)
-            cuts += 0 < ct.max_elements - len(code_to_word) < size
-            table = ct.enumerate_to(max_code)
-            _pairwise_fill(code_to_word, word_to_code, table, ct.max_elements)
-            assert ct.code_to_word == code_to_word, (ahead, extra)
-            assert ct.word_to_code == word_to_code, (ahead, extra)
-    assert cuts > size // 2
-
-
 @pytest.mark.parametrize("n", [5, 8])
 def test_rank_unrank_round_trip(n):
     words = itertools.islice(_oracle_composites(n), 100_000)
@@ -469,18 +435,87 @@ def test_top_code_at_eight_vertices():
         ct.registrable(top + 3)
 
 
+def _lookup_words(t, rng: random.Random) -> List[Word]:
+    """Words to code on t: the representatives of codes up to 3000, and
+    unreduced words, runs of 4-7 letters and conjugated relators, which
+    take Dehn's algorithm to their representatives."""
+    letters = [c for i in range(t.n) for c in (gen(i), -gen(i))]
+    words = list(_oracle_table(t.n, 3000).values())
+    words += [tuple(rng.choice(letters) for _ in range(rng.randint(2, 9))) for _ in range(60)]
+    words += [(c,) * k for c in letters for k in range(4, 8)]
+    for r in relator_seeds(t):
+        for _ in range(3):
+            u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+            words.append(u + r + invert_word(u) + (rng.choice(letters),))
+    return words
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerated_table_answers_as_a_fresh_one(n):
+    # the memos of an enumerated table change no answer: code_of on tuples
+    # and lists, word_of, star and the errors match a table that never
+    # enumerated, on every graph of n vertices
+    rng = random.Random(17 + n)
+    for t in nonisomorphic_graphs(n):
+        full, fresh = CodingTable(t), CodingTable(t)
+        full.enumerate_to(3000)
+        words = _lookup_words(t, rng)
+        for w in words:
+            assert full.code_of(w) == fresh.code_of(w), (t, w)
+            assert full.code_of(list(w)) == fresh.code_of(list(w)) == fresh.code_of(w), (t, w)
+        codes = sorted({fresh.code_of(w) for w in words})
+        for c in codes:
+            assert full.word_of(c) == fresh.word_of(c), (t, c)
+        # products of two words of at most 5 letters are within reach;
+        # products of longer ones may not be, and then both tables raise
+        short = [c for c in codes if len(fresh.word_of(c)) <= MAX_REP_LEN // 2]
+        for a, b in (rng.sample(short, 2) for _ in range(150)):
+            assert full.star(a, b) == fresh.star(a, b), (t, a, b)
+        for a, b in (rng.sample(codes, 2) for _ in range(50)):
+            try:
+                want = fresh.star(a, b)
+            except CodingBudgetError:
+                with pytest.raises(CodingBudgetError):
+                    full.star(a, b)
+                continue
+            assert full.star(a, b) == want, (t, a, b)
+        errors = [((t.n + 1,), AlphabetError)]
+        if t.n > 1:  # every element of Z/7 is within reach
+            errors.append((power((1, 2), 5) + (1,), CodingBudgetError))
+        for w, error in errors:
+            for ct in (full, fresh):
+                for arg in (w, list(w)):
+                    with pytest.raises(error):
+                        ct.code_of(arg)
+
+
 def test_memos_are_bounded():
-    t = graph(3, [(0, 1)])
-    ct = CodingTable(t, max_elements=50)
-    oracle = _oracle_table(t.n, 3000)
-    codes = random.Random(5).sample(sorted(oracle), 200)
-    for c in codes:
-        assert ct.word_of(c) == oracle[c]
-        assert ct.code_of(oracle[c]) == c
-    for c in codes[:20]:
-        assert ct.star(c, c) == ct.code_of(oracle[c] + oracle[c])
-    assert len(ct.code_to_word) <= 50
-    assert len(ct.word_to_code) <= 50
+    # lookups never grow the memos: they hold the table enumerate_to made
+    for n, enumerated in itertools.product((1, 2, 4), (0, 90)):
+        t = graph(n, [(0, 1)] if n > 1 else [])
+        oracle = _oracle_table(n, 3000)
+        ct = CodingTable(t)
+        ct.enumerate_to(enumerated)
+        memos = dict(ct.code_to_word), dict(ct.word_to_code)
+        codes = random.Random(5).sample(sorted(oracle), min(200, len(oracle)))
+        for c in codes:
+            assert ct.word_of(c) == oracle[c]
+            assert ct.code_of(oracle[c]) == ct.code_of(list(oracle[c])) == c
+            assert ct.star(ct.inverse_code(c), c) == 0
+        for c in [c for c in codes if len(oracle[c]) <= MAX_REP_LEN // 2][:20]:
+            assert ct.star(c, c) == ct.code_of(oracle[c] + oracle[c])
+        assert (ct.code_to_word, ct.word_to_code) == memos
+
+
+def test_the_longest_table_fills_the_memos():
+    # a shorter table after a longer one leaves the memos as the longer one
+    # made them; a longer one after a shorter one replaces them
+    for order in ((300, 30), (30, 300)):
+        ct = CodingTable(P3)
+        tables = {m: ct.enumerate_to(m) for m in order}
+        assert tables[30] == tables[300][: len(tables[30])]
+        assert ct.code_to_word == dict(tables[300])
+        assert ct.word_to_code == {w: c for c, w in tables[300]}
 
 
 def test_codes_beyond_reach():
@@ -511,7 +546,7 @@ def test_enumerate_to_checks_size_first():
         ct.enumerate_to(10**12)
     assert time.perf_counter() - start < 0.1
     # the identity, six generator codes and every multiple of 3 up to 10^12
-    assert (err.value.budget, err.value.used) == (ct.max_elements, 7 + 10**12 // 3)
+    assert (err.value.budget, err.value.used) == (MAX_ELEMENTS, 7 + 10**12 // 3)
     assert len(ct.code_to_word) == 1
 
 
@@ -526,6 +561,7 @@ def test_coding_budget_error_fields_and_message():
     assert "g0 g1 g1 g0 g1 g1 g0 g1 …" in msg and "g0 g1 g1 g0 g1 g1 g0 g1 g1" not in msg
     assert len(msg) < 200
     with pytest.raises(CodingBudgetError) as err:
-        CodingTable(K2, max_elements=5).enumerate_to(30)
-    assert (err.value.budget, err.value.used) == (5, 15)
+        CodingTable(K2).enumerate_to(3 * MAX_ELEMENTS)
+    # the identity, four generator codes and MAX_ELEMENTS composites
+    assert (err.value.budget, err.value.used) == (MAX_ELEMENTS, MAX_ELEMENTS + 5)
     assert "max_elements" in str(err.value) and len(str(err.value)) < 200
