@@ -13,6 +13,7 @@ its bytecode is cached.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -22,9 +23,11 @@ from .words import (
     BudgetError,
     InputError,
     MapError,
+    content_lines,
     format_word,
     parse_natural,
     parse_word,
+    read_text,
 )
 
 EXIT_OK = 0
@@ -53,20 +56,30 @@ def _load_graph(args, path: str) -> graphs.Graph:
     return g
 
 
+def _presentation(args):
+    from . import reduction
+
+    return reduction.relators_from_graph(_load_graph(args, args.graph))
+
+
+def _coding_table(args):
+    from . import coding
+
+    return coding.CodingTable(_load_graph(args, args.graph), dehn_budget=args.dehn_budget)
+
+
+def _verdict(out, key: str, ok: bool) -> int:
+    """Report the answer to a yes/no query as ``key: true|false``; its
+    exit code."""
+    out(f"{key}: {'true' if ok else 'false'}")
+    return EXIT_OK if ok else EXIT_NO
+
+
 def read_map(path: str) -> dict[int, int]:
     """The map file of ``aut-extend`` and ``hom-check``: lines
-    ``<arg> <value>`` of naturals, each argument at most once; blank lines
-    and lines starting with ``#`` are skipped."""
+    ``<arg> <value>`` of naturals, each argument at most once."""
     s = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise MapError(str(exc)) from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(read_text(path, MapError)):
         parts = line.split()
         arg, val = map(parse_natural, parts) if len(parts) == 2 else (None, None)
         if arg is None or val is None:
@@ -78,67 +91,47 @@ def read_map(path: str) -> dict[int, int]:
 
 
 def _cmd_relators(args, out):
-    from . import reduction
     from .presentation import relator_seeds
 
-    g = _load_graph(args, args.graph)
-    pres = reduction.relators_from_graph(g)
-    for seed in relator_seeds(g):
+    pres = _presentation(args)
+    for seed in relator_seeds(pres.graph):
         out(f"seed: {format_word(seed)}")
     out(f"symmetrized-size: {len(pres.relators.relators)}")
     return EXIT_OK
 
 
 def _cmd_check_c16(args, out):
-    from . import reduction
     from .presentation import check_c16, max_piece_length
 
-    g = _load_graph(args, args.graph)
-    rel = reduction.relators_from_graph(g).relators
-    ok = check_c16(rel)
-    out(f"c16: {'true' if ok else 'false'}")
+    rel = _presentation(args).relators
+    code = _verdict(out, "c16", check_c16(rel))
     out(f"max-piece-length: {max_piece_length(rel)}")
-    return EXIT_OK if ok else EXIT_NO
+    return code
 
 
 def _cmd_wp(args, out):
-    from . import reduction
-
-    g = _load_graph(args, args.graph)
-    pres = reduction.relators_from_graph(g)
-    w = parse_word(args.word)
-    nf = pres.dehn_reduce(w, args.dehn_budget)
-    out(f"identity: {'true' if not nf else 'false'}")
+    nf = _presentation(args).dehn_reduce(parse_word(args.word), args.dehn_budget)
+    _verdict(out, "identity", not nf)
     out(f"normal-form: {format_word(nf)}")
     return EXIT_OK
 
 
 def _cmd_order(args, out):
-    from . import reduction
     from .presentation import INFINITE
 
-    g = _load_graph(args, args.graph)
-    pres = reduction.relators_from_graph(g)
-    n = pres.order(parse_word(args.word), args.dehn_budget)
+    n = _presentation(args).order(parse_word(args.word), args.dehn_budget)
     out(f"order: {'INFINITE' if n == INFINITE else int(n)}")
     return EXIT_OK
 
 
 def _cmd_code(args, out):
-    from . import coding
-
-    g = _load_graph(args, args.graph)
-    ct = coding.CodingTable(g, dehn_budget=args.dehn_budget)
-    for c, w in ct.enumerate_to(args.max_code):
+    for c, w in _coding_table(args).enumerate_to(args.max_code):
         out(f"{c}: {format_word(w)}")
     return EXIT_OK
 
 
 def _cmd_star_table(args, out):
-    from . import coding
-
-    g = _load_graph(args, args.graph)
-    ct = coding.CodingTable(g, dehn_budget=args.dehn_budget)
+    ct = _coding_table(args)
     codes = [c for c, _ in ct.enumerate_to(args.max_code)]
     out("n,m,star")
     for n in codes:
@@ -150,15 +143,14 @@ def _cmd_star_table(args, out):
 def _cmd_aut_extend(args, out):
     from . import coding
 
-    g = _load_graph(args, args.graph)
+    ct = _coding_table(args)
     s = read_map(args.partialmap)
     coding.validate_partial_map(s)
-    ct = coding.CodingTable(g, dehn_budget=args.dehn_budget)
     bound = args.conj_bound
     if bound is None:
         bound = coding.default_star_conj_bound(ct, s)
     ok, witness = coding.sigma_ns_nonempty(ct, s, bound)
-    out(f"extends: {'true' if ok else 'false'}")
+    code = _verdict(out, "extends", ok)
     out(f"conj-bound: {bound}")
     if witness is not None:
         out(f"witness-r: {dict(witness.r)}")
@@ -167,33 +159,21 @@ def _cmd_aut_extend(args, out):
         out(f"witness-l: {witness.l}")
     if args.oracle:
         oracle = coding.oracle_aut_extends(ct, s, bound)
-        out(f"oracle: {'true' if oracle else 'false'}")
+        _verdict(out, "oracle", oracle)
         if oracle != ok:
             out("disagreement: checker and oracle differ")
             raise OracleDisagreement(f"checker says {ok}, oracle says {oracle}")
-    return EXIT_OK if ok else EXIT_NO
+    return code
 
 
-def _cmd_embed_graph(args, out):
-    t = _load_graph(args, args.graph_t)
-    s = _load_graph(args, args.graph_s)
-    f = graphs.induced_embeds(t, s)
-    out(f"embeds: {'true' if f is not None else 'false'}")
-    if f is not None:
-        for i, v in enumerate(f):
-            out(f"{i}: {v}")
-    return EXIT_OK if f is not None else EXIT_NO
-
-
-def _cmd_graph_iso(args, out):
-    t = _load_graph(args, args.graph_t)
-    s = _load_graph(args, args.graph_s)
-    f = graphs.graph_iso(t, s)
-    out(f"isomorphic: {'true' if f is not None else 'false'}")
-    if f is not None:
-        for i, v in enumerate(f):
-            out(f"{i}: {v}")
-    return EXIT_OK if f is not None else EXIT_NO
+def _cmd_vertex_map(key, search, args, out):
+    """``embed-graph`` and ``graph-iso``: whether search finds a vertex map
+    from the first graph to the second, and the map if it does."""
+    f = search(_load_graph(args, args.graph_t), _load_graph(args, args.graph_s))
+    code = _verdict(out, key, f is not None)
+    for i, v in enumerate(f or ()):
+        out(f"{i}: {v}")
+    return code
 
 
 def _cmd_hom_check(args, out):
@@ -208,21 +188,19 @@ def _cmd_hom_check(args, out):
     p_t = reduction.relators_from_graph(t)
     p_s = reduction.relators_from_graph(s)
     ok = reduction.is_homomorphism(p_t, p_s, gm, args.dehn_budget)
-    out(f"homomorphism: {'true' if ok else 'false'}")
+    code = _verdict(out, "homomorphism", ok)
     if ok:
         # proved, not sampled: a homomorphism induced by an injective
         # vertex map is injective (see reduction.is_homomorphism); the
         # key's name is part of the output format
         out("injective-up-to-3: true")
-    return EXIT_OK if ok else EXIT_NO
+    return code
 
 
 def _cmd_rado_adj(args, out):
     from . import randomgraph
 
-    ok = randomgraph.adjacent(args.m, args.n)
-    out(f"adjacent: {'true' if ok else 'false'}")
-    return EXIT_OK if ok else EXIT_NO
+    return _verdict(out, "adjacent", randomgraph.adjacent(args.m, args.n))
 
 
 def _cmd_rado_embed(args, out):
@@ -236,17 +214,11 @@ def _cmd_rado_embed(args, out):
 
 
 def _cmd_rigid(args, out):
-    g = _load_graph(args, args.graph)
-    ok = graphs.is_rigid(g)
-    out(f"rigid: {'true' if ok else 'false'}")
-    return EXIT_OK if ok else EXIT_NO
+    return _verdict(out, "rigid", graphs.is_rigid(_load_graph(args, args.graph)))
 
 
 def _cmd_tree(args, out):
-    g = _load_graph(args, args.graph)
-    ok = graphs.is_combinatorial_tree(g)
-    out(f"tree: {'true' if ok else 'false'}")
-    return EXIT_OK if ok else EXIT_NO
+    return _verdict(out, "tree", graphs.is_combinatorial_tree(_load_graph(args, args.graph)))
 
 
 def _at_least(low: int, high: int | None = None):
@@ -305,15 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd("star-table", _cmd_star_table, g)
     p_aut = cmd("aut-extend", _cmd_aut_extend, g, dict(dest="partialmap"))
     p_aut.add_argument("--oracle", action="store_true")
-    cmd("embed-graph", _cmd_embed_graph, dict(dest="graph_t"), dict(dest="graph_s"))
-    cmd("graph-iso", _cmd_graph_iso, dict(dest="graph_t"), dict(dest="graph_s"))
-    cmd(
-        "hom-check",
-        _cmd_hom_check,
-        dict(dest="graph_t"),
-        dict(dest="graph_s"),
-        dict(dest="mapfile"),
-    )
+    ts = (dict(dest="graph_t"), dict(dest="graph_s"))
+    cmd("embed-graph", functools.partial(_cmd_vertex_map, "embeds", graphs.induced_embeds), *ts)
+    cmd("graph-iso", functools.partial(_cmd_vertex_map, "isomorphic", graphs.graph_iso), *ts)
+    cmd("hom-check", _cmd_hom_check, *ts, dict(dest="mapfile"))
     cmd("rado-adj", _cmd_rado_adj, dict(dest="m", type=int), dict(dest="n", type=int))
     cmd("rado-embed", _cmd_rado_embed, g)
     cmd("rigid", _cmd_rigid, g)
@@ -323,10 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-
-    def out(line):
-        print(line, file=stdout)
-
+    out = functools.partial(print, file=stdout)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .words import InputError, parse_natural
+from .words import InputError, content_lines, parse_natural, read_text
 
 DEFAULT_MAX_N = 8
 
@@ -77,10 +77,7 @@ def graph(n: int, edges=()) -> Graph:
 def parse_graph(text: str) -> Graph:
     n = None
     edges = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "n":
             if n is not None:
@@ -115,12 +112,7 @@ def format_graph(g: Graph) -> str:
 
 
 def load_graph(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(str(exc)) from exc
-    return parse_graph(text)
+    return parse_graph(read_text(path, GraphFormatError))
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

@@ -213,10 +213,7 @@ class Presentation:
         self.graph = t
         self.alphabet_size = t.n
         self._letters = frozenset(range(-t.n, t.n + 1)) - {0}
-        roots = relator_roots(t)
-        # copied from a set, as ``symmetrize`` copies its roots, so the
-        # two iterate in the same order
-        self.roots = frozenset(set(roots))
+        self.roots = tuple(relator_roots(t))
         # (a, b) -> the inverse of the relator that begins a b
         self._inverses = {}
 

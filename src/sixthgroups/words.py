@@ -9,7 +9,7 @@ v_0 < v_0^{-1} < v_1 < v_1^{-1} < ...
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 Letter = int
 Word = Tuple[int, ...]
@@ -120,6 +120,26 @@ def parse_natural(text: str) -> Optional[int]:
         return int(text)
     except ValueError:  # more digits than int() converts
         return None
+
+
+def read_text(path, error) -> str:
+    """The file at path read as UTF-8; a byte that does not decode raises
+    ``error``, the InputError subclass of the file's format."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(str(exc)) from exc
+
+
+def content_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number from 1, stripped line) of each line of a graph or map
+    file that counts: blank lines and lines starting with ``#`` are
+    skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def parse_word(text: str) -> Word:

@@ -62,8 +62,9 @@ def test_flags_out_of_range_are_usage_errors(k2, tmp_path, flag):
 
 
 def test_max_n_is_bounded(k2, monkeypatch):
-    # a presentation grows as n^2 with no budget of its own, so a --max-n
-    # past the limit is refused before any graph is read or built
+    # the graph searches walk every permutation or injection with no budget
+    # of their own, so a --max-n past the limit is refused before any graph
+    # is read
     def refuse(*args):
         raise AssertionError("a graph was loaded")
 
@@ -324,6 +325,26 @@ def test_rigid_and_tree(k2, p3):
     assert code == EXIT_OK and "tree: true" in out
     code, out = run("tree", k2)
     assert code == EXIT_OK
+
+
+def test_trivial_group(tmp_path):
+    # the graph with no vertices, end to end
+    g0 = tmp_path / "g0.graph"
+    g0.write_text("n 0\n")
+    empty = tmp_path / "empty.map"
+    empty.write_text("")
+    g = str(g0)
+    assert run("code", g) == (EXIT_OK, "0: e\n")
+    assert run("star-table", g) == (EXIT_OK, "n,m,star\n0,0,0\n")
+    extends = ["extends: true", "conj-bound: 0", "witness-r: {}"]
+    extends += ["witness-k: 0", "witness-k-inverse: 0", "witness-l: 0"]
+    assert run("aut-extend", g, str(empty)) == (EXIT_OK, "\n".join(extends) + "\n")
+    assert run("order", g, "e") == (EXIT_OK, "order: 1\n")
+    assert run("relators", g) == (EXIT_OK, "symmetrized-size: 0\n")
+    assert run("check-c16", g) == (EXIT_OK, "c16: true\nmax-piece-length: 0\n")
+    assert run("rigid", g) == (EXIT_OK, "rigid: true\n")
+    assert run("tree", g) == (EXIT_NO, "tree: false\n")
+    assert run("rado-embed", g) == (EXIT_OK, "")
 
 
 def test_usage_errors(k2, tmp_path):

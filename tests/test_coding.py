@@ -89,6 +89,16 @@ def test_k1_exhaustion():
     assert ct.registrable(12)
 
 
+def test_trivial_group():
+    # no vertices: G_T is the trivial group, and the identity is all it codes
+    ct = CodingTable(graph(0))
+    assert ct.enumerate_to(10) == [(0, ())]
+    assert not ct.registrable(3)
+    assert ct.word_of(0) == ()
+    assert ct.code_of(()) == 0
+    assert ct.star(0, 0) == 0
+
+
 def test_k1_star_matches_mod7_arithmetic():
     ct = CodingTable(K1)
     code_of_exp = {e: c for c, e in K1_EXP_OF_CODE.items()}
