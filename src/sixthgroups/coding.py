@@ -52,7 +52,6 @@ from .words import (
     gen,
     invert_word,
     letter_key,
-    preview_word,
 )
 
 MAX_REP_LEN = 10
@@ -62,19 +61,7 @@ MAX_ELEMENTS = 500_000  # the largest table enumerate_to builds
 class CodingBudgetError(BudgetError):
     """A request the coding cannot answer within its budgets: a
     representative longer than MAX_REP_LEN letters, or a table of more
-    than MAX_ELEMENTS codes.
-
-    Carries the budget, how much of it the request needs and the word
-    concerned (empty when the request was a code); the message names the
-    budget and shows only the first letters of the word and its length.
-    """
-
-    def __init__(self, name: str, budget: int, used: int, word: Word = EMPTY, context: str = ""):
-        self.budget = budget
-        self.used = used
-        self.word = word
-        on = f" on {preview_word(word)}" if word else ""
-        super().__init__(f"{name} = {budget} exceeded (needs {used}){on}{context}")
+    than MAX_ELEMENTS codes."""
 
 
 # -- stable words in closed form -----------------------------------------
@@ -296,7 +283,7 @@ class CodingTable:
         size = 1 + len(singles) + composites
         if size > MAX_ELEMENTS:
             raise CodingBudgetError(
-                "element budget max_elements",
+                "element budget MAX_ELEMENTS",
                 MAX_ELEMENTS,
                 size,
                 context=f": codes up to {max_code}",
@@ -368,7 +355,7 @@ def sigma_ns_nonempty(
     if bound is None:
         bound = default_star_conj_bound(ct, s)
     pairs = [(ct.word_of(c), ct.word_of(v)) for c, v in s.items()]
-    found = canonical_witness(ct.graph, ct.pres, pairs, bound, ct.dehn_budget)
+    found = canonical_witness(ct.pres, pairs, bound, ct.dehn_budget)
     if found is None:
         return False, None
     r = tuple((i, found.rho[i]) for i in sorted(c // 3 for c in s if c % 3 == 1))

@@ -38,7 +38,6 @@ from .words import (
     format_word,
     gen,
     invert_word,
-    preview_word,
     reduce_word,
     word_key,
 )
@@ -81,20 +80,8 @@ def _signed_bytes(w: Sequence[Letter]) -> array:
 
 
 class DehnBudgetError(BudgetError):
-    """Dehn's algorithm needed more steps than its budget allows.
-
-    Carries the budget, the steps used and the input word; the message
-    shows only the first letters of the word and its length.
-    """
-
-    def __init__(self, budget: int, used: int, word: Word):
-        self.budget = budget
-        self.used = used
-        self.word = word
-        super().__init__(
-            f"Dehn step budget {budget} exceeded (used {used} of {budget}) "
-            f"on {preview_word(word)}"
-        )
+    """Dehn's algorithm needed more steps than its budget allows.  ``used``
+    is the step that broke the budget, ``word`` the input word."""
 
 
 class AlphabetError(InputError):
@@ -285,7 +272,7 @@ class Presentation:
         while (step := self._next_step(word, start, len(word))) is not None:
             used += 1
             if used > budget:
-                raise DehnBudgetError(budget, budget, origin)
+                raise DehnBudgetError("Dehn step budget", budget, used, origin)
             i, length, inv = step
             # r = u . s with u the matched prefix; replace u by s^{-1}, the
             # first |r| - |u| letters of r^{-1}.  The prefix word[:i], the

@@ -38,14 +38,8 @@ class PrimeBudgetError(BudgetError):
     """A request beyond the prime layer's budgets: a prime index above
     MAX_PRIME_INDEX or a number beyond the sieve cap _MAX_SIEVE.
 
-    Carries the budget and how much of it the request needs: the index,
-    sieve limit, prime or square root asked for.
+    ``used`` is the index, sieve limit, prime or square root asked for.
     """
-
-    def __init__(self, message: str, budget: int, used: int):
-        self.budget = budget
-        self.used = used
-        super().__init__(message)
 
 
 # All primes up to _sieve_limit, ascending; the sieve only ever grows.
@@ -58,9 +52,7 @@ def _extend_sieve(limit: int) -> None:
     if limit <= _sieve_limit:
         return
     if limit > _MAX_SIEVE:
-        raise PrimeBudgetError(
-            f"sieve limit {limit} exceeds {_MAX_SIEVE}", _MAX_SIEVE, limit
-        )
+        raise PrimeBudgetError("sieve limit _MAX_SIEVE", _MAX_SIEVE, limit)
     limit = min(max(limit, 1 << 16, _sieve_limit * 2), _MAX_SIEVE)
     flags = bytearray([1]) * (limit + 1)
     flags[:2] = b"\0\0"
@@ -82,12 +74,7 @@ def nth_prime(i: int) -> int:
     if i < 0:
         raise ValueError("negative prime index")
     if i > MAX_PRIME_INDEX:
-        raise PrimeBudgetError(
-            f"prime index {i} exceeds budget {MAX_PRIME_INDEX}; the requested "
-            f"construction is out of desk-scale range",
-            MAX_PRIME_INDEX,
-            i,
-        )
+        raise PrimeBudgetError("prime index budget MAX_PRIME_INDEX", MAX_PRIME_INDEX, i)
     while i >= len(_primes):
         _extend_sieve(_prime_bound(i))
     return _primes[i]
@@ -99,10 +86,7 @@ def prime_index(p: int) -> int:
     nth_prime returns lies within it."""
     if p > _MAX_SIEVE:
         raise PrimeBudgetError(
-            f"cannot locate index of unknown prime {p}: it exceeds the "
-            f"sieve limit {_MAX_SIEVE}",
-            _MAX_SIEVE,
-            p,
+            "sieve limit _MAX_SIEVE", _MAX_SIEVE, p, context=f": cannot find the index of {p}"
         )
     _extend_sieve(p)
     i = bisect_left(_primes, p)
@@ -118,10 +102,7 @@ def prime_factors(y: int) -> List[int]:
     root = math.isqrt(y)
     if root >= _MAX_SIEVE:
         raise PrimeBudgetError(
-            f"refusing to factor {y}: its square root exceeds the sieve "
-            f"limit {_MAX_SIEVE}",
-            _MAX_SIEVE,
-            root,
+            "sieve limit _MAX_SIEVE", _MAX_SIEVE, root, context=f": cannot factor {y}"
         )
     _extend_sieve(root + 1)
     out = []

@@ -162,7 +162,6 @@ def automorphisms_extending(t: Graph, partial: Dict[int, int]) -> Iterator[Tuple
 
 
 def canonical_witness(
-    t: Graph,
     pres: Presentation,
     pairs: Sequence[Tuple[Word, Word]],
     bound: int,
@@ -170,7 +169,8 @@ def canonical_witness(
 ) -> Optional[CanonicalAuto]:
     """The first (rho, eps, conj) in (rho, eps, conjugator shortlex) order
     with |conj| <= bound and conj theta0(w) conj^{-1} = v in G_T for every
-    pair (w, v), theta0 the map v_i -> v_{rho(i)}^eps; or None.
+    pair (w, v), theta0 the map v_i -> v_{rho(i)}^eps; or None.  G_T is
+    ``pres`` and T is ``pres.graph``.
 
     rho and eps are read off the values of the pairs whose w is one
     positive generator, each generator once (``read_off_letters``; with
@@ -186,6 +186,7 @@ def canonical_witness(
         return None
     targets, eps = read
     partial = {i: j for (i, _), j in zip(fixed, targets)}
+    t = pres.graph
     for rho in automorphisms_extending(t, partial):
         for sign in (eps,) if fixed else (1, -1):
             theta0 = induced_hom(t, t, rho, sign)
@@ -211,7 +212,7 @@ def aut_canonical_check(
     if bound is None:
         bound = default_conj_bound(gm)
     pairs = [((gen(i),), w) for i, w in enumerate(gm)]
-    return canonical_witness(t, relators_from_graph(t), pairs, bound, budget)
+    return canonical_witness(relators_from_graph(t), pairs, bound, budget)
 
 
 def iso_search(t: Graph, s: Graph):

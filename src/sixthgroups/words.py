@@ -23,7 +23,21 @@ DEFAULT_DEHN_BUDGET = 10_000
 
 class BudgetError(RuntimeError):
     """A request beyond one of the engine's budgets.  The Dehn, coding and
-    prime layers each raise their own subclass."""
+    prime layers each raise their own subclass.
+
+    Carries the budget's name, its value, how much of it the request
+    needs at least and the word concerned (empty when the request was a
+    number).  The message shows only the first letters of the word and
+    its length, then ``context``.
+    """
+
+    def __init__(self, name: str, budget: int, used: int, word: Word = EMPTY, context: str = ""):
+        self.name = name
+        self.budget = budget
+        self.used = used
+        self.word = word
+        on = f" on {preview_word(word)}" if word else ""
+        super().__init__(f"{name} {budget} exceeded (needs at least {used}){on}{context}")
 
 
 class InputError(ValueError):

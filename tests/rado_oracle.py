@@ -1,8 +1,8 @@
 """Test oracle for the extension-witness search.
 
 ``extension_witness`` is the search that ``randomgraph.extension_witness``
-replaced, kept as it was but for the ``budget`` and ``used`` fields its
-two own raises now pass: it factors and indexes every member of A, tries
+replaced, kept as it was but for its two own raises, which report
+limit + 1 as ``used``: it factors and indexes every member of A, tries
 the sorted union of those indices, then the common multiples of
 {p_y : y in A}, and checks every candidate against all of A and B.  It
 keeps the scan and multiple limits that bounded the old search, as its
@@ -57,7 +57,7 @@ def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
             if _valid_witness(x, a, b):
                 return x
         raise PrimeBudgetError(
-            f"no witness found within scan limit {_SCAN_LIMIT}", _SCAN_LIMIT, _SCAN_LIMIT
+            "scan limit", _SCAN_LIMIT, _SCAN_LIMIT + 1, context=": no witness found"
         )
     # Candidates below the closed form: indices of primes dividing some
     # y in a (these are the only x with p_x | y available).
@@ -77,7 +77,5 @@ def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
         if _valid_witness(x, a, b):
             return x
     raise PrimeBudgetError(
-        f"no witness found within multiple limit {_MULTIPLE_LIMIT}",
-        _MULTIPLE_LIMIT,
-        _MULTIPLE_LIMIT,
+        "multiple limit", _MULTIPLE_LIMIT, _MULTIPLE_LIMIT + 1, context=": no witness found"
     )

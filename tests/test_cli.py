@@ -22,7 +22,7 @@ from sixthgroups.cli import (
     main,
     read_map,
 )
-from sixthgroups.words import InputError, MapError, WordFormatError
+from sixthgroups.words import BudgetError, InputError, MapError, WordFormatError, power
 
 K2_TEXT = "n 2\ne 0 1\n"
 E2_TEXT = "n 2\n"
@@ -392,8 +392,40 @@ def test_max_code_beyond_reach_is_a_quick_budget_error(p3):
     code, out = run("--max-code", "1000000000000", "code", p3)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_BUDGET
-    assert out.startswith("budget-error: element budget max_elements = 500000 exceeded")
+    assert out.startswith("budget-error: element budget MAX_ELEMENTS 500000 exceeded")
     assert len(out.strip()) < 200
+
+
+def test_prime_index_beyond_budget_is_a_quick_budget_error():
+    # nth_prime refuses the index before it sieves
+    start = time.perf_counter()
+    code, out = run("rado-adj", "9590650", "9590651")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (
+        EXIT_BUDGET,
+        "budget-error: prime index budget MAX_PRIME_INDEX 9590648 exceeded "
+        "(needs at least 9590650)\n",
+    )
+
+
+def test_budget_errors_share_one_shape():
+    # a Dehn step, a representative, a table and a prime index too many;
+    # the last two requests are numbers, so no word comes with them
+    k2 = graphs.graph(2, [(0, 1)])
+    w, long_rep = power((1, 2), 40), power((1, 2, 2), 27)
+    requests = [
+        (lambda: reduction.relators_from_graph(k2).dehn_reduce(w, budget=2), w),
+        (lambda: coding.CodingTable(k2).code_of(long_rep), long_rep),
+        (lambda: coding.CodingTable(k2).enumerate_to(3 * coding.MAX_ELEMENTS), ()),
+        (lambda: randomgraph.nth_prime(randomgraph.MAX_PRIME_INDEX + 1), ()),
+    ]
+    for call, word in requests:
+        with pytest.raises(BudgetError) as info:
+            call()
+        e = info.value
+        assert str(e).startswith(f"{e.name} {e.budget} exceeded (needs at least {e.used})")
+        assert e.used > e.budget
+        assert e.word == word
 
 
 def test_internal_errors_exit_4(k2, tmp_path, monkeypatch, capsys):

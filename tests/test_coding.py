@@ -552,7 +552,7 @@ def test_codes_beyond_reach():
 def test_enumerate_to_checks_size_first():
     ct = CodingTable(P3)
     start = time.perf_counter()
-    with pytest.raises(CodingBudgetError, match="max_elements") as err:
+    with pytest.raises(CodingBudgetError, match="MAX_ELEMENTS") as err:
         ct.enumerate_to(10**12)
     assert time.perf_counter() - start < 0.1
     # the identity, six generator codes and every multiple of 3 up to 10^12
@@ -574,4 +574,4 @@ def test_coding_budget_error_fields_and_message():
         CodingTable(K2).enumerate_to(3 * MAX_ELEMENTS)
     # the identity, four generator codes and MAX_ELEMENTS composites
     assert (err.value.budget, err.value.used) == (MAX_ELEMENTS, MAX_ELEMENTS + 5)
-    assert "max_elements" in str(err.value) and len(str(err.value)) < 200
+    assert "MAX_ELEMENTS" in str(err.value) and len(str(err.value)) < 200

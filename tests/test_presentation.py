@@ -300,9 +300,9 @@ def test_dehn_budget_error_names_budget_and_truncates():
     with pytest.raises(DehnBudgetError) as info:
         P_K2.dehn_reduce(w, budget=2)
     err = info.value
-    assert (err.budget, err.used, err.word) == (2, 2, w)
+    assert (err.budget, err.used, err.word) == (2, 3, w)
     assert str(err) == (
-        "Dehn step budget 2 exceeded (used 2 of 2) "
+        "Dehn step budget 2 exceeded (needs at least 3) "
         "on g0 g1 g0 g1 g0 g1 g0 g1 … (80 letters)"
     )
     with pytest.raises(DehnBudgetError, match=r"on g0 g0 g0 g0 \(4 letters\)$"):

@@ -207,7 +207,7 @@ class Presentation:
         while (step := self._find_dehn_step(word, start, len(word))) is not None:
             used += 1
             if used > budget:
-                raise DehnBudgetError(budget, budget, origin)
+                raise DehnBudgetError("Dehn step budget", budget, used, origin)
             i, length, r = step
             # r = u . s with u the matched prefix; replace u by s^{-1}.  The
             # prefix word[:i], the complement and the suffix word[i+length:]
