@@ -23,7 +23,7 @@ import operator
 import re
 import struct
 from array import array
-from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graphs import Graph
 from .words import (
@@ -61,18 +61,32 @@ _CANDIDATE = re.compile(rb"(.)\1{3,6}|(.)(.)(?:\2\3){5,12}\2?", re.DOTALL)
 _NEGATE = bytes(-c & 0xFF for c in range(256))
 
 
-def _signed_bytes(w: Sequence[Letter]) -> array:
-    """w freely reduced, one signed byte per letter.
+def _signed_bytes(w: Sequence[Letter], alphabet: bytes) -> Optional[array]:
+    """w freely reduced, one signed byte per letter, or None if a letter
+    is no int whose byte is in ``alphabet``.  The letters are checked
+    before any free reduction: packed (by array if short, else by struct,
+    about twice as fast), the word must vanish when ``bytes.translate``
+    deletes the bytes of ``alphabet``.
 
     The input is nearly always freely reduced already: it is when no
-    letter is followed by its inverse.  A short word is checked and packed
-    letter by letter.  A long one is packed by struct, about three times
-    as fast, and checked in one pass: XOR-ed with its own negation, shifted
-    by one letter, it has a zero byte where a letter meets its inverse.
+    letter is followed by its inverse.  A short word is checked letter by
+    letter.  A long one is checked in one pass: XOR-ed with its own
+    negation, shifted by one letter, it has a zero byte where a letter
+    meets its inverse.
     """
-    if len(w) < 32:
-        return array("b", reduce_word(w) if 0 in map(operator.add, w, w[1:]) else w)
-    data = struct.pack(f"{len(w)}b", *w)
+    short = len(w) < 32
+    try:
+        if short:
+            packed = array("b", w)
+            data = packed.tobytes()
+        else:
+            data = struct.pack(f"{len(w)}b", *w)
+    except (TypeError, OverflowError, struct.error):
+        return None
+    if data.translate(None, alphabet):
+        return None
+    if short:
+        return array("b", reduce_word(w)) if 0 in map(operator.add, w, w[1:]) else packed
     meets = int.from_bytes(data[1:], "big") ^ int.from_bytes(
         data.translate(_NEGATE)[:-1], "big"
     )
@@ -188,7 +202,9 @@ class Presentation:
     kept as one signed byte per letter: each step is spliced into the word
     in place, free reduction runs only at the two seams of the splice, and
     the scan resumes one relator length left of the lowest letter the step
-    changed.  ``relators``, the symmetrized set, is built on first use.
+    changed.  The scan is one loop in ``_reduce`` that reads each relator
+    inverse from ``_inverses``; the letters are checked on the packed
+    bytes.  ``relators``, the symmetrized set, is built on first use.
     """
 
     def __init__(self, t: Graph):
@@ -199,7 +215,8 @@ class Presentation:
             )
         self.graph = t
         self.alphabet_size = t.n
-        self._letters = frozenset(range(-t.n, t.n + 1)) - {0}
+        # the byte of each letter, for _signed_bytes
+        self._alphabet = bytes(c & 0xFF for c in range(-t.n, t.n + 1) if c)
         self.roots = tuple(relator_roots(t))
         # (a, b) -> the inverse of the relator that begins a b
         self._inverses = {}
@@ -227,7 +244,7 @@ class Presentation:
     def _next_step(self, word: array, start: int, cap: int):
         """Leftmost (from start), then longest subword u of at most cap
         letters that is a prefix of some relator r with |u| > |r|/2.
-        Returns (pos, |u|, r^-1) or None.
+        Returns (pos, |u|, r^-1) or None.  ``_reduce`` inlines this scan.
 
         Every step matches ``_CANDIDATE``; the relator that its first two
         letters begin, if any, settles whether a match is one and how long
@@ -244,10 +261,10 @@ class Presentation:
         return None
 
     def _alphabet_error(self, w: Sequence[Letter]) -> AlphabetError:
-        bad = next(c for c in w if c not in self._letters)
+        bad = next(c for c in w if not (isinstance(c, int) and 0 < abs(c) <= self.alphabet_size))
         return AlphabetError(
-            f"letter {format_word((bad,)) if bad else bad} is outside the "
-            f"alphabet g0..g{self.alphabet_size - 1} of size {self.alphabet_size}"
+            f"letter {format_word((bad,)) if isinstance(bad, int) and bad else repr(bad)} "
+            f"is outside the alphabet g0..g{self.alphabet_size - 1} of size {self.alphabet_size}"
         )
 
     def dehn_reduce(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> Word:
@@ -264,22 +281,34 @@ class Presentation:
     def _reduce(self, w: Word, budget: int, used: int, origin: Word) -> Tuple[Word, int]:
         """``dehn_reduce`` with its step count: w's normal form and the
         steps used so far, counting on from ``used``.  A budget error names
-        ``origin``, the word the caller was asked to reduce."""
-        if not self._letters.issuperset(w):
+        ``origin``, the word the caller was asked to reduce.  A common step
+        calls no Python function."""
+        word = _signed_bytes(w, self._alphabet)
+        if word is None:
             raise self._alphabet_error(w)
-        word = _signed_bytes(w)
+        search = _CANDIDATE.search
+        inverses = self._inverses
         start = 0
-        while (step := self._next_step(word, start, len(word))) is not None:
+        while (m := search(word, start)) is not None:
+            i, end = m.span()
+            inv = inverses.get((word[i], word[i + 1]))
+            if inv is None:
+                inv = self._relator_inverse(word[i], word[i + 1])
+            length = end - i
+            if inv is None or 2 * length <= len(inv):
+                start = i + 1
+                continue
             used += 1
             if used > budget:
                 raise DehnBudgetError("Dehn step budget", budget, used, origin)
-            i, length, inv = step
             # r = u . s with u the matched prefix; replace u by s^{-1}, the
             # first |r| - |u| letters of r^{-1}.  The prefix word[:i], the
             # complement and the suffix word[i+length:] are each freely
             # reduced, so letters cancel only at the seams.
-            a, b = i, i + length
-            lo, hi = 0, len(inv) - length
+            hi = len(inv) - length
+            if hi < 0:  # the match runs past the relator: u is all of it
+                hi, length = 0, len(inv)
+            a, b, lo = i, i + length, 0
             while lo < hi and a > 0 and word[a - 1] == -inv[lo]:
                 a -= 1
                 lo += 1
@@ -291,7 +320,7 @@ class Presentation:
                     a -= 1
                     b += 1
             word[a:b] = inv[lo:hi]
-            start = max(0, a - LONGEST_RELATOR)
+            start = a - LONGEST_RELATOR if a > LONGEST_RELATOR else 0
         return tuple(word), used
 
     def is_identity(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> bool:
@@ -318,7 +347,7 @@ class Presentation:
             core, _ = cyclic_reduce(core)
             m = min(LONGEST_RELATOR, len(core))
             step = self._next_step(
-                _signed_bytes(core + core[: m - 1]), len(core) - m + 1, len(core)
+                _signed_bytes(core + core[: m - 1], self._alphabet), len(core) - m + 1, len(core)
             )
             if step is None:
                 return core

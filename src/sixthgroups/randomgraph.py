@@ -38,7 +38,8 @@ class PrimeBudgetError(BudgetError):
     """A request beyond the prime layer's budgets: a prime index above
     MAX_PRIME_INDEX or a number beyond the sieve cap _MAX_SIEVE.
 
-    ``used`` is the index, sieve limit, prime or square root asked for.
+    ``used`` is the index, sieve limit or prime asked for; for a
+    factorisation, the sieve limit it needs, one past the square root.
     """
 
 
@@ -100,9 +101,9 @@ def prime_factors(y: int) -> List[int]:
     if y < 2:
         return []
     root = math.isqrt(y)
-    if root >= _MAX_SIEVE:
+    if root + 1 > _MAX_SIEVE:
         raise PrimeBudgetError(
-            "sieve limit _MAX_SIEVE", _MAX_SIEVE, root, context=f": cannot factor {y}"
+            "sieve limit _MAX_SIEVE", _MAX_SIEVE, root + 1, context=f": cannot factor {y}"
         )
     _extend_sieve(root + 1)
     out = []

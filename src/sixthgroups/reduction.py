@@ -17,7 +17,7 @@ import itertools
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, graph_iso, is_automorphism
-from .presentation import DEFAULT_DEHN_BUDGET, Presentation
+from .presentation import DEFAULT_DEHN_BUDGET, INFINITE, Presentation
 from .words import (
     EMPTY,
     MapError,
@@ -78,6 +78,13 @@ def is_homomorphism(
 ) -> bool:
     """The map extends to G_T -> G_S iff every defining relator maps to 1.
 
+    A relator is root^e, so it maps to 1 iff u = gm(root) has u^e = 1,
+    that is iff the order of u divides e.  The order is exact by the
+    torsion theorem (``Presentation.order``), so only the image of each
+    root, one or two letters of G_T, goes through Dehn's algorithm, not
+    the image of the whole relator.  ``budget`` bounds the Dehn steps of
+    each root image's ``order``.
+
     For the map ``induced_hom(t, s, f)`` of an injective vertex map f this
     decides injectivity too, by two facts:
     (a) it is a homomorphism iff f is an induced embedding: v_a v_b has
@@ -91,7 +98,8 @@ def is_homomorphism(
     if len(gm) != p_t.alphabet_size:
         raise ValueError("generator map has wrong arity")
     for root, exp in p_t.roots:
-        if not p_s.is_identity(apply_hom(gm, root * exp), budget):
+        order = p_s.order(apply_hom(gm, root), budget)
+        if order == INFINITE or exp % order:
             return False
     return True
 

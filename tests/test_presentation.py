@@ -325,6 +325,40 @@ def test_letters_outside_alphabet_rejected():
     assert P_K2.dehn_reduce(parse_word("G1")) == (-2,)
 
 
+def _alphabet_message(call):
+    with pytest.raises(AlphabetError) as exc:
+        call()
+    return str(exc.value)
+
+
+def test_letters_outside_alphabet_rejected_at_every_length():
+    # Words below 32 letters are packed by array, longer ones by struct;
+    # a letter past the alphabet, 0, a letter that is no signed byte or no
+    # int gets the same message at every length and position.
+    n = P_K2.alphabet_size
+    named = (n + 1, "g2"), (-(n + 1), "G2"), (0, "0"), (128, "g127"), (-129, "G128"), (1.0, "1.0")
+    for bad, name in named:
+        short = _alphabet_message(lambda: P_K2.dehn_reduce((bad,)))
+        assert short.startswith(f"letter {name} is outside"), short
+        for length in (1, 31, 32, 40):
+            for pos in {0, length // 2, length - 1}:
+                w = list(power((1, 2), length))[:length]
+                w[pos] = bad
+                w = tuple(w)
+                for call in (
+                    lambda: P_K2.dehn_reduce(w),
+                    lambda: P_K2.equal(w, EMPTY),
+                    lambda: P_K2.order(w),
+                    lambda: P_K2.cyclic_dehn_reduce(w),
+                ):
+                    assert _alphabet_message(call) == short, (bad, length, pos)
+    # a g5 G5 that cancels inside a 40-letter equal is still rejected
+    w1 = power((1, 2), 10) + parse_word("g5")
+    w2 = invert_word(parse_word("G5") + power((1, 2), 9))
+    assert len(w1) + len(w2) == 40
+    assert _alphabet_message(lambda: P_K2.equal(w1, w2)).startswith("letter g5 is outside")
+
+
 def _random_graph(rng, n):
     pairs = itertools.combinations(range(n), 2)
     return graph(n, [p for p in pairs if rng.random() < 0.5])
@@ -724,10 +758,11 @@ def test_signed_bytes_reduce_freely_at_every_length():
     # short words are checked letter by letter, long ones in one pass;
     # a letter meets its inverse anywhere, the ends included
     rng = random.Random(20261021)
+    alphabet = relators_from_graph(graph(MAX_ALPHABET_SIZE))._alphabet
     for length in (1, 2, 30, 31, 32, 33, 100, 1000):
         for _ in range(30):
             w = _random_reduced(rng, MAX_ALPHABET_SIZE, length)
             if rng.random() < 0.7:
                 k = rng.choice((0, len(w) - 1, rng.randrange(len(w))))
                 w = w[: k + 1] + (-w[k],) + w[k + 1 :]
-            assert tuple(_signed_bytes(w)) == reduce_word(w), format_word(w)
+            assert tuple(_signed_bytes(w, alphabet)) == reduce_word(w), format_word(w)

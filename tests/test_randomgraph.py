@@ -53,7 +53,8 @@ def test_budget_errors_carry_budget_and_used():
     cases = [
         (lambda: randomgraph._extend_sieve(cap + 1), cap, cap + 1),
         (lambda: prime_index(q), cap, q),
-        (lambda: prime_factors(10**18), cap, 10**9),
+        (lambda: prime_factors(10**18), cap, 10**9 + 1),
+        (lambda: prime_factors(cap**2), cap, cap + 1),
     ]
     for call, budget, used in cases:
         with pytest.raises(PrimeBudgetError, match=str(cap)) as exc:

@@ -9,6 +9,7 @@ from sixthgroups.coding import CodingTable, sigma_ns_nonempty
 from sixthgroups.graphs import all_graphs, automorphisms, graph, graphs_up_to
 from sixthgroups.presentation import (
     EDGE_ORDER,
+    AlphabetError,
     GENERATOR_ORDER,
     NONEDGE_ORDER,
     relator_seeds,
@@ -160,6 +161,70 @@ def test_induced_embedding_keeps_dehn_reduced_words_reduced():
             assert len(img) == len(nf)
             words += 1
     assert words == 3 * 479
+
+
+def _random_graph(rng, n):
+    return graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+
+
+def _relator_power_rule(p_t, p_s, gm):
+    """Oracle for is_homomorphism: every defining relator root^e, mapped
+    whole, Dehn-reduces to 1."""
+    return all(p_s.is_identity(apply_hom(gm, root * exp)) for root, exp in p_t.roots)
+
+
+def _outcome(rule, p_t, p_s, gm):
+    try:
+        return rule(p_t, p_s, gm)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_is_homomorphism_by_root_orders_matches_relator_powers():
+    # Every injective vertex map between graphs of at most 4 vertices, with
+    # both signs; the conjugators, every reduced word of length <= 2 on the
+    # target's letters, are taken in turn, three per map and sign.
+    pool = graphs_up_to(4)
+    pres = {g: relators_from_graph(g) for g in pool}
+    maps = homs = 0
+    for t, s in itertools.product(pool, pool):
+        conjs = itertools.cycle(reduced_words(s.n, 2))
+        for f in itertools.permutations(range(s.n), t.n):
+            for eps in (1, -1):
+                for conj in itertools.islice(conjs, 3):
+                    gm = induced_hom(t, s, f, eps, conj)
+                    ok = is_homomorphism(pres[t], pres[s], gm)
+                    assert ok == _relator_power_rule(pres[t], pres[s], gm), (t, s, f, eps, conj)
+                    maps += 1
+                    homs += ok
+    assert (maps, homs) == (6 * 4437, 6 * 479)
+    # Seeded generator maps with random images of 0 to 6 letters on up to 8
+    # vertices.  Some images use the letter of a generator one past the
+    # target's alphabet, or 0: both rules raise the same error.
+    rng = random.Random(20261019)
+    outcomes = {}
+    for _ in range(1500):
+        t, s = (_random_graph(rng, rng.randint(1, 8)) for _ in range(2))
+        p_t, p_s = relators_from_graph(t), relators_from_graph(s)
+        top = s.n + (rng.random() < 0.1)
+        letters = [c for c in range(-top, top + 1) if c] + [0] * (rng.random() < 0.1)
+        if rng.random() < 0.5:
+            # near a homomorphism: conjugated letters, some of them powers
+            conj = tuple(
+                rng.choice((1, -1)) * rng.randint(1, s.n) for _ in range(rng.randint(0, 2))
+            )
+            gm = tuple(
+                conj + (rng.choice(letters),) * rng.choice((1, 1, 1, 2, 7)) + invert_word(conj)
+                for _ in range(t.n)
+            )
+        else:
+            gm = tuple(
+                tuple(rng.choice(letters) for _ in range(rng.randint(0, 6))) for _ in range(t.n)
+            )
+        got = _outcome(is_homomorphism, p_t, p_s, gm)
+        assert got == _outcome(_relator_power_rule, p_t, p_s, gm), (t, s, gm)
+        outcomes[got] = outcomes.get(got, 0) + 1
+    assert min(outcomes.get(k, 0) for k in (True, False, AlphabetError, ValueError)) > 20, outcomes
 
 
 def test_reduced_words_count_and_order():
