@@ -1,21 +1,16 @@
 """The explicit countable random graph on vertices {2, 3, ...}:
 m and n are adjacent iff p_m | n or p_n | m, with p_0 = 2, p_1 = 3, ...
 
-The extension-property witness search is exact but not a linear scan:
-p_x > x always, so once a candidate x exceeds every vertex in play the
-p_x-divides route is dead and a valid x must be a common multiple of
-{p_y : y in A}.  Such a multiple exceeds every member of A and is
-adjacent to all of them, so only B is left to check.  Below the closed
-form, a witness x < max(A) is adjacent to max(A) only through
-p_x | max(A), so the only candidates there are the indices of the prime
-factors of max(A); the other members of A are never factored.  The
-search needs no budget of its own: among the multiples q * prod p_y with
-q prime, each z in B rules out at most 2 + omega(z) values of q, so it
-stops by the (2|B| + sum omega(z) + 1)-th prime.
-
-Vertex values grow roughly like iterated nth-primes under the greedy
-embedding, so nth_prime carries an index budget; exceeding it raises
-PrimeBudgetError rather than silently stalling.
+The extension-property witness search is exact but not a linear scan.
+As p_x > x, a witness x < max(A) is adjacent to max(A) only through
+p_x | max(A).  One trial division of max(A), the only member of A it
+factors, finds these candidates: a small factor's index is its sieve
+position; only the prime cofactor left goes through prime_index.  The
+sieve then holds p_x, so each p_y, y <= x, is read from it.  Above
+max(A), a witness is a common multiple of {p_y : y in A}, checked
+against B alone with primes from nth_prime, as the sieve may grow.
+Every prime index the search reads is held to MAX_PRIME_INDEX; past it,
+PrimeBudgetError is raised rather than silently stalling.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ import math
 from array import array
 from bisect import bisect_left
 from itertools import compress, count
-from typing import Collection, Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Tuple
 
 from .graphs import Graph
 from .words import BudgetError, InputError
@@ -96,29 +91,34 @@ def prime_index(p: int) -> int:
     return i
 
 
-def prime_factors(y: int) -> List[int]:
-    """Distinct prime factors, by trial division up to sqrt(y)."""
-    if y < 2:
-        return []
+def _trial_division(y: int) -> Tuple[List[int], int]:
+    """The sieve indices of the small prime factors of y >= 2, ascending,
+    and the cofactor left: 1 or a prime.  Refuses before sieving."""
     root = math.isqrt(y)
     if root + 1 > _MAX_SIEVE:
         raise PrimeBudgetError(
             "sieve limit _MAX_SIEVE", _MAX_SIEVE, root + 1, context=f": cannot factor {y}"
         )
     _extend_sieve(root + 1)
-    out = []
-    rem = y
+    found, rem = [], y
     # The sieve holds every prime up to root, so rem ends as 1 or a prime.
-    for p in _primes:
+    for i, p in enumerate(_primes):
         if p * p > rem:
             break
         if rem % p == 0:
-            out.append(p)
+            found.append(i)
+            rem //= p
             while rem % p == 0:
                 rem //= p
-    if rem > 1:
-        out.append(rem)
-    return out
+    return found, rem
+
+
+def prime_factors(y: int) -> List[int]:
+    """Distinct prime factors, by trial division up to sqrt(y)."""
+    if y < 2:
+        return []
+    found, rem = _trial_division(y)
+    return [_primes[i] for i in found] + ([rem] if rem > 1 else [])
 
 
 def _check_vertex(v: int) -> None:
@@ -137,59 +137,58 @@ def adjacent(m: int, n: int) -> bool:
     return m % nth_prime(n) == 0
 
 
-def _valid_witness(x: int, a: Collection[int], b: Set[int], top: int) -> bool:
-    """Whether x is adjacent to all of a and none of b; top is the
-    largest vertex in play."""
-    if x < 2 or x in a or x in b:
-        return False
-    px = nth_prime(x) if top > x else None
-    for y in a:
-        if y > x:
-            if y % px != 0:
-                return False
-        elif x % nth_prime(y) != 0:
-            return False
-    for z in b:
-        if z > x:
-            if z % px == 0:
-                return False
-        elif x % nth_prime(z) == 0:
-            return False
-    return True
-
-
 def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
     """Least vertex adjacent to everything in a and nothing in b.
 
     The candidates are the indices of the prime factors of max(a),
     ascending (each is below max(a), as x < p_x; none when a is empty),
+    checked with primes read from the sieve once x <= MAX_PRIME_INDEX,
     then the multiples k * m, k = 1, 2, ..., of m = prod p_y over y in a
-    (m = 1 when a is empty), which are adjacent to all of a and only
-    checked against b.  The loop over k stops:
-    - For a prime q, q * m is rejected only if q * m is in b, q = p_z for
-      some z in b, or p_{q m} | z for some z in b.
-    - p_z does not divide m, because z is not in a.  Distinct q give
-      distinct p_{q m}.
-    - So each z rules out at most 2 + omega(z) primes, and the loop stops
-      by the (2|b| + sum_z omega(z) + 1)-th prime.
+    (m = 1 when a is empty), adjacent to all of a and checked against b
+    through nth_prime.  The loop over k needs no budget of its own: for
+    a prime q, q * m is rejected only if q * m is in b, q = p_z for some
+    z in b, or p_{q m} | z for some z in b.  As z is not in a, p_z does
+    not divide m, and distinct q give distinct p_{q m}.  So each z rules
+    out at most 2 + omega(z) primes, and the loop stops by the
+    (2|b| + sum_z omega(z) + 1)-th prime.
     """
     a, b = set(a), set(b)
-    for v in a | b:
-        _check_vertex(v)
+    ab = a | b
+    if ab and min(ab) < 2:
+        for v in ab:
+            _check_vertex(v)
     if a & b:
         raise ValueError("witness sets must be disjoint")
-    top = max(a | b, default=0)
-    # A witness x < max(a) is adjacent to max(a) only through p_x | max(a).
-    for x in [prime_index(q) for q in prime_factors(max(a, default=1))]:
-        if _valid_witness(x, a, b, top):
-            return x
-    # Closed form: m = prod p_y >= p_max(a) > max(a), so k * m exceeds all
-    # of a and is adjacent to all of it.
+    if a:
+        xs, rem = _trial_division(max(a))
+        if rem > 1:
+            xs.append(prime_index(rem))
+        for x in xs:
+            if x < 2 or x in a or x in b:
+                continue
+            px = _primes[x] if x <= MAX_PRIME_INDEX else nth_prime(x)
+            for y in a:
+                if (y % px if y > x else x % _primes[y]) != 0:
+                    break
+            else:
+                for z in b:
+                    if (z % px if z > x else x % _primes[z]) == 0:
+                        break
+                else:
+                    return x
+    # m = prod p_y >= p_max(a) > max(a): k * m exceeds and is adjacent to all of a.
     m = 1
     for y in sorted(a):
         m *= nth_prime(y)
+    top = max(b) if b else 0
     for x in count(m, m):
-        if _valid_witness(x, (), b, top):
+        if x < 2 or x in b:
+            continue
+        px = nth_prime(x) if top > x else 0
+        for z in b:
+            if (z % px if z > x else x % nth_prime(z)) == 0:
+                break
+        else:
             return x
 
 
@@ -197,7 +196,8 @@ def embed_graph(t: Graph) -> Dict[int, int]:
     """Greedy induced embedding of t, vertex by vertex."""
     images: Dict[int, int] = {}
     for v in range(t.n):
-        a = {images[u] for u in range(v) if t.adj(u, v)}
-        b = {images[u] for u in range(v) if not t.adj(u, v)}
+        a, b = set(), set()
+        for u in range(v):
+            (a if t.adj(u, v) else b).add(images[u])
         images[v] = extension_witness(a, b)
     return images

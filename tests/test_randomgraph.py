@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from array import array
 
@@ -231,15 +232,57 @@ def test_extension_witness_factors_only_max_a():
 def test_extension_witness_factors_once(monkeypatch):
     # max(A) = 13 is the only member factored
     calls = []
-    factor = randomgraph.prime_factors
+    factor = randomgraph._trial_division
 
     def counted(y):
         calls.append(y)
         return factor(y)
 
-    monkeypatch.setattr(randomgraph, "prime_factors", counted)
+    monkeypatch.setattr(randomgraph, "_trial_division", counted)
     assert extension_witness({2, 5, 13}, {3}) == 2795  # p_2 p_5 p_13
     assert calls == [13]
+
+
+def test_extension_witness_index_budget_holds_for_sieve_reads(monkeypatch):
+    # p_10 = 31 is already in the sieve, but its index is over the budget
+    assert nth_prime(10) == 31
+    monkeypatch.setattr(randomgraph, "MAX_PRIME_INDEX", 5)
+    for a, b in (({31}, set()), ({2, 31}, {3})):
+        for search in (extension_witness, rado_oracle.extension_witness):
+            with pytest.raises(PrimeBudgetError, match="MAX_PRIME_INDEX") as exc:
+                search(a, b)
+            assert (exc.value.budget, exc.value.used) == (5, 10)
+
+
+def test_extension_witness_branches_match_oracle():
+    # Cases the pooled draws seldom make, each against the old search.
+    rng = random.Random(20170421)
+    below = 0
+    for _ in range(300):
+        # max(A) = p_x * k with k < p_x: a prime cofactor above its square
+        # root; A also holds indices y < x with p_y | x, and B members
+        # above x, some of them multiples of p_x
+        x = rng.randint(2, 400)
+        q = nth_prime(x)
+        top = q * rng.randint(1, min(q - 1, 60))
+        smaller = [prime_index(r) for r in prime_factors(x)]
+        a = {top} | set(rng.sample(smaller, rng.randint(0, len(smaller))))
+        a.discard(0)
+        a.discard(1)
+        b = {rng.randint(x + 1, 2 * top) for _ in range(rng.randint(0, 3))}
+        if rng.random() < 0.3:
+            b.add(q * rng.randint(1, 80))
+        b -= a
+        expected = _outcome(rado_oracle.extension_witness, a, b)
+        assert _outcome(extension_witness, a, b) == expected, (a, b)
+        below += isinstance(expected, int) and expected < top
+    assert below >= 150
+    for _ in range(100):
+        # A empty, B products of the first primes: every smaller vertex
+        # whose prime divides some z is skipped
+        b = {math.prod(map(nth_prime, range(rng.randint(1, 60)))) for _ in range(3)}
+        expected = rado_oracle.extension_witness(set(), b)
+        assert extension_witness(set(), b) == expected, b
 
 
 def test_extension_witness_rejects_overlap():
