@@ -59,13 +59,13 @@ def _load_graph(args, path: str) -> graphs.Graph:
 def _presentation(args):
     from . import reduction
 
-    return reduction.relators_from_graph(_load_graph(args, args.graph))
+    return reduction.relators_from_graph(_load_graph(args, args.graph), args.dehn_budget)
 
 
 def _coding_table(args):
     from . import coding
 
-    return coding.CodingTable(_load_graph(args, args.graph), dehn_budget=args.dehn_budget)
+    return coding.CodingTable(_load_graph(args, args.graph), args.dehn_budget)
 
 
 def _verdict(out, key: str, ok: bool) -> int:
@@ -110,7 +110,7 @@ def _cmd_check_c16(args, out):
 
 
 def _cmd_wp(args, out):
-    nf = _presentation(args).dehn_reduce(parse_word(args.word), args.dehn_budget)
+    nf = _presentation(args).dehn_reduce(parse_word(args.word))
     _verdict(out, "identity", not nf)
     out(f"normal-form: {format_word(nf)}")
     return EXIT_OK
@@ -119,7 +119,7 @@ def _cmd_wp(args, out):
 def _cmd_order(args, out):
     from .presentation import INFINITE
 
-    n = _presentation(args).order(parse_word(args.word), args.dehn_budget)
+    n = _presentation(args).order(parse_word(args.word))
     out(f"order: {'INFINITE' if n == INFINITE else int(n)}")
     return EXIT_OK
 
@@ -183,11 +183,13 @@ def _cmd_hom_check(args, out):
     s = _load_graph(args, args.graph_s)
     mapping = read_map(args.mapfile)
     if sorted(mapping) != list(range(t.n)):
+        if not t.n:
+            raise MapError("mapfile must be empty: the first graph has no vertices")
         raise MapError(f"mapfile must map exactly the vertices 0..{t.n - 1}")
     gm = reduction.induced_hom(t, s, [mapping[i] for i in range(t.n)])
-    p_t = reduction.relators_from_graph(t)
-    p_s = reduction.relators_from_graph(s)
-    ok = reduction.is_homomorphism(p_t, p_s, gm, args.dehn_budget)
+    p_t = reduction.relators_from_graph(t, args.dehn_budget)
+    p_s = reduction.relators_from_graph(s, args.dehn_budget)
+    ok = reduction.is_homomorphism(p_t, p_s, gm)
     code = _verdict(out, "homomorphism", ok)
     if ok:
         # proved, not sampled: a homomorphism induced by an injective

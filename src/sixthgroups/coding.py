@@ -194,8 +194,7 @@ class CodingTable:
 
     def __init__(self, graph: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET):
         self.graph = graph
-        self.pres = relators_from_graph(graph)
-        self.dehn_budget = dehn_budget
+        self.pres = relators_from_graph(graph, dehn_budget)
         self._letters, completions, first = _counts(graph.n)
         self._reach = first[-1]  # composite codes 3 .. 3 * _reach
         # no stable word longer than MAX_REP_LEN: the group has no element
@@ -236,7 +235,7 @@ class CodingTable:
             code = self.word_to_code.get(w)
             if code is not None:
                 return code
-        nf = self.pres.dehn_reduce(w, self.dehn_budget)
+        nf = self.pres.dehn_reduce(w)
         if len(nf) > MAX_REP_LEN:
             raise CodingBudgetError(
                 "representative length MAX_REP_LEN", MAX_REP_LEN, len(nf), w
@@ -355,7 +354,7 @@ def sigma_ns_nonempty(
     if bound is None:
         bound = default_star_conj_bound(ct, s)
     pairs = [(ct.word_of(c), ct.word_of(v)) for c, v in s.items()]
-    found = canonical_witness(ct.pres, pairs, bound, ct.dehn_budget)
+    found = canonical_witness(ct.pres, pairs, bound)
     if found is None:
         return False, None
     r = tuple((i, found.rho[i]) for i in sorted(c // 3 for c in s if c % 3 == 1))

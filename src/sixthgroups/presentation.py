@@ -205,15 +205,19 @@ class Presentation:
     changed.  The scan is one loop in ``_reduce`` that reads each relator
     inverse from ``_inverses``; the letters are checked on the packed
     bytes.  ``relators``, the symmetrized set, is built on first use.
+
+    ``dehn_budget`` bounds the Dehn steps of each method call: a call
+    that needs more raises DehnBudgetError.
     """
 
-    def __init__(self, t: Graph):
+    def __init__(self, t: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET):
         if t.n > MAX_ALPHABET_SIZE:
             raise InputError(
                 f"{t.n} generators: Dehn's algorithm takes at most "
                 f"{MAX_ALPHABET_SIZE}, one signed byte per letter"
             )
         self.graph = t
+        self.dehn_budget = dehn_budget
         self.alphabet_size = t.n
         # the byte of each letter, for _signed_bytes
         self._alphabet = bytes(c & 0xFF for c in range(-t.n, t.n + 1) if c)
@@ -222,7 +226,7 @@ class Presentation:
         self._inverses = {}
 
     def __repr__(self):
-        return f"Presentation({self.graph!r})"
+        return f"Presentation({self.graph!r}, dehn_budget={self.dehn_budget})"
 
     @functools.cached_property
     def relators(self) -> RelatorSet:
@@ -267,7 +271,7 @@ class Presentation:
             f"is outside the alphabet g0..g{self.alphabet_size - 1} of size {self.alphabet_size}"
         )
 
-    def dehn_reduce(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> Word:
+    def dehn_reduce(self, w: Word) -> Word:
         """Run Dehn's algorithm to a fixed point.  Empty iff w = 1 in G.
 
         Each step rewrites the leftmost, then longest, more-than-half
@@ -276,9 +280,9 @@ class Presentation:
         would lie wholly inside letters that did not change, where the
         previous scan found none.
         """
-        return self._reduce(w, budget, 0, w)[0]
+        return self._reduce(w, 0, w)[0]
 
-    def _reduce(self, w: Word, budget: int, used: int, origin: Word) -> Tuple[Word, int]:
+    def _reduce(self, w: Word, used: int, origin: Word) -> Tuple[Word, int]:
         """``dehn_reduce`` with its step count: w's normal form and the
         steps used so far, counting on from ``used``.  A budget error names
         ``origin``, the word the caller was asked to reduce.  A common step
@@ -288,6 +292,7 @@ class Presentation:
             raise self._alphabet_error(w)
         search = _CANDIDATE.search
         inverses = self._inverses
+        budget = self.dehn_budget
         start = 0
         while (m := search(word, start)) is not None:
             i, end = m.span()
@@ -323,14 +328,14 @@ class Presentation:
             start = a - LONGEST_RELATOR if a > LONGEST_RELATOR else 0
         return tuple(word), used
 
-    def is_identity(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> bool:
-        return self.dehn_reduce(w, budget) == EMPTY
+    def is_identity(self, w: Word) -> bool:
+        return self.dehn_reduce(w) == EMPTY
 
-    def equal(self, w1: Word, w2: Word, budget: int = DEFAULT_DEHN_BUDGET) -> bool:
+    def equal(self, w1: Word, w2: Word) -> bool:
         # unreduced: ``_reduce`` checks the letters before any cancellation
-        return self.is_identity(tuple(w1) + invert_word(w2), budget)
+        return self.is_identity(tuple(w1) + invert_word(w2))
 
-    def cyclic_dehn_reduce(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET) -> Word:
+    def cyclic_dehn_reduce(self, w: Word) -> Word:
         """Some cyclically Dehn-reduced conjugate of w: cyclically reduced,
         and no rotation has a Dehn step.  Which rotation is returned is
         unspecified.
@@ -340,9 +345,9 @@ class Presentation:
         (m = min(longest relator, |core|)) from |core| - m + 1 finds it;
         a match may use at most |core| letters, each once.  The core is
         rotated to start at the step and reduced again, which shortens it.
-        All rounds share one budget of Dehn steps.
+        All rounds share one ``dehn_budget`` of Dehn steps.
         """
-        core, used = self._reduce(w, budget, 0, w)
+        core, used = self._reduce(w, 0, w)
         while True:
             core, _ = cyclic_reduce(core)
             m = min(LONGEST_RELATOR, len(core))
@@ -352,9 +357,9 @@ class Presentation:
             if step is None:
                 return core
             i = step[0]
-            core, used = self._reduce(core[i:] + core[:i], budget, used, w)
+            core, used = self._reduce(core[i:] + core[:i], used, w)
 
-    def order(self, w: Word, budget: int = DEFAULT_DEHN_BUDGET):
+    def order(self, w: Word):
         """Order of the element w, or INFINITE.
 
         By the torsion theorem (Lyndon-Schupp, Combinatorial Group Theory,
@@ -364,9 +369,10 @@ class Presentation:
         root is one letter (e = 7) or two of one sign (e = k), and a
         rotation of (ab)^j is (ab)^j or (ba)^j, so the root is the first
         letter or the first two letters of the core.  Each e is prime, so
-        the order is e.  ``budget`` bounds all the Dehn steps of the call.
+        the order is e.  ``dehn_budget`` bounds all the Dehn steps of the
+        call.
         """
-        core = self.cyclic_dehn_reduce(w, budget)
+        core = self.cyclic_dehn_reduce(w)
         if not core:
             return 1
         root = core[:1] if core.count(core[0]) == len(core) else core[:2]

@@ -12,7 +12,6 @@ searches only for the conjugator t, among the words of bounded length.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -31,12 +30,11 @@ from .words import (
 GeneratorMap = Tuple[Word, ...]
 
 
-# A Presentation and a Graph are both immutable, so the last few
-# presentations are shared; a larger cache costs memory in processes that
-# build many small tables.
-@functools.lru_cache(maxsize=8)
-def relators_from_graph(t: Graph) -> Presentation:
-    return Presentation(t)
+def relators_from_graph(t: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET) -> Presentation:
+    """A new presentation of G_T whose Dehn calls each take at most
+    dehn_budget steps.  No cache: a presentation is built in closed form,
+    and a cache keyed by the graph would hand out the wrong budget."""
+    return Presentation(t, dehn_budget)
 
 
 def conjugate(t_word: Word, w: Word) -> Word:
@@ -70,20 +68,15 @@ def apply_hom(gm: GeneratorMap, w: Word) -> Word:
     )
 
 
-def is_homomorphism(
-    p_t: Presentation,
-    p_s: Presentation,
-    gm: GeneratorMap,
-    budget: int = DEFAULT_DEHN_BUDGET,
-) -> bool:
+def is_homomorphism(p_t: Presentation, p_s: Presentation, gm: GeneratorMap) -> bool:
     """The map extends to G_T -> G_S iff every defining relator maps to 1.
 
     A relator is root^e, so it maps to 1 iff u = gm(root) has u^e = 1,
     that is iff the order of u divides e.  The order is exact by the
     torsion theorem (``Presentation.order``), so only the image of each
     root, one or two letters of G_T, goes through Dehn's algorithm, not
-    the image of the whole relator.  ``budget`` bounds the Dehn steps of
-    each root image's ``order``.
+    the image of the whole relator.  The ``dehn_budget`` of p_s bounds the
+    Dehn steps of each root image's ``order``.
 
     For the map ``induced_hom(t, s, f)`` of an injective vertex map f this
     decides injectivity too, by two facts:
@@ -98,7 +91,7 @@ def is_homomorphism(
     if len(gm) != p_t.alphabet_size:
         raise ValueError("generator map has wrong arity")
     for root, exp in p_t.roots:
-        order = p_s.order(apply_hom(gm, root), budget)
+        order = p_s.order(apply_hom(gm, root))
         if order == INFINITE or exp % order:
             return False
     return True
@@ -136,9 +129,7 @@ def default_conj_bound(gm: GeneratorMap) -> int:
 
 
 def read_off_letters(
-    pres: Presentation,
-    images: Sequence[Word],
-    budget: int = DEFAULT_DEHN_BUDGET,
+    pres: Presentation, images: Sequence[Word]
 ) -> Optional[Tuple[Tuple[int, ...], int]]:
     """The targets j and the shared sign eps of images t v_j^eps t^{-1}.
 
@@ -147,7 +138,7 @@ def read_off_letters(
     (j, eps) can have a witness.  None when a core is not one letter, the
     signs differ or two images share a target; eps is 1 for no images.
     """
-    cores = [pres.cyclic_dehn_reduce(w, budget) for w in images]
+    cores = [pres.cyclic_dehn_reduce(w) for w in images]
     if any(len(core) != 1 for core in cores):
         return None
     eps = -1 if cores and cores[0][0] < 0 else 1
@@ -173,7 +164,6 @@ def canonical_witness(
     pres: Presentation,
     pairs: Sequence[Tuple[Word, Word]],
     bound: int,
-    budget: int = DEFAULT_DEHN_BUDGET,
 ) -> Optional[CanonicalAuto]:
     """The first (rho, eps, conj) in (rho, eps, conjugator shortlex) order
     with |conj| <= bound and conj theta0(w) conj^{-1} = v in G_T for every
@@ -184,12 +174,13 @@ def canonical_witness(
     positive generator, each generator once (``read_off_letters``; with
     none both signs are tried), and rho ranges over the automorphisms
     extending what was read.  The ball of conjugators is walked lazily,
-    afresh for each (rho, eps).  A negative bound is a ValueError.
+    afresh for each (rho, eps).  A negative bound is a ValueError.  Each
+    Dehn call takes at most ``pres.dehn_budget`` steps.
     """
     if bound < 0:
         raise ValueError(f"conjugator bound must be at least 0, not {bound}")
     fixed = [(w[0] - 1, v) for w, v in pairs if len(w) == 1 and w[0] > 0]
-    read = read_off_letters(pres, [v for _, v in fixed], budget)
+    read = read_off_letters(pres, [v for _, v in fixed])
     if read is None:
         return None
     targets, eps = read
@@ -200,7 +191,7 @@ def canonical_witness(
             theta0 = induced_hom(t, t, rho, sign)
             mapped = [(apply_hom(theta0, w), v) for w, v in pairs]
             for conj in reduced_words(t.n, bound):
-                if all(pres.equal(conjugate(conj, m), v, budget) for m, v in mapped):
+                if all(pres.equal(conjugate(conj, m), v) for m, v in mapped):
                     return CanonicalAuto(rho, sign, conj)
     return None
 
@@ -209,7 +200,6 @@ def aut_canonical_check(
     t: Graph,
     gm: GeneratorMap,
     bound: Optional[int] = None,
-    budget: int = DEFAULT_DEHN_BUDGET,
 ) -> Optional[CanonicalAuto]:
     """``canonical_witness`` for gm(i) = t v_{rho(i)}^eps t^{-1} in G_T, by
     default with conjugators as long as an image allows.  Together with
@@ -220,7 +210,7 @@ def aut_canonical_check(
     if bound is None:
         bound = default_conj_bound(gm)
     pairs = [((gen(i),), w) for i, w in enumerate(gm)]
-    return canonical_witness(relators_from_graph(t), pairs, bound, budget)
+    return canonical_witness(relators_from_graph(t), pairs, bound)
 
 
 def iso_search(t: Graph, s: Graph):

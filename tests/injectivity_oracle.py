@@ -7,7 +7,7 @@ length is what the tests compare that answer against.
 
 from typing import Dict
 
-from sixthgroups.presentation import DEFAULT_DEHN_BUDGET, Presentation
+from sixthgroups.presentation import Presentation
 from sixthgroups.reduction import GeneratorMap, apply_hom, reduced_words
 from sixthgroups.words import Word
 
@@ -17,14 +17,13 @@ def check_injective_up_to(
     p_s: Presentation,
     gm: GeneratorMap,
     length: int,
-    budget: int = DEFAULT_DEHN_BUDGET,
 ) -> bool:
     """Distinct elements of G_T of word length <= length must have
     distinct images in G_S.  Assumes is_homomorphism(gm) already holds."""
     images: Dict[Word, Word] = {}
     for w in reduced_words(p_t.alphabet_size, length):
-        nf = p_t.dehn_reduce(w, budget)
-        img = p_s.dehn_reduce(apply_hom(gm, w), budget)
+        nf = p_t.dehn_reduce(w)
+        img = p_s.dehn_reduce(apply_hom(gm, w))
         prev = images.get(nf)
         if prev is None:
             images[nf] = img

@@ -345,6 +345,17 @@ def test_trivial_group(tmp_path):
     assert run("rigid", g) == (EXIT_OK, "rigid: true\n")
     assert run("tree", g) == (EXIT_NO, "tree: false\n")
     assert run("rado-embed", g) == (EXIT_OK, "")
+    assert run("hom-check", g, g, str(empty)) == (
+        EXIT_OK,
+        "homomorphism: true\ninjective-up-to-3: true\n",
+    )
+    # a map for the vertices of a graph that has none
+    onefour = tmp_path / "onefour.map"
+    onefour.write_text("1 4\n")
+    assert run("hom-check", g, g, str(onefour)) == (
+        EXIT_USAGE,
+        "error: mapfile must be empty: the first graph has no vertices\n",
+    )
 
 
 def test_usage_errors(k2, tmp_path):
@@ -387,6 +398,43 @@ def test_budget_exit(k2):
     assert run("--dehn-budget", "2", "order", k2, w) == (0, "order: INFINITE\n")
 
 
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["wp", "K2", "g0 g1"], 1),
+        (["order", "K2", "g0 g1"], 1),
+        (["code", "K2"], 1),
+        (["star-table", "K2"], 1),
+        (["aut-extend", "K2", "SWAP"], 1),
+        (["aut-extend", "--oracle", "K2", "SWAP"], 1),
+        (["hom-check", "K2", "P3", "ID"], 2),
+        (["relators", "K2"], 1),
+        (["check-c16", "K2"], 1),
+    ],
+    ids=["wp", "order", "code", "star-table", "aut-extend", "aut-extend-oracle",
+         "hom-check", "relators", "check-c16"],
+)
+def test_dehn_budget_reaches_every_presentation(argv, built, k2, p3, tmp_path, monkeypatch):
+    # every presentation the subcommand builds, by whatever path, carries
+    # the flag's budget and none the default
+    budgets = []
+    init = presentation.Presentation.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        budgets.append(self.dehn_budget)
+
+    monkeypatch.setattr(presentation.Presentation, "__init__", recording)
+    swap, ident = tmp_path / "swap.map", tmp_path / "id.map"
+    swap.write_text("1 4\n4 1\n")
+    ident.write_text("0 0\n1 1\n")
+    paths = {"K2": k2, "P3": p3, "SWAP": str(swap), "ID": str(ident)}
+    argv = [paths.get(a, a) for a in argv]
+    code, _ = run("--dehn-budget", "4321", "--max-code", "12", *argv)
+    assert code == EXIT_OK
+    assert budgets == [4321] * built
+
+
 def test_max_code_beyond_reach_is_a_quick_budget_error(p3):
     start = time.perf_counter()
     code, out = run("--max-code", "1000000000000", "code", p3)
@@ -414,7 +462,7 @@ def test_budget_errors_share_one_shape():
     k2 = graphs.graph(2, [(0, 1)])
     w, long_rep = power((1, 2), 40), power((1, 2, 2), 27)
     requests = [
-        (lambda: reduction.relators_from_graph(k2).dehn_reduce(w, budget=2), w),
+        (lambda: reduction.relators_from_graph(k2, 2).dehn_reduce(w), w),
         (lambda: coding.CodingTable(k2).code_of(long_rep), long_rep),
         (lambda: coding.CodingTable(k2).enumerate_to(3 * coding.MAX_ELEMENTS), ()),
         (lambda: randomgraph.nth_prime(randomgraph.MAX_PRIME_INDEX + 1), ()),

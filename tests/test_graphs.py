@@ -20,7 +20,6 @@ from sixthgroups.graphs import (
     nonisomorphic_graphs,
     parse_graph,
 )
-from sixthgroups.reduction import relators_from_graph
 
 K2 = graph(2, [(0, 1)])
 P3 = graph(3, [(0, 1), (1, 2)])
@@ -52,12 +51,10 @@ def test_graph_basics():
         Graph(2, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
         Graph(-1)
-    # equal and hashed by (n, edges), whatever order the edges came in, so
-    # the presentation cache finds the same entry
+    # equal and hashed by (n, edges), whatever order the edges came in
     g, h = graph(3, [(1, 2), (0, 1)]), Graph(3, frozenset([(0, 1), (1, 2)]))
     assert g == h == P3 and hash(g) == hash(h)
     assert g != graph(3, [(0, 1)]) and g != Graph(4, g.edges)
-    assert relators_from_graph(g) is relators_from_graph(h)
     with pytest.raises(AttributeError):
         g.n = 4
     assert g.n == 3
@@ -66,12 +63,11 @@ def test_graph_basics():
 
 def test_graph_keeps_a_frozenset_of_any_edge_container():
     # a list or set of edges is checked edge by edge and kept frozen, so
-    # the graph hashes and keys the presentation cache
+    # the graph hashes
     for edges in ([(0, 1)], {(0, 1)}, ((0, 1),), iter([(0, 1)])):
         g = Graph(4, edges)
         assert g.edges == frozenset({(0, 1)}) and g == graph(4, [(0, 1)])
         assert hash(g) == hash(graph(4, [(0, 1)]))
-        assert relators_from_graph(g) is relators_from_graph(graph(4, [(0, 1)]))
     with pytest.raises(ValueError):
         Graph(3, [(0, 1), (1, 3)])
 

@@ -285,20 +285,22 @@ def test_order_power_law():
 
 
 def test_dehn_budget():
-    fresh = relators_from_graph(graph(1, []))
+    fresh = relators_from_graph(graph(1, []), 1)
+    # g0^12 takes two steps: g0^7 goes, then g0^5 becomes G0^2
     with pytest.raises(DehnBudgetError):
-        fresh.dehn_reduce(power((1,), 4), budget=0)
-    # a successful reduction leaves nothing behind that a second call of
-    # the same word could use to skip its steps
+        fresh.dehn_reduce(power((1,), 12))
+    # a successful reduction leaves nothing behind that a later call on
+    # the same presentation could use to skip its steps
     assert fresh.dehn_reduce(power((1,), 4)) == (-1, -1, -1)
     with pytest.raises(DehnBudgetError):
-        fresh.dehn_reduce(power((1,), 4), budget=0)
+        fresh.dehn_reduce(power((1,), 12))
+    assert relators_from_graph(graph(1, []), 2).dehn_reduce(power((1,), 12)) == (-1, -1)
 
 
 def test_dehn_budget_error_names_budget_and_truncates():
     w = power((1, 2), 40)
     with pytest.raises(DehnBudgetError) as info:
-        P_K2.dehn_reduce(w, budget=2)
+        relators_from_graph(K2, 2).dehn_reduce(w)
     err = info.value
     assert (err.budget, err.used, err.word) == (2, 3, w)
     assert str(err) == (
@@ -306,7 +308,7 @@ def test_dehn_budget_error_names_budget_and_truncates():
         "on g0 g1 g0 g1 g0 g1 g0 g1 … (80 letters)"
     )
     with pytest.raises(DehnBudgetError, match=r"on g0 g0 g0 g0 \(4 letters\)$"):
-        Z7.dehn_reduce(power((1,), 4), budget=0)
+        relators_from_graph(graph(1, []), 0).dehn_reduce(power((1,), 4))
 
 
 def test_letters_outside_alphabet_rejected():
@@ -392,16 +394,16 @@ def test_dehn_reduce_matches_naive_rescan():
             w = _noisy_relator_product(rng, pres, target_len)
             expected, steps = _naive_dehn_reduce(presentation_from_graph(t), w)
             assert pres.dehn_reduce(w) == expected, (n, format_word(w))
-            assert pres.dehn_reduce(w, budget=steps) == expected
+            assert relators_from_graph(t, steps).dehn_reduce(w) == expected
             if steps:
                 with pytest.raises(DehnBudgetError):
-                    pres.dehn_reduce(w, budget=steps - 1)
+                    relators_from_graph(t, steps - 1).dehn_reduce(w)
             small = rng.randint(0, 12)
             if steps > small:
                 with pytest.raises(DehnBudgetError):
-                    pres.dehn_reduce(w, budget=small)
+                    relators_from_graph(t, small).dehn_reduce(w)
             else:
-                assert pres.dehn_reduce(w, budget=small) == expected
+                assert relators_from_graph(t, small).dehn_reduce(w) == expected
 
 
 def test_presentation_from_seeds():
@@ -516,13 +518,14 @@ def test_order_budget_covers_all_rounds():
     # dehn_reduce rewrites g1^4 (one step); the core g0^2 G1^3 g0^2 then
     # wraps round to g0^4, one more step in a second round
     w = parse_word("g0 g0 g1 g1 g1 g1 g0 g0")
-    assert P_K2.dehn_reduce(w, budget=1) == parse_word("g0 g0 G1 G1 G1 g0 g0")
+    one_step = relators_from_graph(K2, 1)
+    assert one_step.dehn_reduce(w) == parse_word("g0 g0 G1 G1 G1 g0 g0")
     rotated = parse_word("g0 g0 g0 g0 G1 G1 G1")
-    assert P_K2.dehn_reduce(rotated, budget=1) == parse_word("G0 G0 G0 G1 G1 G1")
+    assert one_step.dehn_reduce(rotated) == parse_word("G0 G0 G0 G1 G1 G1")
     with pytest.raises(DehnBudgetError) as info:
-        P_K2.order(w, budget=1)
+        one_step.order(w)
     assert (info.value.budget, info.value.word) == (1, w)
-    assert P_K2.order(w, budget=2) == INFINITE
+    assert relators_from_graph(K2, 2).order(w) == INFINITE
 
 
 def _long_piece_presentations(rng, count):
@@ -681,9 +684,9 @@ def _order_word(rng, t, length):
     return reduce_word(_identity_product(rng, t, length) + c + x + invert_word(c))
 
 
-def _outcome(call, w, budget):
+def _outcome(call, w, *budget):
     try:
-        return call(w, budget)
+        return call(w, *budget)
     except DehnBudgetError as err:
         return "budget", err.budget, err.used, err.word, str(err)
 
@@ -698,21 +701,23 @@ def test_closed_form_matches_trie_oracle():
     finite = nonempty = over_budget = 0
     for t in graphs:
         pres, oracle = relators_from_graph(t), presentation_from_graph(t)
+        unbounded = relators_from_graph(t, math.inf)
         for make in (_identity_product, _order_word, _random_reduced):
             for _ in range(2):
                 length = rng.choice((rng.randint(10, 300), rng.randint(300, 3000)))
                 w = make(rng, t.n if make is _random_reduced else t, length)
                 expected = oracle._reduce(w, math.inf, 0, w)
-                assert pres._reduce(w, math.inf, 0, w) == expected, (t, format_word(w))
+                assert unbounded._reduce(w, 0, w) == expected, (t, format_word(w))
                 steps = expected[1]
                 for budget in {0, 1, steps - 1, steps} - {-1}:
-                    got = _outcome(pres.dehn_reduce, w, budget)
+                    got = _outcome(relators_from_graph(t, budget).dehn_reduce, w)
                     assert got == _outcome(oracle.dehn_reduce, w, budget), (t, budget)
                     over_budget += got[:1] == ("budget",)
                 assert pres.cyclic_dehn_reduce(w) == oracle.cyclic_dehn_reduce(w), t
                 order = pres.order(w)
                 assert order == oracle.order(w), (t, format_word(w))
-                assert _outcome(pres.order, w, steps) == _outcome(oracle.order, w, steps)
+                engine = _outcome(relators_from_graph(t, steps).order, w)
+                assert engine == _outcome(oracle.order, w, steps)
                 finite += order not in (1, INFINITE)
                 nonempty += bool(expected[0])
     assert finite > 25 and nonempty > 60 and over_budget > 250, (finite, nonempty, over_budget)

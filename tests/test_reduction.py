@@ -8,10 +8,12 @@ from injectivity_oracle import check_injective_up_to
 from sixthgroups.coding import CodingTable, sigma_ns_nonempty
 from sixthgroups.graphs import all_graphs, automorphisms, graph, graphs_up_to
 from sixthgroups.presentation import (
+    DEFAULT_DEHN_BUDGET,
     EDGE_ORDER,
     AlphabetError,
     GENERATOR_ORDER,
     NONEDGE_ORDER,
+    Presentation,
     relator_seeds,
 )
 from sixthgroups.reduction import (
@@ -436,13 +438,17 @@ def test_iso_search():
     assert iso_search(K2, K3) is None
 
 
-def test_relator_cache_is_shared_and_bounded():
-    assert relators_from_graph(graph(3, [(0, 1), (1, 2)])) is relators_from_graph(P3)
-    for n in range(1, 6):
-        for k in range(n):
-            relators_from_graph(graph(n, [(i, i + 1) for i in range(k)]))
-    info = relators_from_graph.cache_info()
-    assert info.maxsize == 8 and info.currsize <= 8
+def test_relators_from_graph_builds_a_new_presentation_with_its_budget():
+    # no cache: a presentation built earlier for an equal graph with
+    # another budget is never handed out
+    first = relators_from_graph(P3)
+    for budget in (1, 7, DEFAULT_DEHN_BUDGET):
+        pres = relators_from_graph(graph(3, [(0, 1), (1, 2)]), budget)
+        assert pres is not first and pres is not relators_from_graph(P3, budget)
+        assert isinstance(pres, Presentation)
+        assert (pres.graph, pres.dehn_budget) == (P3, budget)
+    assert first.dehn_budget == DEFAULT_DEHN_BUDGET
+    assert repr(relators_from_graph(K2, 5)) == f"Presentation({K2!r}, dehn_budget=5)"
 
 
 letters = st.integers(min_value=-4, max_value=4).filter(bool)
