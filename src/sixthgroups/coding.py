@@ -18,13 +18,16 @@ for words of length <= 10 the Dehn-stable forms (freely reduced, every
 single-generator run of exponent magnitude <= 3) are in bijection with
 group elements.  Stable words form a regular language, so a code is a
 rank in a finite automaton (the shortlex automatic structure of the
-group, cut off at MAX_REP_LEN): ``_rank`` and ``_unrank`` compute it in
-closed form from a table of completion counts built once per generator
-count.  A CodingTable's memos of both directions hold exactly the largest
-table ``enumerate_to`` has returned, and no lookup writes to them: they
-change speed, never answers, and a long session of lookups leaves them as
-they were.  A word or code whose representative would be longer than
-MAX_REP_LEN letters is a budget error, never a wrong answer.
+group, cut off at MAX_REP_LEN), computed from a table of completion
+counts built once per generator count.  ``_code`` codes a stable word by
+one walk of the automaton, one stored transition per letter, and
+``_unrank`` runs the walk in reverse.  The automaton of each generator
+count is shared by every table and learns a transition when a walk
+first takes it, up to MAX_TRANSITIONS.  A CodingTable's one memo,
+code to word, holds exactly the largest table ``enumerate_to`` has
+returned, and no lookup writes to it: it changes speed, never answers.
+A word or code whose representative would be longer than MAX_REP_LEN
+letters is a budget error, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .words import (
     BudgetError,
     MapError,
     Word,
-    concat,
     gen,
     invert_word,
     letter_key,
@@ -95,32 +97,107 @@ def _counts(n: int):
     return letters, tuple(rows), tuple(first)
 
 
-def _rank(n: int, w: Sequence[int]) -> int:
-    """Shortlex rank of the stable word w (|w| >= 2) among stable words of
-    length >= 2, in O(|w|): at each position, add the completions of every
-    smaller letter that could stand there."""
-    _, completions, first = _counts(n)
+def _letter_code(c: int) -> int:
+    return 3 * (abs(c) - 1) + (1 if c > 0 else 2)
+
+
+# Stored transitions per automaton: all of them up to 18 generators
+# (30 348 there).  Past this the automaton forgets every stored
+# transition and learns again the ones it meets, so a long session of
+# lookups on many generators holds a few megabytes at most.
+MAX_TRANSITIONS = 1 << 15
+
+_Transitions = Dict[int, Tuple["_Transitions", int]]
+
+
+class _Automaton:
+    """The stable words over n generators as a finite automaton.
+
+    A state is the key of the last letter (2n before the first), the
+    length of its run and the number of letters still to read.  It is a
+    dict from each letter that may come next to (next state, the letter's
+    term of the code), holding only the transitions some walk has taken:
+    ``learn`` computes them, ``_code`` reads them.  A word of length L
+    starts at ``starts[L]`` with code ``bases[L]``.
+    """
+
+    def __init__(self, n: int):
+        _, self.completions, first = _counts(n)
+        self.n = n
+        self.states: Dict[Tuple[int, int, int], _Transitions] = {}
+        self.stored = 0
+        self.starts = [self._state(2 * n, 0, length) for length in range(MAX_REP_LEN + 1)]
+        self.bases = [0, 0] + [3 * (1 + f) for f in first[2 : MAX_REP_LEN + 1]]
+
+    def _state(self, last: int, run: int, rem: int) -> _Transitions:
+        return self.states.setdefault((last, run, rem), {})
+
+    def learn(self, w: Sequence[int]) -> Optional[int]:
+        """``_code`` of w by arithmetic, storing each transition it takes.
+        Each letter adds the completions of every smaller letter that
+        could stand in its place."""
+        length = len(w)
+        state, code = self.starts[length], self.bases[length]
+        last, run = 2 * self.n, 0
+        for p, c in enumerate(w):
+            if type(c) is not int or not 0 < abs(c) <= self.n:
+                return None
+            key = letter_key(c)
+            if key == last ^ 1 or (key == last and run == 3):
+                return None
+            if length == 1:
+                term = _letter_code(c)
+            else:
+                # A smaller letter other than the previous one and its
+                # inverse (key last ^ 1) starts a new run; the previous
+                # one continues its run if the run is short.
+                row = self.completions[length - p - 1]
+                term = (key - (last < key) - ((last ^ 1) < key)) * row[1]
+                if last < key and run < 3:
+                    term += row[run + 1]
+                term *= 3
+            run = run + 1 if key == last else 1
+            last = key
+            if c not in state:
+                if self.stored == MAX_TRANSITIONS:
+                    for s in self.states.values():
+                        s.clear()
+                    self.stored = 0
+                self.stored += 1
+                state[c] = self._state(key, run, length - p - 1), term
+            state = state[c][0]
+            code += term
+        return code
+
+
+@functools.lru_cache(maxsize=16)
+def _automaton(n: int) -> _Automaton:
+    return _Automaton(n)
+
+
+def _code(auto: _Automaton, w: Sequence[int]) -> Optional[int]:
+    """The code of w if w is a stable word of at most MAX_REP_LEN int
+    letters of the alphabet, else None: one walk of the automaton, which
+    adds each letter's term to the base of the word's length.  A stable
+    word of at most MAX_REP_LEN letters is its own Dehn normal form."""
     length = len(w)
-    r = first[length]
-    last = 2 * n  # key of the previous letter; none before the first
-    run = 0
-    for p, c in enumerate(w):
-        key = letter_key(c)
-        row = completions[length - p - 1]
-        # A smaller letter other than the previous one and its inverse
-        # (key last ^ 1) starts a new run; the previous one continues its
-        # run if the run is short.
-        r += (key - (last < key) - ((last ^ 1) < key)) * row[1]
-        if last < key and run < 3:
-            r += row[run + 1]
-        run = run + 1 if key == last else 1
-        last = key
-    return r
+    if length > MAX_REP_LEN:
+        return None
+    state, code = auto.starts[length], auto.bases[length]
+    try:
+        for c in w:
+            if type(c) is not int:
+                return None
+            state, term = state[c]
+            code += term
+    except KeyError:  # a transition not learnt yet, or none
+        return auto.learn(w)
+    return code
 
 
 def _unrank(n: int, r: int) -> Word:
     """The stable word of rank r, 0 <= r < first[MAX_REP_LEN + 1]: the
-    walk of ``_rank`` in reverse."""
+    walk of ``_code`` in reverse."""
     letters, completions, first = _counts(n)
     length = 2
     while first[length + 1] <= r:
@@ -178,30 +255,29 @@ def _stable_words(letters: Sequence[int], count: int) -> List[Word]:
     return words
 
 
-def _letter_code(c: int) -> int:
-    return 3 * (abs(c) - 1) + (1 if c > 0 else 2)
-
-
 class CodingTable:
-    """The coding of G_T: rank and unrank in closed form, with memos.
+    """The coding of G_T: a word's code by one walk of the stable-word
+    automaton, a code's word by unrank, and a memo of the second.
 
-    ``code_to_word`` and ``word_to_code`` hold the largest table
-    ``enumerate_to`` has returned (at first the identity alone), and only
-    ``enumerate_to`` writes them: tables are prefixes of one another, so
-    a longer one replaces both memos wholesale.  ``code_of`` and
-    ``word_of`` read the memos and otherwise compute, never store.
+    ``code_to_word`` holds the largest table ``enumerate_to`` has
+    returned (at first the identity alone), and only ``enumerate_to``
+    writes it: tables are prefixes of one another, so a longer one
+    replaces the memo wholesale.  ``word_of`` reads it and otherwise
+    computes, never stores.  ``code_of`` needs no memo: it walks a stable
+    word of at most MAX_REP_LEN int letters straight to its code and
+    Dehn-reduces any other word first.
     """
 
     def __init__(self, graph: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET):
         self.graph = graph
         self.pres = relators_from_graph(graph, dehn_budget)
         self._letters, completions, first = _counts(graph.n)
+        self._auto = _automaton(graph.n)
         self._reach = first[-1]  # composite codes 3 .. 3 * _reach
         # no stable word longer than MAX_REP_LEN: the group has no element
         # beyond the reach of the coding (one vertex gives Z/7)
         self._finite = completions[MAX_REP_LEN + 1][0] == 0
         self.code_to_word: Dict[int, Word] = {0: EMPTY}
-        self.word_to_code: Dict[Word, int] = {EMPTY: 0}
 
     def _reach_error(self, code: int) -> CodingBudgetError:
         """In an infinite group, a composite code past the last
@@ -228,21 +304,18 @@ class CodingTable:
     # -- the coding proper ---------------------------------------------
 
     def code_of(self, w: Word) -> int:
-        # A key is a stable word: its own normal form, in the alphabet and
-        # 0 Dehn steps from it.  Only a tuple can be one (a list is
-        # unhashable).
-        if isinstance(w, tuple):
-            code = self.word_to_code.get(w)
-            if code is not None:
-                return code
+        code = _code(self._auto, w)
+        if code is not None:
+            return code
+        # not a stable word of int letters: Dehn's algorithm checks the
+        # letters, and its normal form of at most MAX_REP_LEN letters is
+        # a stable word
         nf = self.pres.dehn_reduce(w)
         if len(nf) > MAX_REP_LEN:
             raise CodingBudgetError(
                 "representative length MAX_REP_LEN", MAX_REP_LEN, len(nf), w
             )
-        if len(nf) > 1:
-            return 3 * (1 + _rank(self.graph.n, nf))
-        return _letter_code(nf[0]) if nf else 0
+        return _code(self._auto, nf)
 
     def word_of(self, code: int) -> Word:
         w = self.code_to_word.get(code)  # code 0 is always there
@@ -255,7 +328,15 @@ class CodingTable:
         return _unrank(self.graph.n, code // 3 - 1)
 
     def star(self, n: int, m: int) -> int:
-        return self.code_of(concat(self.word_of(n), self.word_of(m)))
+        u, v = self.word_of(n), self.word_of(m)
+        if u and v and u[-1] == -v[0]:
+            # u and v are freely reduced, so letters cancel only where
+            # they meet
+            k, top = 1, min(len(u), len(v))
+            while k < top and u[-1 - k] == -v[k]:
+                k += 1
+            return self.code_of(u[: len(u) - k] + v[k:])
+        return self.code_of(u + v)
 
     def inverse_code(self, n: int) -> int:
         return self.code_of(invert_word(self.word_of(n)))
@@ -269,8 +350,7 @@ class CodingTable:
         The table is laid out in code order, never sorted: composite
         3(i + 1) follows v_i and v_i^{-1} for i < n, and the composites
         past 3n take the rest of ``_stable_words`` in turn.  A table
-        longer than the memos replaces them; the word memo is keyed
-        straight from the word list, so no pair is unpacked to key it.
+        longer than the memo replaces it.
         """
         if max_code < 0:
             return []
@@ -290,20 +370,16 @@ class CodingTable:
         if composites > self._reach:
             raise self._reach_error(3 * (self._reach + 1))
         words = _stable_words(self._letters, composites)
-        # one int object per code, shared by the table and both memos
-        codes = list(range(3, 3 * composites + 1, 3))
         head = min(n, composites)
         table = [(0, EMPTY)]
         for i in range(head):
             table += singles[2 * i : 2 * i + 2]
-            table.append((codes[i], words[i]))
+            table.append((3 * (i + 1), words[i]))
         table += singles[2 * head :]
-        table += zip(itertools.islice(codes, n, None), itertools.islice(words, n, None))
+        rest = range(3 * (head + 1), 3 * composites + 1, 3)
+        table += zip(rest, itertools.islice(words, head, None))
         if len(table) > len(self.code_to_word):
             self.code_to_word = dict(table)
-            self.word_to_code = dict(zip(words, codes))
-            self.word_to_code.update((w, c) for c, w in singles)
-            self.word_to_code[EMPTY] = 0
         return table
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from typing import Iterator, List
 
 import pytest
@@ -12,8 +13,9 @@ from sixthgroups.coding import (
     CodingBudgetError,
     CodingTable,
     ExtensionWitness,
+    _automaton,
+    _code,
     _counts,
-    _rank,
     _stable_words,
     _unrank,
     default_star_conj_bound,
@@ -22,9 +24,19 @@ from sixthgroups.coding import (
 )
 from coding_rows import star_search
 from sixthgroups.graphs import automorphisms, graph, graphs_up_to, nonisomorphic_graphs
-from sixthgroups.presentation import AlphabetError, relator_seeds
+from sixthgroups.presentation import AlphabetError, Presentation, relator_seeds
 from sixthgroups.reduction import apply_hom, induced_hom, reduced_words
-from sixthgroups.words import EMPTY, Word, gen, invert_word, letter_key, parse_word, power
+from sixthgroups.words import (
+    EMPTY,
+    Word,
+    concat,
+    gen,
+    invert_word,
+    letter_key,
+    parse_word,
+    power,
+    word_key,
+)
 
 K2 = graph(2, [(0, 1)])
 K1 = graph(1, [])
@@ -402,7 +414,7 @@ def test_stable_words_match_the_oracle_at_every_length_boundary(n):
 def test_enumerate_to_every_small_cut_matches_word_of(n):
     # every cut from the identity to 3n + 9 code by code, including those
     # between v_i and v_i^{-1}: the table in code order, as word_of gives
-    # each code, and the code memo holding exactly the table
+    # each code, and the memo holding exactly the table
     t = graph(n, [(0, 1)] if n > 1 else [])
     unrank = CodingTable(t)
     for max_code in range(3 * n + 10):
@@ -411,15 +423,15 @@ def test_enumerate_to_every_small_cut_matches_word_of(n):
         want = [(c, unrank.word_of(c)) for c in range(max_code + 1) if unrank.registrable(c)]
         assert table == want, max_code
         assert ct.code_to_word == dict(want)
-        assert ct.word_to_code == {w: c for c, w in want}
 
 
 @pytest.mark.parametrize("n", [5, 8])
 def test_rank_unrank_round_trip(n):
+    auto = _automaton(n)
     words = itertools.islice(_oracle_composites(n), 100_000)
     for r, w in enumerate(words):
         # rank r at shortlex position r: ranks rise strictly
-        assert _rank(n, w) == r, w
+        assert _code(auto, w) == 3 * (r + 1), w
         assert _unrank(n, r) == w, r
 
 
@@ -445,6 +457,154 @@ def test_top_code_at_eight_vertices():
         ct.registrable(top + 3)
 
 
+def _random_stable_word(rng: random.Random, n: int, length: int) -> Word:
+    """A stable word of the given length on n >= 2 vertices."""
+    letters = [c for i in range(n) for c in (gen(i), -gen(i))]
+    w: List[int] = []
+    while len(w) < length:
+        c = rng.choice(letters)
+        if not w or (c != -w[-1] and w[-3:] != [c] * 3):
+            w.append(c)
+    return tuple(w)
+
+
+def _outcome(code_of, w):
+    try:
+        return code_of(w)
+    except (AlphabetError, CodingBudgetError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_codes_stable_words_as_the_oracle(n):
+    # every stable word of 2-6 letters codes to its place in the oracle's
+    # shortlex order, by the stored transitions and by the arithmetic that
+    # learns them
+    auto = _automaton(n)
+    ct = CodingTable(graph(n, []))
+    first = _counts(n)[2]
+    for r, w in enumerate(itertools.islice(_oracle_composites(n), first[7])):
+        assert ct.code_of(w) == _code(auto, w) == auto.learn(w) == 3 * (r + 1), w
+    if n == 1:
+        return  # Z/7 has no stable word of more than 3 letters
+    # seeded words of 7-10 letters: codes rise in shortlex order and unrank
+    # to the word; on 2 vertices the oracle lists every stable word
+    rng = random.Random(40 + n)
+    words = sorted(
+        {_random_stable_word(rng, n, rng.randint(7, MAX_REP_LEN)) for _ in range(2000)},
+        key=word_key,
+    )
+    codes = [ct.code_of(w) for w in words]
+    assert codes == sorted(set(codes))
+    assert [CodingTable(graph(n, [])).word_of(c) for c in codes] == words
+    if n == 2:
+        oracle = {w: c for c, w in _oracle_table(2, 3 * first[-1]).items()}
+        assert codes == [oracle[w] for w in words]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_leaves_unstable_words_to_dehn(n):
+    # a run of 4-7 letters, an inverse pair, a letter outside the alphabet
+    # or 11 letters leave the automaton, and the code or error is that of
+    # the word's Dehn normal form
+    t = graph(n, [(i, i + 1) for i in range(n - 1)])
+    ct = CodingTable(t)
+    rng = random.Random(60 + n)
+    letters = [c for i in range(n) for c in (gen(i), -gen(i))]
+    words = []
+    for _ in range(100):
+        u, v = (tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in "uv")
+        c = rng.choice(letters)
+        words.append(u + (c,) * rng.randint(4, 7) + v)
+        words.append(u + (c, -c) + v)
+        words.append(u + (rng.choice((0, n + 1, -n - 1)),) + v)
+        if n > 1:
+            words.append(_random_stable_word(rng, n, MAX_REP_LEN + 1))
+            words.append((c,) * 4 + _random_stable_word(rng, n, 7))
+    outcomes = set()
+    for w in words:
+        assert _code(ct._auto, w) is None, w
+        want = _outcome(lambda x: ct.code_of(ct.pres.dehn_reduce(x)), w)
+        assert _outcome(ct.code_of, w) == want, w
+        outcomes.add(want if isinstance(want, type) else int)
+    assert outcomes == ({int, AlphabetError, CodingBudgetError} if n > 1 else {int, AlphabetError})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_star_cancels_only_at_the_junction(n):
+    # star against coding the product of the two words on a fresh table:
+    # junctions that cancel fully or in part, and runs that merge past 3
+    # letters, which Dehn's algorithm folds
+    t = graph(n, [(i, i + 1) for i in range(n - 1)])
+    ct, fresh = CodingTable(t), CodingTable(t)
+    rng = random.Random(80 + n)
+    letters = [c for i in range(n) for c in (gen(i), -gen(i))]
+    seen = set()
+    for _ in range(400):
+        u = ct.word_of(ct.code_of(tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))))
+        if not u:
+            continue
+        kind = rng.choice(("full", "part", "merge"))
+        if kind == "full":
+            v = invert_word(u)
+        elif kind == "part":
+            v = invert_word(u[rng.randint(1, len(u)) :]) + (rng.choice(letters),) * 2
+        else:
+            v = (u[-1],) * rng.randint(1, 3) + (rng.choice(letters),)
+        a, b = ct.code_of(u), ct.code_of(v)
+        x, y = fresh.word_of(a), fresh.word_of(b)
+        product = concat(x, y)
+        assert ct.star(a, b) == fresh.code_of(product), (t, x, y)
+        if not product:
+            seen.add("full")
+        elif len(product) < len(x) + len(y):
+            seen.add("part")
+        if _code(ct._auto, product) is None and len(product) <= MAX_REP_LEN:
+            seen.add("dehn")
+    assert seen == {"full", "part", "dehn"}
+
+
+def test_automaton_forgets_past_its_cap(monkeypatch):
+    # past MAX_TRANSITIONS stored transitions the automaton drops them all
+    # and learns again: the codes stay the oracle's
+    monkeypatch.setattr(coding, "MAX_TRANSITIONS", 7)
+    auto = coding._Automaton(2)
+    for r, w in enumerate(itertools.islice(_oracle_composites(2), 500)):
+        assert _code(auto, w) == 3 * (r + 1), w
+        assert auto.stored == sum(map(len, auto.states.values())) <= 7
+
+
+def test_table_on_127_generators_is_cheap():
+    # the automaton learns transitions as walks take them: a table on 127
+    # generators and one 10-letter lookup cost about what the table's
+    # presentation does, not the 1.5 million transitions of the whole
+    # automaton
+    t = graph(127, [])
+    w = parse_word("g0 G2 g4 g4 g4 G126 g59 G1 g8 g99")
+
+    def table_and_lookup():
+        coding._automaton.cache_clear()
+        return CodingTable(t).code_of(w)
+
+    def best_of(f):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            f()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert CodingTable(t).word_of(table_and_lookup()) == w
+    assert best_of(table_and_lookup) < 2 * best_of(lambda: Presentation(t))
+    tracemalloc.start()
+    try:
+        table_and_lookup()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def _lookup_words(t, rng: random.Random) -> List[Word]:
     """Words to code on t: the representatives of codes up to 3000, and
     unreduced words, runs of 4-7 letters and conjugated relators, which
@@ -462,7 +622,7 @@ def _lookup_words(t, rng: random.Random) -> List[Word]:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerated_table_answers_as_a_fresh_one(n):
-    # the memos of an enumerated table change no answer: code_of on tuples
+    # the memo of an enumerated table changes no answer: code_of on tuples
     # and lists, word_of, star and the errors match a table that never
     # enumerated, on every graph of n vertices
     rng = random.Random(17 + n)
@@ -489,7 +649,14 @@ def test_enumerated_table_answers_as_a_fresh_one(n):
                     full.star(a, b)
                 continue
             assert full.star(a, b) == want, (t, a, b)
-        errors = [((t.n + 1,), AlphabetError)]
+        # a letter that is no int is outside the alphabet, however equal
+        # to one it is and whatever the table holds
+        errors = [
+            ((t.n + 1,), AlphabetError),
+            ((1.0,), AlphabetError),
+            ((1, 2.0), AlphabetError),
+            ((1, -2, 1, 2, 1, -2, 1, 2, 1, 2.0), AlphabetError),
+        ]
         if t.n > 1:  # every element of Z/7 is within reach
             errors.append((power((1, 2), 5) + (1,), CodingBudgetError))
         for w, error in errors:
@@ -500,13 +667,13 @@ def test_enumerated_table_answers_as_a_fresh_one(n):
 
 
 def test_memos_are_bounded():
-    # lookups never grow the memos: they hold the table enumerate_to made
+    # lookups never grow the memo: it holds the table enumerate_to made
     for n, enumerated in itertools.product((1, 2, 4), (0, 90)):
         t = graph(n, [(0, 1)] if n > 1 else [])
         oracle = _oracle_table(n, 3000)
         ct = CodingTable(t)
         ct.enumerate_to(enumerated)
-        memos = dict(ct.code_to_word), dict(ct.word_to_code)
+        memo = dict(ct.code_to_word)
         codes = random.Random(5).sample(sorted(oracle), min(200, len(oracle)))
         for c in codes:
             assert ct.word_of(c) == oracle[c]
@@ -514,18 +681,17 @@ def test_memos_are_bounded():
             assert ct.star(ct.inverse_code(c), c) == 0
         for c in [c for c in codes if len(oracle[c]) <= MAX_REP_LEN // 2][:20]:
             assert ct.star(c, c) == ct.code_of(oracle[c] + oracle[c])
-        assert (ct.code_to_word, ct.word_to_code) == memos
+        assert ct.code_to_word == memo
 
 
 def test_the_longest_table_fills_the_memos():
-    # a shorter table after a longer one leaves the memos as the longer one
-    # made them; a longer one after a shorter one replaces them
+    # a shorter table after a longer one leaves the memo as the longer one
+    # made it; a longer one after a shorter one replaces it
     for order in ((300, 30), (30, 300)):
         ct = CodingTable(P3)
         tables = {m: ct.enumerate_to(m) for m in order}
         assert tables[30] == tables[300][: len(tables[30])]
         assert ct.code_to_word == dict(tables[300])
-        assert ct.word_to_code == {w: c for c, w in tables[300]}
 
 
 def test_codes_beyond_reach():
