@@ -230,7 +230,8 @@ def _stable_words(letters: Sequence[int], count: int) -> List[Word]:
     back.  Every stable word has at least 2n - 2 tails (every letter but
     its last and that letter's inverse), so need // (2n - 2) + 1 words of
     one length give the next length's first need words; on one vertex
-    every length has at most two words, which need + 1 covers.
+    every length has at most two words, which need + 1 covers.  The
+    length that covers count is cut to what is needed and gets no states.
     """
     tails: List[Tuple[Word, ...]] = []
     succ: List[Tuple[int, ...]] = []
@@ -247,11 +248,13 @@ def _stable_words(letters: Sequence[int], count: int) -> List[Word]:
     while len(words) < count and layer:
         need = count - len(words)
         del layer[need // fan + 1 :], states[need // fan + 1 :]
-        layer, states = (
-            [w + t for w, r in zip(layer, states) for t in tails[r]],
-            [s for r in states for s in succ[r]],
-        )
-        words += layer[:need]
+        layer = [w + t for w, r in zip(layer, states) for t in tails[r]]
+        if len(layer) >= need:
+            # the last length built: its first need words, and no states
+            del layer[need:]
+        else:
+            states = [s for r in states for s in succ[r]]
+        words += layer
     return words
 
 

@@ -199,12 +199,13 @@ class Presentation:
     """The presentation of G_T, immutable.
 
     Dehn's algorithm makes one resumable left-to-right pass over the word,
-    kept as one signed byte per letter: each step is spliced into the word
-    in place, free reduction runs only at the two seams of the splice, and
+    kept as one signed byte per letter: a step that covers a whole relator
+    is one deletion, free reduction runs only at the seams it leaves, and
     the scan resumes one relator length left of the lowest letter the step
-    changed.  The scan is one loop in ``_reduce`` that reads each relator
-    inverse from ``_inverses``; the letters are checked on the packed
-    bytes.  ``relators``, the symmetrized set, is built on first use.
+    changed.  The scan is one loop in ``_scan`` that reads each relator
+    inverse from ``_inverses``; the letters are checked once, on the
+    packed bytes, and the packed word is kept across the rounds of cyclic
+    reduction.  ``relators``, the symmetrized set, is built on first use.
 
     ``dehn_budget`` bounds the Dehn steps of each method call: a call
     that needs more raises DehnBudgetError.
@@ -248,7 +249,7 @@ class Presentation:
     def _next_step(self, word: array, start: int, cap: int):
         """Leftmost (from start), then longest subword u of at most cap
         letters that is a prefix of some relator r with |u| > |r|/2.
-        Returns (pos, |u|, r^-1) or None.  ``_reduce`` inlines this scan.
+        Returns (pos, |u|, r^-1) or None.  ``_scan`` inlines this scan.
 
         Every step matches ``_CANDIDATE``; the relator that its first two
         letters begin, if any, settles whether a match is one and how long
@@ -285,11 +286,28 @@ class Presentation:
     def _reduce(self, w: Word, used: int, origin: Word) -> Tuple[Word, int]:
         """``dehn_reduce`` with its step count: w's normal form and the
         steps used so far, counting on from ``used``.  A budget error names
-        ``origin``, the word the caller was asked to reduce.  A common step
-        calls no Python function."""
+        ``origin``, the word the caller was asked to reduce.  The word is
+        packed, scanned in place and made a tuple once."""
+        word = self._packed(w)
+        used = self._scan(word, used, origin)
+        return tuple(word), used
+
+    def _packed(self, w: Sequence[Letter]) -> array:
+        """w freely reduced, one signed byte per letter; AlphabetError if
+        a letter is outside the alphabet."""
         word = _signed_bytes(w, self._alphabet)
         if word is None:
             raise self._alphabet_error(w)
+        return word
+
+    def _scan(self, word: array, used: int, origin: Word) -> int:
+        """Dehn-reduce the packed, freely reduced ``word`` in place and
+        return the steps used so far, counting on from ``used``.  A common
+        step calls no Python function.
+
+        A step whose match covers a whole relator replaces it by nothing:
+        one seam is left, where it cancels, and the step is one ``del``.
+        A partial step splices in the rest of the relator's inverse."""
         search = _CANDIDATE.search
         inverses = self._inverses
         budget = self.dehn_budget
@@ -306,27 +324,35 @@ class Presentation:
             used += 1
             if used > budget:
                 raise DehnBudgetError("Dehn step budget", budget, used, origin)
-            # r = u . s with u the matched prefix; replace u by s^{-1}, the
-            # first |r| - |u| letters of r^{-1}.  The prefix word[:i], the
-            # complement and the suffix word[i+length:] are each freely
-            # reduced, so letters cancel only at the seams.
             hi = len(inv) - length
-            if hi < 0:  # the match runs past the relator: u is all of it
-                hi, length = 0, len(inv)
-            a, b, lo = i, i + length, 0
-            while lo < hi and a > 0 and word[a - 1] == -inv[lo]:
-                a -= 1
-                lo += 1
-            while lo < hi and b < len(word) and inv[hi - 1] == -word[b]:
-                hi -= 1
-                b += 1
-            if lo == hi:
-                while a > 0 and b < len(word) and word[a - 1] == -word[b]:
+            if hi <= 0:
+                # the match covers the relator r (and may run past it):
+                # r = 1, so delete it and cancel across the one seam
+                a, b, n = i, i + len(inv), len(word)
+                while a > 0 and b < n and word[a - 1] == -word[b]:
                     a -= 1
                     b += 1
-            word[a:b] = inv[lo:hi]
+                del word[a:b]
+            else:
+                # r = u . s with u the matched prefix; replace u by s^{-1},
+                # the first |r| - |u| letters of r^{-1}.  The prefix
+                # word[:i], the complement and the suffix word[i+length:]
+                # are each freely reduced, so letters cancel only at the
+                # seams.
+                a, b, lo = i, end, 0
+                while lo < hi and a > 0 and word[a - 1] == -inv[lo]:
+                    a -= 1
+                    lo += 1
+                while lo < hi and b < len(word) and inv[hi - 1] == -word[b]:
+                    hi -= 1
+                    b += 1
+                if lo == hi:
+                    while a > 0 and b < len(word) and word[a - 1] == -word[b]:
+                        a -= 1
+                        b += 1
+                word[a:b] = inv[lo:hi]
             start = a - LONGEST_RELATOR if a > LONGEST_RELATOR else 0
-        return tuple(word), used
+        return used
 
     def is_identity(self, w: Word) -> bool:
         return self.dehn_reduce(w) == EMPTY
@@ -345,19 +371,22 @@ class Presentation:
         (m = min(longest relator, |core|)) from |core| - m + 1 finds it;
         a match may use at most |core| letters, each once.  The core is
         rotated to start at the step and reduced again, which shortens it.
-        All rounds share one ``dehn_budget`` of Dehn steps.
+        All rounds share one ``dehn_budget`` of Dehn steps.  w is packed and
+        its letters checked once: every round cyclically reduces, scans and
+        rotates the packed core, and only the answer is made a tuple.
         """
-        core, used = self._reduce(w, 0, w)
+        core = self._packed(w)
+        used = self._scan(core, 0, w)
         while True:
             core, _ = cyclic_reduce(core)
-            m = min(LONGEST_RELATOR, len(core))
-            step = self._next_step(
-                _signed_bytes(core + core[: m - 1], self._alphabet), len(core) - m + 1, len(core)
-            )
+            n = len(core)
+            m = min(LONGEST_RELATOR, n)
+            step = self._next_step(core + core[: m - 1], n - m + 1, n)
             if step is None:
-                return core
+                return tuple(core)
             i = step[0]
-            core, used = self._reduce(core[i:] + core[:i], used, w)
+            core = core[i:] + core[:i]
+            used = self._scan(core, used, w)
 
     def order(self, w: Word):
         """Order of the element w, or INFINITE.

@@ -743,6 +743,169 @@ def test_closed_form_steps_match_plain_trie_walk_under_every_cap():
                 assert (i, length, tuple(inv)) == expected[:2] + (invert_word(expected[2]),)
 
 
+def _oracle_cyclic_rounds(oracle, w):
+    """(wrap-around rounds, Dehn steps) of the trie oracle's
+    ``cyclic_dehn_reduce`` on w: each round reduces once more, and the
+    last reduction returns the step count of the call."""
+    counts = []
+    reduce = oracle._reduce
+
+    def counted(*args):
+        result = reduce(*args)
+        counts.append(result[1])
+        return result
+
+    oracle._reduce = counted
+    try:
+        oracle.cyclic_dehn_reduce(w, math.inf)
+    finally:
+        del oracle._reduce
+    return len(counts) - 1, counts[-1]
+
+
+def _assert_reduce_matches_oracle(t, oracle, w):
+    """Normal form and step count equal the oracle's, and so does the
+    outcome, answer or budget error with its used and word, under budgets
+    0, 1, steps - 1 and steps.  Returns the normal form and steps."""
+    expected = oracle._reduce(w, math.inf, 0, w)
+    assert relators_from_graph(t, math.inf)._reduce(w, 0, w) == expected, format_word(w)
+    steps = expected[1]
+    for budget in {0, 1, steps - 1, steps} - {-1}:
+        got = _outcome(relators_from_graph(t, budget).dehn_reduce, w)
+        assert got == _outcome(oracle.dehn_reduce, w, budget), (budget, format_word(w))
+    return expected
+
+
+def _graph_with_edge(rng, n):
+    t = _random_graph(rng, n)
+    return t if t.edges else graph(n, [*t.edges, (0, 1)])
+
+
+def test_whole_relator_steps_cancel_long_conjugators():
+    # Conjugators of 7-20 letters: once a whole relator is deleted, its
+    # conjugator cancels with its inverse across the one seam, and the
+    # first factor's cancellation reaches the word's first letter, the
+    # last one's its last.  Some factors are relator prefixes, partial
+    # steps, and some stray letters stop a cancellation short.
+    rng = random.Random(20261022)
+    emptied = partial = 0
+    for n in range(1, 9):
+        t = _random_graph(rng, n)
+        oracle = presentation_from_graph(t)
+        roots = relator_roots(t)
+        for _ in range(12):
+            raw = ()
+            for _ in range(rng.randint(1, 5)):
+                root, e = rng.choice(roots)
+                r = root * e if rng.random() < 0.5 else invert_word(root * e)
+                k = rng.randrange(len(r))
+                r = r[k:] + r[:k]
+                if rng.random() < 0.25:
+                    r = r[: rng.randint(len(r) // 2 + 1, len(r) - 1)]
+                c = _random_reduced(rng, n, rng.randint(7, 20))
+                raw += c + r + invert_word(c)
+                if rng.random() < 0.2:
+                    raw += _random_reduced(rng, n, 1)
+            w = reduce_word(raw)
+            form, steps = _assert_reduce_matches_oracle(t, oracle, w)
+            emptied += not form
+            partial += len(form) > 0 and steps > 0
+    assert emptied > 20 and partial > 40, (emptied, partial)
+
+
+def test_whole_relator_matches_past_the_relator_next_to_partial_steps():
+    # An alternation of 23-27 letters on an edge holds all of (ab)^11,
+    # and a run of 8 or more letters all of a^7: the match runs past the
+    # relator and the step deletes it.  Partial steps, runs of 4-6 and
+    # alternations of k + 1 to 2k - 1 letters, stand next to them.
+    rng = random.Random(20261023)
+    past = 0
+    for n in range(2, 9):
+        t = _graph_with_edge(rng, n)
+        oracle = presentation_from_graph(t)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = [(i + 1, j + 1) for i, j in t.edges]
+        for _ in range(15):
+            raw = ()
+            for _ in range(rng.randint(2, 8)):
+                sign = rng.choice((1, -1))
+                kind = rng.random()
+                if kind < 0.3:
+                    a, b = rng.choice(edges)
+                    length = rng.randint(23, 27)
+                    past += 1
+                elif kind < 0.55:
+                    a, b = rng.choice(pairs)
+                    k = 11 if t.adj(a - 1, b - 1) else 13
+                    length = rng.randint(k + 1, 2 * k - 1)
+                elif kind < 0.75:
+                    a = b = rng.randint(1, n)
+                    length = rng.randint(8, 13)
+                    past += 1
+                else:
+                    a = b = rng.randint(1, n)
+                    length = rng.randint(4, 6)
+                if rng.random() < 0.5:
+                    a, b = b, a
+                raw += ((sign * a, sign * b) * 14)[:length]
+                raw += _random_reduced(rng, n, rng.randint(0, 3))
+            _assert_reduce_matches_oracle(t, oracle, reduce_word(raw))
+    assert past > 200, past
+
+
+def _wrap_word(rng, t, rounds):
+    """A conjugate of a word whose core has no Dehn step but needs
+    ``rounds`` (1-3) wrap-around rounds, seeded on letters x and y of one
+    sign.  The core x x M [x x x] (Y X)^j Y x x (X = x^-1, Y = y^-1, k =
+    2j + 1 the exponent of (xy)) wraps to x^4, which leaves X^3
+    in front; then (Y X)^j Y X is more than half of (YX)^k, which leaves
+    (x y)^(k - j - 1) in front; then x x x x wraps again."""
+    n = t.n
+    i, j = rng.sample(range(1, n + 1), 2)
+    sign = rng.choice((1, -1))
+    x, y = sign * i, sign * j
+    k = 11 if t.adj(i - 1, j - 1) else 13
+    others = [c for c in range(1, n + 1) if c != i]
+    middle = tuple(rng.choice((1, -1)) * rng.choice(others) for _ in range(rng.randint(1, 6)))
+    core = (x, x) + middle
+    if rounds == 3:
+        core += (x, x, x)
+    if rounds >= 2:
+        core += (-y, -x) * ((k - 1) // 2) + (-y,)
+    core += (x, x)
+    c = _random_reduced(rng, n, rng.randint(0, 6))
+    return reduce_word(c + core + invert_word(c))
+
+
+def test_cyclic_rounds_match_trie_oracle_under_every_budget():
+    # Words that need 1-3 wrap-around rounds: the packed core is kept
+    # across rounds.  Cores, orders and budget errors equal the oracle's
+    # under budgets 0, 1, steps - 1 and steps, where steps counts the
+    # linear and the wrap-around steps of the call.
+    rng = random.Random(20261024)
+    seen = {1: 0, 2: 0, 3: 0}
+    for n in range(2, 9):
+        for _ in range(4):
+            t = _random_graph(rng, n)
+            oracle = presentation_from_graph(t)
+            for rounds in (1, 2, 3):
+                for _ in range(4):
+                    w = _wrap_word(rng, t, rounds)
+                    got_rounds, steps = _oracle_cyclic_rounds(oracle, w)
+                    seen[got_rounds] = seen.get(got_rounds, 0) + 1
+                    _assert_reduce_matches_oracle(t, oracle, w)
+                    for budget in {0, 1, steps - 1, steps} - {-1}:
+                        pres = relators_from_graph(t, budget)
+                        for name in ("cyclic_dehn_reduce", "order"):
+                            got = _outcome(getattr(pres, name), w)
+                            assert got == _outcome(getattr(oracle, name), w, budget), (
+                                name,
+                                budget,
+                                format_word(w),
+                            )
+    assert min(seen[1], seen[2], seen[3]) > 60, seen
+
+
 def test_alphabet_fits_one_signed_byte():
     n = MAX_ALPHABET_SIZE
     assert n == 127
