@@ -23,7 +23,7 @@ import operator
 import re
 import struct
 from array import array
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from .graphs import Graph
 from .words import (
@@ -59,38 +59,6 @@ _CANDIDATE = re.compile(rb"(.)\1{3,6}|(.)(.)(?:\2\3){5,12}\2?", re.DOTALL)
 
 # the byte of each letter's inverse, by the byte of the letter
 _NEGATE = bytes(-c & 0xFF for c in range(256))
-
-
-def _signed_bytes(w: Sequence[Letter], alphabet: bytes) -> Optional[array]:
-    """w freely reduced, one signed byte per letter, or None if a letter
-    is no int whose byte is in ``alphabet``.  The letters are checked
-    before any free reduction: packed (by array if short, else by struct,
-    about twice as fast), the word must vanish when ``bytes.translate``
-    deletes the bytes of ``alphabet``.
-
-    The input is nearly always freely reduced already: it is when no
-    letter is followed by its inverse.  A short word is checked letter by
-    letter.  A long one is checked in one pass: XOR-ed with its own
-    negation, shifted by one letter, it has a zero byte where a letter
-    meets its inverse.
-    """
-    short = len(w) < 32
-    try:
-        if short:
-            packed = array("b", w)
-            data = packed.tobytes()
-        else:
-            data = struct.pack(f"{len(w)}b", *w)
-    except (TypeError, OverflowError, struct.error):
-        return None
-    if data.translate(None, alphabet):
-        return None
-    if short:
-        return array("b", reduce_word(w)) if 0 in map(operator.add, w, w[1:]) else packed
-    meets = int.from_bytes(data[1:], "big") ^ int.from_bytes(
-        data.translate(_NEGATE)[:-1], "big"
-    )
-    return array("b", reduce_word(w) if b"\0" in meets.to_bytes(len(w) - 1, "big") else data)
 
 
 class DehnBudgetError(BudgetError):
@@ -202,10 +170,10 @@ class Presentation:
     kept as one signed byte per letter: a step that covers a whole relator
     is one deletion, free reduction runs only at the seams it leaves, and
     the scan resumes one relator length left of the lowest letter the step
-    changed.  The scan is one loop in ``_scan`` that reads each relator
-    inverse from ``_inverses``; the letters are checked once, on the
-    packed bytes, and the packed word is kept across the rounds of cyclic
-    reduction.  ``relators``, the symmetrized set, is built on first use.
+    changed.  ``_scan`` is that pass; ``_signed_bytes`` packs a word
+    once and checks its letters on the bytes, and ``cyclic_dehn_reduce``
+    keeps the packed core across its rounds and finds its wrap-around
+    step itself.  ``relators``, the symmetrized set, is built on first use.
 
     ``dehn_budget`` bounds the Dehn steps of each method call: a call
     that needs more raises DehnBudgetError.
@@ -246,25 +214,6 @@ class Presentation:
             self._inverses[a, b] = inv
         return inv
 
-    def _next_step(self, word: array, start: int, cap: int):
-        """Leftmost (from start), then longest subword u of at most cap
-        letters that is a prefix of some relator r with |u| > |r|/2.
-        Returns (pos, |u|, r^-1) or None.  ``_scan`` inlines this scan.
-
-        Every step matches ``_CANDIDATE``; the relator that its first two
-        letters begin, if any, settles whether a match is one and how long
-        it is."""
-        search = _CANDIDATE.search
-        while (m := search(word, start)) is not None:
-            i = m.start()
-            inv = self._relator_inverse(word[i], word[i + 1])
-            if inv is not None:
-                length = min(m.end() - i, len(inv), cap)
-                if 2 * length > len(inv):
-                    return i, length, inv
-            start = i + 1
-        return None
-
     def _alphabet_error(self, w: Sequence[Letter]) -> AlphabetError:
         bad = next(c for c in w if not (isinstance(c, int) and 0 < abs(c) <= self.alphabet_size))
         return AlphabetError(
@@ -281,24 +230,45 @@ class Presentation:
         would lie wholly inside letters that did not change, where the
         previous scan found none.
         """
-        return self._reduce(w, 0, w)[0]
+        return self._reduce(w)[0]
 
-    def _reduce(self, w: Word, used: int, origin: Word) -> Tuple[Word, int]:
-        """``dehn_reduce`` with its step count: w's normal form and the
-        steps used so far, counting on from ``used``.  A budget error names
-        ``origin``, the word the caller was asked to reduce.  The word is
-        packed, scanned in place and made a tuple once."""
-        word = self._packed(w)
-        used = self._scan(word, used, origin)
+    def _reduce(self, w: Word) -> Tuple[Word, int]:
+        """``dehn_reduce`` with its step count: w's normal form and the Dehn
+        steps it took.  w is packed, scanned in place and made a tuple once."""
+        word = self._signed_bytes(w)
+        used = self._scan(word, 0, w)
         return tuple(word), used
 
-    def _packed(self, w: Sequence[Letter]) -> array:
-        """w freely reduced, one signed byte per letter; AlphabetError if
-        a letter is outside the alphabet."""
-        word = _signed_bytes(w, self._alphabet)
-        if word is None:
+    def _signed_bytes(self, w: Sequence[Letter]) -> array:
+        """w freely reduced, one signed byte per letter.  The letters are
+        checked before any free reduction: packed (by array if short, else
+        by struct, about twice as fast), the word must vanish when
+        ``bytes.translate`` deletes the bytes of the alphabet, or
+        AlphabetError names the first letter outside it.
+
+        The input is nearly always freely reduced already: it is when no
+        letter is followed by its inverse.  A short word is checked letter
+        by letter.  A long one is checked in one pass: XOR-ed with its own
+        negation, shifted by one letter, it has a zero byte where a letter
+        meets its inverse.
+        """
+        short = len(w) < 32
+        try:
+            if short:
+                packed = array("b", w)
+                data = packed.tobytes()
+            else:
+                data = struct.pack(f"{len(w)}b", *w)
+        except (TypeError, OverflowError, struct.error):
+            raise self._alphabet_error(w) from None
+        if data.translate(None, self._alphabet):
             raise self._alphabet_error(w)
-        return word
+        if short:
+            return array("b", reduce_word(w)) if 0 in map(operator.add, w, w[1:]) else packed
+        meets = int.from_bytes(data[1:], "big") ^ int.from_bytes(
+            data.translate(_NEGATE)[:-1], "big"
+        )
+        return array("b", reduce_word(w) if b"\0" in meets.to_bytes(len(w) - 1, "big") else data)
 
     def _scan(self, word: array, used: int, origin: Word) -> int:
         """Dehn-reduce the packed, freely reduced ``word`` in place and
@@ -368,23 +338,32 @@ class Presentation:
 
         After ``dehn_reduce`` and ``cyclic_reduce`` a step can only wrap
         round the end of the core, so one scan of core + core[:m - 1]
-        (m = min(longest relator, |core|)) from |core| - m + 1 finds it;
-        a match may use at most |core| letters, each once.  The core is
-        rotated to start at the step and reduced again, which shortens it.
-        All rounds share one ``dehn_budget`` of Dehn steps.  w is packed and
-        its letters checked once: every round cyclically reduces, scans and
-        rotates the packed core, and only the answer is made a tuple.
+        (m = min(longest relator, |core|)) from |core| - m + 1 finds it:
+        the leftmost candidate that begins a relator and covers more than
+        half of it within |core| letters, each used once; a candidate
+        before it may be no step.  The core is rotated to start at the
+        step and reduced again, which shortens it.  All rounds share one
+        ``dehn_budget`` of Dehn steps.  w is packed and its letters checked
+        once: every round cyclically reduces, scans and rotates the packed
+        core, and only the answer is made a tuple.
         """
-        core = self._packed(w)
+        core = self._signed_bytes(w)
         used = self._scan(core, 0, w)
+        search = _CANDIDATE.search
         while True:
             core, _ = cyclic_reduce(core)
             n = len(core)
             m = min(LONGEST_RELATOR, n)
-            step = self._next_step(core + core[: m - 1], n - m + 1, n)
-            if step is None:
+            ring = core + core[: m - 1]
+            start = n - m + 1
+            while (hit := search(ring, start)) is not None:
+                i = hit.start()
+                inv = self._relator_inverse(ring[i], ring[i + 1])
+                if inv is not None and 2 * min(hit.end() - i, n) > len(inv):
+                    break
+                start = i + 1
+            else:
                 return tuple(core)
-            i = step[0]
             core = core[i:] + core[:i]
             used = self._scan(core, used, w)
 

@@ -49,6 +49,8 @@ def induced_hom(
     conj: Word = EMPTY,
 ) -> GeneratorMap:
     """Generator map v_i -> conj . v_{mapping(i)}^epsilon . conj^{-1}."""
+    if len(mapping) != t.n:
+        raise MapError(f"mapping has {len(mapping)} targets for {t.n} vertices")
     if len(set(mapping)) != len(mapping):
         raise MapError("mapping must be injective")
     if any(not 0 <= v < s.n for v in mapping):

@@ -30,7 +30,7 @@ from sixthgroups.reduction import (
     reduced_words,
     relators_from_graph,
 )
-from sixthgroups.words import EMPTY, concat, gen, invert_word, power, word_key
+from sixthgroups.words import EMPTY, MapError, concat, gen, invert_word, power, word_key
 
 K2 = graph(2, [(0, 1)])
 P3 = graph(3, [(0, 1), (1, 2)])
@@ -72,6 +72,12 @@ def test_induced_hom_validation():
         induced_hom(K2, K2, [0, 2])
     with pytest.raises(ValueError):
         induced_hom(K2, K2, [0, 1], epsilon=2)
+    # one target per vertex of t: a short map is no IndexError, and a long
+    # one is not cut to fit
+    with pytest.raises(MapError, match="2 targets for 3 vertices"):
+        induced_hom(graph(3), graph(3), [0, 1])
+    with pytest.raises(MapError, match="4 targets for 3 vertices"):
+        induced_hom(graph(3), graph(4), [0, 1, 2, 3])
 
 
 def test_apply_hom():
