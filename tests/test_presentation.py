@@ -31,7 +31,8 @@ from sixthgroups.words import (
     reduce_word,
     word_key,
 )
-from trie_oracle import Presentation, presentation_from_graph, presentation_from_seeds
+
+from dehn_oracle import DehnOracle
 
 K2 = graph(2, [(0, 1)])
 E2 = graph(2, [])
@@ -43,51 +44,20 @@ letters = st.integers(min_value=-2, max_value=2).filter(lambda c: c != 0)
 words = st.lists(letters, max_size=10).map(lambda w: reduce_word(tuple(w)))
 
 
-def _naive_dehn_reduce(pres, w):
-    """Reference Dehn's algorithm on the trie oracle ``pres``: rescan from
-    position 0 and freely reduce the whole word after every step.  Returns
-    (normal form, steps)."""
-
-    def find_step(w):
-        n = len(w)
-        for i in range(n):
-            node = pres._root
-            hit = None
-            for d in range(i, n):
-                node = node.children.get(w[d])
-                if node is None:
-                    break
-                length = d - i + 1
-                if 2 * length > node.min_len:
-                    hit = (length, node.best)
-            if hit is not None:
-                return i, hit[0], hit[1]
-        return None
-
-    w = reduce_word(w)
-    steps = 0
-    while True:
-        step = find_step(w)
-        if step is None:
-            return w, steps
-        steps += 1
-        i, length, r = step
-        complement = invert_word(r[length:])
-        w = reduce_word(w[:i] + complement + w[i + length :])
-
-
-def _rotation_sorting_order(pres, w):
+def _rotation_sorting_order(oracle, w):
     """Reference order: Dehn-reduce the rotations of the core in shortlex
     order, round after round, until no rotation shortens, then look the
-    core up among the rotations of each root power."""
-    current = pres.dehn_reduce(w)
+    core up among the rotations of each root power.  Unlike the oracle's
+    own ``order``, it tries rotations in shortlex order, not from the
+    first letter on."""
+    current = oracle.reduce(w)[0]
     while True:
         current, _ = cyclic_reduce(current)
         for rot in sorted(
             ({current[i:] + current[:i] for i in range(len(current))} or {EMPTY}),
             key=word_key,
         ):
-            reduced = pres.dehn_reduce(rot)
+            reduced = oracle.reduce(rot)[0]
             if word_key(reduced) < word_key(rot):
                 current = reduced
                 break
@@ -97,7 +67,7 @@ def _rotation_sorting_order(pres, w):
     if not core:
         return 1
     rotations = {core[i:] + core[:i] for i in range(len(core))}
-    for root, n in sorted(pres.relators.roots, key=lambda rn: word_key(rn[0])):
+    for root, n in sorted(oracle.roots, key=lambda rn: word_key(rn[0])):
         if len(core) % len(root) != 0:
             continue
         k = len(core) // len(root)
@@ -202,23 +172,26 @@ def test_williams_relators_are_sixth():
     assert max_piece_length(Z7.relators) == 0
 
 
-def test_alphabet_validation():
-    with pytest.raises(ValueError):
-        Presentation(1, symmetrize([(1, 2)]))
-
-
 def test_dehn_reduce_frozen_cases():
-    # g0^4 against g0^7: prefix of length 4 > 7/2, complement G0^3
-    assert Z7.dehn_reduce(power((1,), 4)) == (-1, -1, -1)
-    assert Z7.dehn_reduce(power((1,), 7)) == EMPTY
-    assert Z7.dehn_reduce(power((1,), 3)) == (1, 1, 1)
-    # (g0 g1)^6 against (g0 g1)^11: complement (G1 G0)^5
-    assert P_K2.dehn_reduce(power((1, 2), 6)) == power((-2, -1), 5)
-    assert P_K2.dehn_reduce(power((1, 2), 11)) == EMPTY
-    assert P_K2.dehn_reduce(power((1, 2), 5)) == power((1, 2), 5)
-    # non-edge exponent 13
-    assert P_E2.dehn_reduce(power((1, 2), 13)) == EMPTY
-    assert P_E2.dehn_reduce(power((1, 2), 11)) != EMPTY
+    # (presentation, word, normal form, steps), for the engine and the oracle
+    cases = [
+        # g0^4 against g0^7: prefix of length 4 > 7/2, complement G0^3
+        (Z7, power((1,), 4), (-1, -1, -1), 1),
+        (Z7, power((1,), 7), EMPTY, 1),
+        (Z7, power((1,), 3), (1, 1, 1), 0),
+        # g0^7 goes, then g0^5 becomes G0^2
+        (Z7, power((1,), 12), (-1, -1), 2),
+        # (g0 g1)^6 against (g0 g1)^11: complement (G1 G0)^5
+        (P_K2, power((1, 2), 6), power((-2, -1), 5), 1),
+        (P_K2, power((1, 2), 11), EMPTY, 1),
+        (P_K2, power((1, 2), 5), power((1, 2), 5), 0),
+        # non-edge exponent 13: (g0 g1)^11 is 22 of its 26 letters
+        (P_E2, power((1, 2), 13), EMPTY, 1),
+        (P_E2, power((1, 2), 11), power((-2, -1), 2), 1),
+    ]
+    for pres, w, form, steps in cases:
+        assert pres._reduce(w) == (form, steps), format_word(w)
+        assert DehnOracle(pres.graph).reduce(w) == (form, steps), format_word(w)
 
 
 def test_identity_and_equal():
@@ -229,17 +202,23 @@ def test_identity_and_equal():
 
 
 def test_order_frozen_cases():
-    assert Z7.order(EMPTY) == 1
-    assert Z7.order((1,)) == 7
-    assert Z7.order((1, 1)) == 7
-    assert Z7.order(power((1,), 7)) == 1
-    assert P_K2.order((1, 2)) == 11
-    assert P_K2.order(power((1, 2), 3)) == 11  # gcd(3, 11) = 1
-    assert P_E2.order((1, 2)) == 13
-    assert P_K2.order(parse_word("g0 g1 g1")) == INFINITE
-    assert P_K2.order(parse_word("g0 g1 g0 G1")) == INFINITE
-    # conjugates keep their order
-    assert P_K2.order(parse_word("g1 g0 g1 G1")) == 11
+    # (presentation, word, order), for the engine and the oracle
+    cases = [
+        (Z7, EMPTY, 1),
+        (Z7, (1,), 7),
+        (Z7, (1, 1), 7),
+        (Z7, power((1,), 7), 1),
+        (P_K2, (1, 2), 11),
+        (P_K2, power((1, 2), 3), 11),  # gcd(3, 11) = 1
+        (P_E2, (1, 2), 13),
+        (P_K2, parse_word("g0 g1 g1"), INFINITE),
+        (P_K2, parse_word("g0 g1 g0 G1"), INFINITE),
+        # conjugates keep their order
+        (P_K2, parse_word("g1 g0 g1 G1"), 11),
+    ]
+    for pres, w, order in cases:
+        assert pres.order(w) == order, format_word(w)
+        assert DehnOracle(pres.graph).order(w)[0] == order, format_word(w)
 
 
 def test_order_of_power_divides():
@@ -254,8 +233,6 @@ def test_symmetrize_is_fixed_point():
 
 
 def test_conjugated_relators_vanish():
-    import random
-
     rng = random.Random(8)
     conjugators = [
         reduce_word(tuple(rng.choice((1, -1, 2, -2)) for _ in range(k)))
@@ -274,8 +251,6 @@ def test_order_of_conjugate_matches():
 
 
 def test_order_power_law():
-    import math
-
     assert P_K2.order((1, 2)) == 11
     for k in range(1, 12):
         assert P_K2.order(power((1, 2), k)) == 11 // math.gcd(k, 11)
@@ -390,7 +365,7 @@ def test_dehn_reduce_matches_naive_rescan():
         pres = relators_from_graph(t)
         for target_len in (10, 60, 300, 900, 2000):
             w = _noisy_relator_product(rng, pres, target_len)
-            expected, steps = _naive_dehn_reduce(presentation_from_graph(t), w)
+            expected, steps = DehnOracle(t).reduce(w)
             assert pres.dehn_reduce(w) == expected, (n, format_word(w))
             assert relators_from_graph(t, steps).dehn_reduce(w) == expected
             if steps:
@@ -402,11 +377,6 @@ def test_dehn_reduce_matches_naive_rescan():
                     relators_from_graph(t, small).dehn_reduce(w)
             else:
                 assert relators_from_graph(t, small).dehn_reduce(w) == expected
-
-
-def test_presentation_from_seeds():
-    p = presentation_from_seeds(1, [power((1,), 7)])
-    assert p.is_identity(power((1,), 14))
 
 
 @given(words)
@@ -471,15 +441,16 @@ def test_order_matches_rotation_sorting_oracle():
     for n in range(1, 9):
         for _ in range(3):
             pres = relators_from_graph(_random_graph(rng, n))
+            oracle = DehnOracle(pres.graph)
             for w in _conjugates(rng, pres):
-                expected = _rotation_sorting_order(pres, w)
+                expected = _rotation_sorting_order(oracle, w)
                 assert pres.order(w) == expected, (n, format_word(w))
                 finite += expected != INFINITE
                 # the core is cyclically Dehn-reduced: no rotation has a step
                 core = pres.cyclic_dehn_reduce(w)
                 for i in range(len(core)):
                     rot = core[i:] + core[:i]
-                    assert pres.dehn_reduce(rot) == rot, (n, format_word(w))
+                    assert oracle.reduce(rot) == (rot, 0), (n, format_word(w))
     assert finite > 300
 
 
@@ -533,137 +504,19 @@ def test_wrap_around_step_behind_a_candidate_that_is_no_step():
     core = parse_word("G0 G0 G0 G1 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 G1")
     for t in (K2, E2):
         assert relators_from_graph(t).cyclic_dehn_reduce(w) == core
-        assert presentation_from_graph(t).cyclic_dehn_reduce(w) == core
+        assert DehnOracle(t).cyclic_reduce(w) == (core, 1)
     # one linear step (g2^4) and this wrap-around step share the budget
     e3 = graph(3, [])
     w = parse_word("g0 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 G1 g2 g2 g2 g2 g0 g0")
-    oracle = presentation_from_graph(e3)
-    for call in (relators_from_graph(e3, 1).order, lambda w: oracle.order(w, 1)):
-        with pytest.raises(DehnBudgetError) as info:
-            call(w)
-        assert (info.value.budget, info.value.used, info.value.word) == (1, 2, w)
+    with pytest.raises(DehnBudgetError) as info:
+        relators_from_graph(e3, 1).order(w)
+    assert (info.value.budget, info.value.used, info.value.word) == (1, 2, w)
     two_steps = relators_from_graph(e3, 2)
     assert two_steps.order(w) == INFINITE
     assert two_steps.cyclic_dehn_reduce(w) == core + parse_word("G2 G2 G2")
-    assert oracle.cyclic_dehn_reduce(w, 2) == core + parse_word("G2 G2 G2")
-
-
-def _long_piece_presentations(rng, count):
-    """Seeded C'(1/6) presentations whose longest piece has 3 or more
-    letters, so the trie pins each relator only from depth 4 on.  Seeds:
-    random cyclically reduced words of 20-34 letters on 2-3 generators,
-    sometimes a proper power u^k of at least 24 letters, and g^5 on one
-    more generator, whose 3-letter steps end above the pinned depth."""
-
-    def cyclic_word(gens, length):
-        w = reduce_word(tuple(rng.choice((1, -1)) * rng.randint(1, gens) for _ in range(length)))
-        return cyclic_reduce(w)[0]
-
-    found = []
-    while len(found) < count:
-        gens = rng.randint(2, 3)
-        seeds = [cyclic_word(gens, rng.randint(20, 34)) for _ in range(rng.randint(1, 2))]
-        if rng.random() < 0.5:
-            u = cyclic_word(gens, rng.randint(3, 6))
-            if u:
-                seeds.append(power(u, -(-24 // len(u))))
-        seeds.append((gens + 1,) * 5)
-        pres = presentation_from_seeds(gens + 1, seeds)
-        if max_piece_length(pres.relators) >= 3 and check_c16(pres.relators):
-            found.append(pres)
-    return found
-
-
-def test_dehn_reduce_matches_naive_rescan_with_long_pieces():
-    rng = random.Random(20171231)
-    for pres in _long_piece_presentations(rng, 12):
-        for target_len in (10, 60, 300, 900):
-            w = _noisy_relator_product(rng, pres, target_len)
-            expected, steps = _naive_dehn_reduce(pres, w)
-            assert pres.dehn_reduce(w) == expected, format_word(w)
-            assert pres.dehn_reduce(w, budget=steps) == expected
-            if steps:
-                with pytest.raises(DehnBudgetError):
-                    pres.dehn_reduce(w, budget=steps - 1)
-
-
-def test_order_matches_rotation_sorting_oracle_with_long_pieces():
-    # Rotations r[j:c] + r[:j] of relator prefixes of c > |r|/2 letters:
-    # neither part is a step, but the rotation r[:c] is, and where
-    # r[c] = r[0] its match runs on past the c letters of the core, so the
-    # scan of core + core[:m - 1] must cut it at c.  Cores longer than
-    # half the longest relator are scanned by the pinned walk.
-    rng = random.Random(20180101)
-    capped = finite = 0
-    for pres in _long_piece_presentations(rng, 12):
-        longest = max(map(len, pres.relators.relators))
-        rels = pres.relators.sorted_relators()
-        words = [power(root, k) for root, n in pres.relators.roots for k in range(1, n)]
-        for r in rels:
-            half = len(r) // 2
-            for c in range(half + 1, len(r)):
-                if r[c] == r[0] or rng.random() < 0.1:
-                    j = rng.randint(c - half, half)
-                    words.append(r[j:c] + r[:j])
-        for w in words:
-            t = reduce_word(
-                tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(rng.randint(0, 3)))
-            )
-            w = reduce_word(t + w + invert_word(t))
-            expected = _rotation_sorting_order(pres, w)
-            assert pres.order(w) == expected, format_word(w)
-            finite += expected not in (1, INFINITE)
-            core = cyclic_reduce(pres.dehn_reduce(w))[0]
-            if 2 * len(core) - 1 > longest:
-                prefixes = {r[: len(core) + 1] for r in rels}
-                capped += any(
-                    core[i:] + core[: i + 1] in prefixes for i in range(len(core))
-                )
-    assert capped > 400 and finite > 150, (capped, finite)
-
-
-def _plain_dehn_step(pres, w, start, cap):
-    """Oracle for the trie oracle's ``_find_dehn_step``: from each position
-    walk the trie to the end of the match and keep the longest step of at
-    most cap letters."""
-    for i in range(start, len(w)):
-        node = pres._root
-        hit = None
-        for d in range(i, len(w)):
-            node = node.children.get(w[d])
-            if node is None:
-                break
-            length = d - i + 1
-            if 2 * length > node.min_len and length <= cap:
-                hit = (length, node.best)
-        if hit is not None:
-            return i, hit[0], hit[1]
-    return None
-
-
-def test_pinned_walk_keeps_leftmost_longest_steps_under_every_cap():
-    # Words longer than every relator take the pinned walk; caps run from
-    # 1, below the pinned depth, to past the longest relator.  The walk
-    # needs no C'(1/6): random short seeds share long prefixes, so the
-    # relator pinned at depth _pin can be shorter than twice that depth.
-    rng = random.Random(20180102)
-    presentations = _long_piece_presentations(rng, 6)
-    presentations += [presentation_from_graph(_random_graph(rng, n)) for n in (2, 5, 8)]
-    for _ in range(20):
-        seeds = [
-            tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(rng.randint(2, 6)))
-            for _ in range(rng.randint(2, 4))
-        ]
-        presentations.append(presentation_from_seeds(2, seeds))
-    for pres in presentations:
-        longest = max(map(len, pres.relators.relators))
-        for _ in range(60):
-            w = list(_noisy_relator_product(rng, pres, rng.randint(longest + 1, 4 * longest)))
-            if len(w) <= longest:
-                continue
-            start = rng.randrange(len(w))
-            cap = rng.randint(1, longest + 2)
-            assert pres._find_dehn_step(w, start, cap) == _plain_dehn_step(pres, w, start, cap)
+    oracle = DehnOracle(e3)
+    assert oracle.cyclic_reduce(w) == (core + parse_word("G2 G2 G2"), 2)
+    assert oracle.order(w) == (INFINITE, 2)
 
 
 def _random_reduced(rng, n, length):
@@ -704,75 +557,83 @@ def _order_word(rng, t, length):
     return reduce_word(_identity_product(rng, t, length) + c + x + invert_word(c))
 
 
-def _outcome(call, w, *budget):
+def _outcome(call, w):
     try:
-        return call(w, *budget)
+        return call(w)
     except DehnBudgetError as err:
         return "budget", err.budget, err.used, err.word, str(err)
 
 
-def test_closed_form_matches_trie_oracle():
+def _expected(answer, w, budget):
+    """The outcome of a call on w under ``budget``, from the oracle's
+    (answer, steps): the answer, or the budget error at step budget + 1."""
+    value, steps = answer
+    if steps <= budget:
+        return value
+    message = str(DehnBudgetError("Dehn step budget", budget, budget + 1, w))
+    return "budget", budget, budget + 1, w, message
+
+
+def test_closed_form_matches_dehn_oracle():
     # Normal forms, step counts, cyclic cores, orders and budget errors
-    # of the closed-form presentation equal the trie oracle's, on random
+    # of the closed-form presentation equal the Dehn oracle's, on random
     # graphs of 1-8 vertices and one each of 16 and 64.
     rng = random.Random(20261019)
     graphs = [_random_graph(rng, n) for n in range(1, 9) for _ in range(3)]
     graphs += [_random_graph(rng, 16), _random_graph(rng, 64)]
     finite = nonempty = over_budget = 0
     for t in graphs:
-        pres, oracle = relators_from_graph(t), presentation_from_graph(t)
+        pres, oracle = relators_from_graph(t), DehnOracle(t)
         unbounded = relators_from_graph(t, math.inf)
         for make in (_identity_product, _order_word, _random_reduced):
             for _ in range(2):
                 length = rng.choice((rng.randint(10, 300), rng.randint(300, 3000)))
                 w = make(rng, t.n if make is _random_reduced else t, length)
-                expected = oracle._reduce(w, math.inf, 0, w)
+                expected = oracle.reduce(w)
                 assert unbounded._reduce(w) == expected, (t, format_word(w))
                 steps = expected[1]
                 for budget in {0, 1, steps - 1, steps} - {-1}:
                     got = _outcome(relators_from_graph(t, budget).dehn_reduce, w)
-                    assert got == _outcome(oracle.dehn_reduce, w, budget), (t, budget)
+                    assert got == _expected(expected, w, budget), (t, budget)
                     over_budget += got[:1] == ("budget",)
-                assert pres.cyclic_dehn_reduce(w) == oracle.cyclic_dehn_reduce(w), t
-                order = pres.order(w)
-                assert order == oracle.order(w), (t, format_word(w))
+                assert pres.cyclic_dehn_reduce(w) == oracle.cyclic_reduce(w)[0], t
+                order = oracle.order(w)
+                assert pres.order(w) == order[0], (t, format_word(w))
                 engine = _outcome(relators_from_graph(t, steps).order, w)
-                assert engine == _outcome(oracle.order, w, steps)
-                finite += order not in (1, INFINITE)
+                assert engine == _expected(order, w, steps)
+                finite += order[0] not in (1, INFINITE)
                 nonempty += bool(expected[0])
     assert finite > 25 and nonempty > 60 and over_budget > 250, (finite, nonempty, over_budget)
 
 
 def _oracle_cyclic_rounds(oracle, w):
-    """(wrap-around rounds, Dehn steps) of the trie oracle's
-    ``cyclic_dehn_reduce`` on w: each round reduces once more, and the
-    last reduction returns the step count of the call."""
-    counts = []
-    reduce = oracle._reduce
+    """(wrap-around rounds, (core, steps)) of the oracle's
+    ``cyclic_reduce`` on w: each round reduces once more."""
+    words = []
+    reduce = oracle.reduce
 
-    def counted(*args):
-        result = reduce(*args)
-        counts.append(result[1])
-        return result
+    def counted(w):
+        words.append(w)
+        return reduce(w)
 
-    oracle._reduce = counted
+    oracle.reduce = counted
     try:
-        oracle.cyclic_dehn_reduce(w, math.inf)
+        answer = oracle.cyclic_reduce(w)
     finally:
-        del oracle._reduce
-    return len(counts) - 1, counts[-1]
+        del oracle.reduce
+    return len(words) - 1, answer
 
 
 def _assert_reduce_matches_oracle(t, oracle, w):
     """Normal form and step count equal the oracle's, and so does the
     outcome, answer or budget error with its used and word, under budgets
     0, 1, steps - 1 and steps.  Returns the normal form and steps."""
-    expected = oracle._reduce(w, math.inf, 0, w)
+    expected = oracle.reduce(w)
     assert relators_from_graph(t, math.inf)._reduce(w) == expected, format_word(w)
     steps = expected[1]
     for budget in {0, 1, steps - 1, steps} - {-1}:
         got = _outcome(relators_from_graph(t, budget).dehn_reduce, w)
-        assert got == _outcome(oracle.dehn_reduce, w, budget), (budget, format_word(w))
+        assert got == _expected(expected, w, budget), (budget, format_word(w))
     return expected
 
 
@@ -791,7 +652,7 @@ def test_whole_relator_steps_cancel_long_conjugators():
     emptied = partial = 0
     for n in range(1, 9):
         t = _random_graph(rng, n)
-        oracle = presentation_from_graph(t)
+        oracle = DehnOracle(t)
         roots = relator_roots(t)
         for _ in range(12):
             raw = ()
@@ -822,7 +683,7 @@ def test_whole_relator_matches_past_the_relator_next_to_partial_steps():
     past = 0
     for n in range(2, 9):
         t = _graph_with_edge(rng, n)
-        oracle = presentation_from_graph(t)
+        oracle = DehnOracle(t)
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         edges = [(i + 1, j + 1) for i, j in t.edges]
         for _ in range(15):
@@ -877,7 +738,7 @@ def _wrap_word(rng, t, rounds):
     return reduce_word(c + core + invert_word(c))
 
 
-def test_cyclic_rounds_match_trie_oracle_under_every_budget():
+def test_cyclic_rounds_match_dehn_oracle_under_every_budget():
     # Words that need 1-3 wrap-around rounds: the packed core is kept
     # across rounds.  Cores, orders and budget errors equal the oracle's
     # under budgets 0, 1, steps - 1 and steps, where steps counts the
@@ -887,18 +748,20 @@ def test_cyclic_rounds_match_trie_oracle_under_every_budget():
     for n in range(2, 9):
         for _ in range(4):
             t = _random_graph(rng, n)
-            oracle = presentation_from_graph(t)
+            oracle = DehnOracle(t)
             for rounds in (1, 2, 3):
                 for _ in range(4):
                     w = _wrap_word(rng, t, rounds)
-                    got_rounds, steps = _oracle_cyclic_rounds(oracle, w)
+                    got_rounds, core = _oracle_cyclic_rounds(oracle, w)
                     seen[got_rounds] = seen.get(got_rounds, 0) + 1
                     _assert_reduce_matches_oracle(t, oracle, w)
+                    answers = {"cyclic_dehn_reduce": core, "order": oracle.order(w)}
+                    steps = core[1]
                     for budget in {0, 1, steps - 1, steps} - {-1}:
                         pres = relators_from_graph(t, budget)
-                        for name in ("cyclic_dehn_reduce", "order"):
+                        for name, answer in answers.items():
                             got = _outcome(getattr(pres, name), w)
-                            assert got == _outcome(getattr(oracle, name), w, budget), (
+                            assert got == _expected(answer, w, budget), (
                                 name,
                                 budget,
                                 format_word(w),
