@@ -37,9 +37,11 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE = 128 + 13  # SIGPIPE, as a shell reports a process it killed
 
-# The largest --max-n.  A presentation is built in closed form, but the
-# graph searches of rigid, graph-iso, embed-graph and aut-extend walk every
-# permutation or injection with no budget of their own.
+# The default and the largest --max-n.  A presentation is built in closed
+# form, but the graph searches of rigid, graph-iso, embed-graph and
+# aut-extend walk every permutation or injection with no budget of their
+# own.
+DEFAULT_MAX_N = 8
 MAX_N_LIMIT = 64
 
 
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--dehn-budget", type=_at_least(1), default=default(DEFAULT_DEHN_BUDGET)
         )
         p.add_argument(
-            "--max-n", type=_at_least(1, MAX_N_LIMIT), default=default(graphs.DEFAULT_MAX_N)
+            "--max-n", type=_at_least(1, MAX_N_LIMIT), default=default(DEFAULT_MAX_N)
         )
 
     add_flags(parser, top=True)

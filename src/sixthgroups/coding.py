@@ -294,7 +294,7 @@ class CodingTable:
         )
 
     def registrable(self, code: int) -> bool:
-        if code < 0:
+        if type(code) is not int or code < 0:
             return False
         if code % 3:
             return (code - 1) // 3 < self.graph.n
@@ -321,11 +321,12 @@ class CodingTable:
         return _code(self._auto, nf)
 
     def word_of(self, code: int) -> Word:
-        w = self.code_to_word.get(code)  # code 0 is always there
-        if w is not None:
-            return w
+        if type(code) is int:  # 4.0 and True would find the words of 4 and 1
+            w = self.code_to_word.get(code)  # code 0 is always there
+            if w is not None:
+                return w
         if not self.registrable(code):
-            raise KeyError(f"code {code} is not assigned for this graph")
+            raise KeyError(f"code {code!r} is not assigned for this graph")
         if code % 3:
             return (gen((code - 1) // 3, 1 if code % 3 == 1 else -1),)
         return _unrank(self.graph.n, code // 3 - 1)
@@ -395,7 +396,7 @@ def validate_partial_map(s: PartialMap) -> None:
     vals = list(s.values())
     if len(set(vals)) != len(vals):
         raise MapError("partial map must be injective")
-    if any(a < 0 or v < 0 for a, v in s.items()):
+    if any(type(x) is not int or x < 0 for x in itertools.chain(s, vals)):
         raise MapError("partial map entries must be naturals")
 
 

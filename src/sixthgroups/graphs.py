@@ -3,7 +3,9 @@ for induced embeddability, isomorphism, rigidity and the tree check.
 
 Everything here is deliberately naive: these functions serve as ground
 truth for the group-theoretic machinery, so they must be trivially
-correct.  Vertex counts are expected to stay small (n <= 8 or so).
+correct.  The searches walk every permutation or injection, so they
+finish only on small graphs; the CLI refuses graphs above its --max-n,
+8 vertices by default and at most 64.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import itertools
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .words import InputError, content_lines, parse_natural, read_text
-
-DEFAULT_MAX_N = 8
 
 
 class GraphFormatError(InputError):

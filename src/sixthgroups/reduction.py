@@ -91,7 +91,7 @@ def is_homomorphism(p_t: Presentation, p_s: Presentation, gm: GeneratorMap) -> b
         a nonempty Dehn-reduced word is not 1, so the kernel is trivial.
     """
     if len(gm) != p_t.alphabet_size:
-        raise ValueError("generator map has wrong arity")
+        raise MapError("generator map has wrong arity")
     for root, exp in p_t.roots:
         order = p_s.order(apply_hom(gm, root))
         if order == INFINITE or exp % order:
@@ -208,7 +208,7 @@ def aut_canonical_check(
     is_homomorphism, a witness certifies that gm is an automorphism of G_T.
     """
     if len(gm) != t.n:
-        raise ValueError("generator map has wrong arity")
+        raise MapError("generator map has wrong arity")
     if bound is None:
         bound = default_conj_bound(gm)
     pairs = [((gen(i),), w) for i, w in enumerate(gm)]

@@ -1,6 +1,7 @@
 import io
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -231,8 +232,7 @@ def test_hom_check_mapfile_errors(k2, p3, tmp_path, text):
 
 
 def test_rado_commands(k2, tmp_path):
-    code, out = run("rado-adj", "2", "5")
-    assert code == EXIT_OK and "adjacent: true" in out
+    assert run("rado-adj", "2", "5") == (EXIT_OK, "adjacent: true\n")
     code, out = run("rado-adj", "4", "9")
     assert code == EXIT_NO and "adjacent: false" in out
     p3f = tmp_path / "p3.graph"
@@ -240,6 +240,203 @@ def test_rado_commands(k2, tmp_path):
     code, out = run("rado-embed", str(p3f))
     assert code == EXIT_OK
     assert out.splitlines() == ["0 2", "1 5", "2 13"]
+
+
+def _relator_product():
+    # a product of conjugated relators of K3, longer than every relator,
+    # so Dehn's algorithm resumes its scan after each of many steps
+    r = random.Random(3)
+    rels = ["g0 " * 7, "g0 g1 " * 11, "g1 g2 " * 11, "G2 G0 " * 11]
+    conjugators = r.choices(["g0", "G1", "g2"], k=24)
+    return " ".join(f"{t} {r.choice(rels)}{t.swapcase()}" for t in conjugators)
+
+
+PRODUCT = _relator_product()
+# one linear step and one wrap-around step, which share the budget
+LINEAR_AND_WRAP = "g0 g0 g0 g2 g1 g1 g1 g1 g2 g0"
+# on E3, the first wrap-around candidate, a mixed-sign alternation, is no
+# step; the run g0^4 behind it is, after the linear step g2^4
+BEHIND_A_CANDIDATE = "g0 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 G1 g2 g2 g2 g2 g0 g0"
+FILES = {
+    "K1": "n 1\n",
+    "K2": K2_TEXT,
+    "E2": E2_TEXT,
+    "K3": "n 3\ne 0 1\ne 0 2\ne 1 2\n",
+    "E3": "n 3\n",
+    "P8": "n 8\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 6 7\n",
+    "ID": "0 0\n1 1\n",
+    "SWAP": "1 4\n4 1\n6 21\n",
+}
+# argv with the names of FILES for their paths, the exit code, and the
+# report: all its lines, or (the number of lines, lines it contains)
+CLI_ANSWERS = [
+    pytest.param(
+        ["--conj-bound", "-1", "rado-adj", "2", "5"], EXIT_USAGE, [], id="conj-bound-negative"
+    ),
+    pytest.param(
+        ["--dehn-budget", "1", "wp", "E2", "g0 g0 g0 g0 g1 g1 g1 g1"],
+        EXIT_BUDGET,
+        ["budget-error: Dehn step budget 1 exceeded (needs at least 2) "
+         "on g0 g0 g0 g0 g1 g1 g1 g1 (8 letters)"],
+        id="wp-budget",
+    ),
+    # the extension-witness search: the 8-vertex path ends at 99 523
+    pytest.param(
+        ["rado-embed", "P8"],
+        EXIT_OK,
+        ["0 2", "1 5", "2 13", "3 43", "4 193", "5 1181", "6 9547", "7 99523"],
+        id="rado-embed-p8",
+    ),
+    pytest.param(["rigid", "E2"], EXIT_NO, ["rigid: false"], id="rigid-e2"),
+    # K2 into K3 is an induced embedding; into E2 it sends the edge onto a
+    # non-edge
+    pytest.param(
+        ["hom-check", "K2", "K3", "ID"],
+        EXIT_OK,
+        ["homomorphism: true", "injective-up-to-3: true"],
+        id="hom-check-k3",
+    ),
+    pytest.param(
+        ["hom-check", "K2", "E2", "ID"], EXIT_NO, ["homomorphism: false"], id="hom-check-e2"
+    ),
+    # a letter outside the alphabet at the end of a 40-letter word
+    pytest.param(
+        ["wp", "K2", "g0 g1 " * 19 + "g0 g5"],
+        EXIT_USAGE,
+        ["error: letter g5 is outside the alphabet g0..g1 of size 2"],
+        id="wp-letter-outside",
+    ),
+    pytest.param(
+        ["wp", "K3", PRODUCT], EXIT_OK, ["identity: true", "normal-form: e"], id="wp-product"
+    ),
+    pytest.param(["order", "K3", PRODUCT + " g0"], EXIT_OK, ["order: 7"], id="order-product"),
+    pytest.param(
+        ["--dehn-budget", "1", "order", "K3", PRODUCT + " g0"],
+        EXIT_BUDGET,
+        ["budget-error: Dehn step budget 1 exceeded (needs at least 2) "
+         "on g0 g1 g2 g1 g2 g1 g2 g1 … (498 letters)"],
+        id="order-product-budget",
+    ),
+    # no linear step, but one that wraps round the end of the core turns
+    # it into G1 G0
+    pytest.param(
+        ["order", "K3", "g1 g1 g1 G0 g1 g1 g1"], EXIT_OK, ["order: 11"], id="order-wrap-around"
+    ),
+    pytest.param(
+        ["--dehn-budget", "1", "order", "K3", LINEAR_AND_WRAP],
+        EXIT_BUDGET,
+        ["budget-error: Dehn step budget 1 exceeded (needs at least 2) "
+         "on g0 g0 g0 g2 g1 g1 g1 g1 … (10 letters)"],
+        id="order-linear-and-wrap-budget-1",
+    ),
+    pytest.param(
+        ["--dehn-budget", "2", "order", "K3", LINEAR_AND_WRAP],
+        EXIT_OK,
+        ["order: INFINITE"],
+        id="order-linear-and-wrap-budget-2",
+    ),
+    pytest.param(
+        ["--dehn-budget", "1", "order", "E3", BEHIND_A_CANDIDATE],
+        EXIT_BUDGET,
+        ["budget-error: Dehn step budget 1 exceeded (needs at least 2) "
+         "on g0 g0 G1 g0 G1 g0 G1 g0 … (20 letters)"],
+        id="order-behind-a-candidate-budget-1",
+    ),
+    pytest.param(
+        ["--dehn-budget", "2", "order", "E3", BEHIND_A_CANDIDATE],
+        EXIT_OK,
+        ["order: INFINITE"],
+        id="order-behind-a-candidate-budget-2",
+    ),
+    # 2 relators per vertex and 4 per edge of K3
+    pytest.param(
+        ["relators", "K3"],
+        EXIT_OK,
+        [
+            "seed: g0 g0 g0 g0 g0 g0 g0",
+            "seed: g1 g1 g1 g1 g1 g1 g1",
+            "seed: g2 g2 g2 g2 g2 g2 g2",
+            "seed: g0 g1 g0 g1 g0 g1 g0 g1 g0 g1 g0 g1 g0 g1 g0 g1 g0 g1 g0 g1 g0 g1",
+            "seed: g0 g2 g0 g2 g0 g2 g0 g2 g0 g2 g0 g2 g0 g2 g0 g2 g0 g2 g0 g2 g0 g2",
+            "seed: g1 g2 g1 g2 g1 g2 g1 g2 g1 g2 g1 g2 g1 g2 g1 g2 g1 g2 g1 g2 g1 g2",
+            "symmetrized-size: 18",
+        ],
+        id="relators-k3",
+    ),
+    pytest.param(
+        ["check-c16", "K3"], EXIT_OK, ["c16: true", "max-piece-length: 1"], id="check-c16-k3"
+    ),
+    pytest.param(
+        ["--max-code", "40", "code", "K2"],
+        EXIT_OK,
+        [
+            "0: e", "1: g0", "2: G0", "3: g0 g0", "4: g1", "5: G1", "6: g0 g1",
+            "9: g0 G1", "12: G0 G0", "15: G0 g1", "18: G0 G1", "21: g1 g0", "24: g1 G0",
+            "27: g1 g1", "30: G1 g0", "33: G1 G0", "36: G1 G1", "39: g0 g0 g0",
+        ],
+        id="code-k2",
+    ),
+    # star decodes both codes, cancels where the words meet and codes the
+    # product, also past the table: 7 codes give 49 products and the header
+    pytest.param(
+        ["--max-code", "6", "star-table", "K2"],
+        EXIT_OK,
+        (50, {"1,1,3", "1,2,0", "1,3,39"}),
+        id="star-table-k2-6",
+    ),
+    # 39 is g0 g0 g0 and 12 is G0 G0: cancellation at the junction (39,2),
+    # a double one (12,39), a run of six that Dehn's algorithm folds to G0
+    # (39,39), and a product past the table (39,1 is g0^4 = G0 G0 G0, code
+    # 66)
+    pytest.param(
+        ["--max-code", "40", "star-table", "K2"],
+        EXIT_OK,
+        (1 + 18 * 18, {"39,2,3", "12,39,1", "39,39,2", "39,1,66"}),
+        id="star-table-k2-40",
+    ),
+    # one vertex gives Z/7, the finite branch of the coding: its 7 elements
+    # are all the codes there are, and 49 products
+    pytest.param(
+        ["--max-code", "40", "code", "K1"],
+        EXIT_OK,
+        ["0: e", "1: g0", "2: G0", "3: g0 g0", "6: G0 G0", "9: g0 g0 g0", "12: G0 G0 G0"],
+        id="code-k1",
+    ),
+    pytest.param(
+        ["--max-code", "12", "star-table", "K1"],
+        EXIT_OK,
+        (50, {"9,9,2", "12,12,1"}),
+        id="star-table-k1",
+    ),
+    # the swap of K2 extends to the map v0 -> v1, v1 -> v0, g0 g1 -> g1 g0
+    pytest.param(
+        ["aut-extend", "K2", "SWAP"],
+        EXIT_OK,
+        [
+            "extends: true",
+            "conj-bound: 0",
+            "witness-r: {0: 1, 1: 0}",
+            "witness-k: 0",
+            "witness-k-inverse: 0",
+            "witness-l: 0",
+        ],
+        id="aut-extend-swap",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, report", CLI_ANSWERS)
+def test_cli_answers(tmp_path, argv, code, report):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    got, out = run(*(str(tmp_path / a) if a in FILES else a for a in argv))
+    assert got == code, out
+    if isinstance(report, list):
+        assert out == "".join(line + "\n" for line in report)
+    else:
+        count, lines = report
+        assert len(out.splitlines()) == count
+        assert lines <= set(out.splitlines())
 
 
 def test_runs_without_numpy():
@@ -279,27 +476,35 @@ def test_closed_stdout_pipe_exits_quietly(k2):
     assert proc.returncode == EXIT_PIPE == 141
 
 
+_GROUP_MODULES = {"graphs", "words", "presentation", "reduction"}
+
+
 @pytest.mark.parametrize(
-    "argv, code, unused",
+    "argv, code, modules",
     [
-        (["rado-adj", "2", "5"], EXIT_OK, {"presentation", "reduction", "coding"}),
-        (["rigid", "K2"], EXIT_NO, {"presentation", "reduction", "coding", "randomgraph"}),
-        (["wp", "K2", "g0 g1 G0 G1"], EXIT_OK, {"coding", "randomgraph"}),
-        (["hom-check", "K2", "K2", "MAP"], EXIT_OK, {"coding", "randomgraph"}),
+        (None, None, {"graphs", "words"}),
+        (["rado-adj", "2", "5"], EXIT_OK, {"cli", "graphs", "words", "randomgraph"}),
+        (["rigid", "K2"], EXIT_NO, {"cli", "graphs", "words"}),
+        (["wp", "K2", "g0 g1 G0 G1"], EXIT_OK, {"cli", *_GROUP_MODULES}),
+        (["hom-check", "K2", "K2", "MAP"], EXIT_OK, {"cli", *_GROUP_MODULES}),
     ],
-    ids=["rado-adj", "rigid", "wp", "hom-check"],
+    ids=["import", "rado-adj", "rigid", "wp", "hom-check"],
 )
-def test_subcommands_import_only_what_they_run(argv, code, unused, k2, tmp_path):
-    # In a fresh interpreter: the modules that importing the CLI and running
-    # one subcommand add to those loaded before, whatever site preloads.
+def test_subcommands_import_only_what_they_run(argv, code, modules, k2, tmp_path):
+    # In a fresh interpreter: the modules that importing the package, or
+    # importing the CLI and running one subcommand, add to those loaded
+    # before, whatever site preloads.
     mapfile = tmp_path / "id.map"
     mapfile.write_text("0 0\n1 1\n")
-    argv = [{"K2": k2, "MAP": str(mapfile)}.get(a, a) for a in argv]
+    if argv is None:
+        call = "import sixthgroups\ncode = None\n"
+    else:
+        argv = [{"K2": k2, "MAP": str(mapfile)}.get(a, a) for a in argv]
+        call = f"from sixthgroups import cli\ncode = cli.main({argv!r}, stdout=io.StringIO())\n"
     script = (
         "import io, sys\n"
         "before = set(sys.modules)\n"
-        "from sixthgroups import cli\n"
-        f"code = cli.main({argv!r}, stdout=io.StringIO())\n"
+        f"{call}"
         "print(code, *sorted(set(sys.modules) - before))\n"
     )
     src = os.path.dirname(os.path.dirname(sixthgroups.__file__))
@@ -312,10 +517,9 @@ def test_subcommands_import_only_what_they_run(argv, code, unused, k2, tmp_path)
     )
     assert proc.returncode == 0, proc.stderr
     got, *loaded = proc.stdout.split()
-    assert int(got) == code
-    assert "sixthgroups.cli" in loaded
-    assert "dataclasses" not in loaded
-    assert not {f"sixthgroups.{m}" for m in unused} & set(loaded), loaded
+    assert got == str(code)
+    assert "sixthgroups" in loaded and "dataclasses" not in loaded
+    assert {m[len("sixthgroups."):] for m in loaded if m.startswith("sixthgroups.")} == modules
 
 
 def test_rigid_and_tree(k2, p3):

@@ -28,6 +28,7 @@ from sixthgroups.presentation import AlphabetError, Presentation, relator_seeds
 from sixthgroups.reduction import apply_hom, induced_hom, reduced_words
 from sixthgroups.words import (
     EMPTY,
+    MapError,
     Word,
     concat,
     gen,
@@ -138,6 +139,15 @@ def test_word_of_unassigned_raises():
     ct = CodingTable(K1)
     with pytest.raises(KeyError):
         ct.word_of(4)
+    # a code that is not an int is assigned to nothing, also where the
+    # table holds the int it equals
+    fresh, enumerated = CodingTable(K2), CodingTable(K2)
+    enumerated.enumerate_to(12)
+    for ct in (fresh, enumerated):
+        for code in (1.5, 4.0, True):
+            assert not ct.registrable(code)
+            with pytest.raises(KeyError):
+                ct.word_of(code)
 
 
 def test_budget_errors():
@@ -197,6 +207,13 @@ def test_sigma_rejects_unregistrable():
     ok, _ = sigma_ns_nonempty(ct, {1: 4}, 0)
     assert not ok
     assert not oracle_aut_extends(ct, {1: 4}, 0)
+    # an entry that is not an int is no natural, on either side of the map
+    for ct, code in itertools.product((ct, CodingTable(K2)), (1.5, 4.0, True)):
+        for s in ({1: code}, {code: 1}):
+            with pytest.raises(MapError, match="naturals"):
+                sigma_ns_nonempty(ct, s, 0)
+            with pytest.raises(MapError, match="naturals"):
+                oracle_aut_extends(ct, s, 0)
 
 
 def test_sigma_composite_and_inverse_codes_constrain():

@@ -377,8 +377,10 @@ def test_complete_graph_needs_no_automorphism_list(n):
 
 def test_aut_canonical_check_arity():
     for gm in (((1,), (2,), (1,)), ((1,),)):
-        with pytest.raises(ValueError, match="wrong arity"):
+        with pytest.raises(MapError, match="wrong arity"):
             aut_canonical_check(K2, gm)
+        with pytest.raises(MapError, match="wrong arity"):
+            is_homomorphism(P_K2, P_K2, gm)
 
 
 def test_deciders_reject_a_negative_bound():
