@@ -23,9 +23,11 @@ counts built once per generator count.  ``_code`` codes a stable word by
 one walk of the automaton, one stored transition per letter, and
 ``_unrank`` runs the walk in reverse.  The automaton of each generator
 count is shared by every table and learns a transition when a walk
-first takes it, up to MAX_TRANSITIONS.  A CodingTable's one memo,
-code to word, holds exactly the largest table ``enumerate_to`` has
-returned, and no lookup writes to it: it changes speed, never answers.
+first takes it, up to MAX_TRANSITIONS.  A CodingTable's one memo is
+indexed by rank: the list of stable words ``enumerate_to`` built for the
+largest table it has returned, the identity in front, so index k holds
+the word of code 3k.  No lookup writes to it: it changes speed, never
+answers.
 A word or code whose representative would be longer than MAX_REP_LEN
 letters is a budget error, never a wrong answer.
 """
@@ -49,6 +51,7 @@ from .reduction import (
 from .words import (
     EMPTY,
     BudgetError,
+    InputError,
     MapError,
     Word,
     gen,
@@ -262,13 +265,17 @@ class CodingTable:
     """The coding of G_T: a word's code by one walk of the stable-word
     automaton, a code's word by unrank, and a memo of the second.
 
-    ``code_to_word`` holds the largest table ``enumerate_to`` has
+    ``code_to_word`` is a list indexed by rank: index k holds the word of
+    code 3k, so index 0 the identity and index r + 1 the stable word of
+    rank r.  It holds the composites of the largest table ``enumerate_to`` has
     returned (at first the identity alone), and only ``enumerate_to``
-    writes it: tables are prefixes of one another, so a longer one
-    replaces the memo wholesale.  ``word_of`` reads it and otherwise
-    computes, never stores.  ``code_of`` needs no memo: it walks a stable
-    word of at most MAX_REP_LEN int letters straight to its code and
-    Dehn-reduces any other word first.
+    writes it: tables are prefixes of one another, so one with more
+    composites hands the memo the word list it was built from.
+    ``word_of`` reads a generator's word from a tuple indexed by code and
+    a multiple of 3 from the memo, and otherwise unranks, never stores.
+    ``code_of`` needs no memo: it walks a stable word of at most
+    MAX_REP_LEN int letters straight to its code and Dehn-reduces any
+    other word first.
     """
 
     def __init__(self, graph: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET):
@@ -280,7 +287,13 @@ class CodingTable:
         # no stable word longer than MAX_REP_LEN: the group has no element
         # beyond the reach of the coding (one vertex gives Z/7)
         self._finite = completions[MAX_REP_LEN + 1][0] == 0
-        self.code_to_word: Dict[int, Word] = {0: EMPTY}
+        # the generator words by code: slot 3i + 1 holds v_i, 3i + 2 its
+        # inverse, and word_of never reads the multiples of 3
+        singles: List[Optional[Word]] = [None] * (3 * graph.n)
+        for c in self._letters:
+            singles[_letter_code(c)] = (c,)
+        self._singles = tuple(singles)
+        self.code_to_word: List[Word] = [EMPTY]
 
     def _reach_error(self, code: int) -> CodingBudgetError:
         """In an infinite group, a composite code past the last
@@ -321,14 +334,13 @@ class CodingTable:
         return _code(self._auto, nf)
 
     def word_of(self, code: int) -> Word:
-        if type(code) is int:  # 4.0 and True would find the words of 4 and 1
-            w = self.code_to_word.get(code)  # code 0 is always there
-            if w is not None:
-                return w
+        if type(code) is int and code >= 0:  # 4.0 and True never hit
+            try:
+                return self._singles[code] if code % 3 else self.code_to_word[code // 3]
+            except IndexError:  # past the generators or past the memo
+                pass
         if not self.registrable(code):
             raise KeyError(f"code {code!r} is not assigned for this graph")
-        if code % 3:
-            return (gen((code - 1) // 3, 1 if code % 3 == 1 else -1),)
         return _unrank(self.graph.n, code // 3 - 1)
 
     def star(self, n: int, m: int) -> int:
@@ -353,13 +365,15 @@ class CodingTable:
 
         The table is laid out in code order, never sorted: composite
         3(i + 1) follows v_i and v_i^{-1} for i < n, and the composites
-        past 3n take the rest of ``_stable_words`` in turn.  A table
-        longer than the memo replaces it.
+        past 3n take the rest of ``_stable_words`` in turn.  A table with
+        more composites than the memo holds gives the memo its words.
         """
+        if type(max_code) is not int:
+            raise InputError(f"table bound {max_code!r} is not an int")
         if max_code < 0:
             return []
         n = self.graph.n
-        singles = [(_letter_code(c), (c,)) for c in self._letters if _letter_code(c) <= max_code]
+        singles = [(c, w) for c, w in enumerate(self._singles[: max_code + 1]) if c % 3]
         composites = max_code // 3
         if self._finite:
             composites = min(composites, self._reach)
@@ -382,8 +396,9 @@ class CodingTable:
         table += singles[2 * head :]
         rest = range(3 * (head + 1), 3 * composites + 1, 3)
         table += zip(rest, itertools.islice(words, head, None))
-        if len(table) > len(self.code_to_word):
-            self.code_to_word = dict(table)
+        if composites >= len(self.code_to_word):
+            words.insert(0, EMPTY)
+            self.code_to_word = words
         return table
 
 

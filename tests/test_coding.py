@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from typing import Iterator, List
@@ -28,6 +29,7 @@ from sixthgroups.presentation import AlphabetError, Presentation, relator_seeds
 from sixthgroups.reduction import apply_hom, induced_hom, reduced_words
 from sixthgroups.words import (
     EMPTY,
+    InputError,
     MapError,
     Word,
     concat,
@@ -148,6 +150,40 @@ def test_word_of_unassigned_raises():
             assert not ct.registrable(code)
             with pytest.raises(KeyError):
                 ct.word_of(code)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_enumerated_word_of_matches_a_fresh_table_at_every_cut(n):
+    # every int from -3 to 5 past the cut, the gap codes above 3n that are
+    # not multiples of 3 included: the memo of the cut's table gives the
+    # word a fresh table unranks, or the same error
+    t = graph(n, [(0, 1)] if n > 1 else [])
+    fresh = CodingTable(t)
+
+    def outcome(ct, code):
+        try:
+            return ct.word_of(code)
+        except (KeyError, CodingBudgetError) as e:
+            return type(e)
+
+    for max_code in [*range(3 * n + 10), 3000]:
+        enumerated = CodingTable(t)
+        enumerated.enumerate_to(max_code)
+        for code in range(-3, max_code + 6):
+            want = outcome(fresh, code)
+            assert outcome(enumerated, code) == want, (max_code, code)
+        for code in (1.0, 4.0, True, None):
+            for ct in (fresh, enumerated):
+                with pytest.raises(KeyError):
+                    ct.word_of(code)
+
+
+@pytest.mark.parametrize("bound", [True, 4.5, 7.0, "5", None])
+def test_enumerate_to_refuses_a_bound_that_is_no_int(bound):
+    ct = CodingTable(K2)
+    with pytest.raises(InputError, match=re.escape(repr(bound))):
+        ct.enumerate_to(bound)
+    assert ct.code_to_word == [EMPTY]
 
 
 def test_budget_errors():
@@ -427,11 +463,22 @@ def test_stable_words_match_the_oracle_at_every_length_boundary(n):
         assert _stable_words(letters, count) == oracle[:count], count
 
 
+def _memo_table(ct: CodingTable, max_code: int) -> dict:
+    """The code -> word mapping the memo stands for: index k of the memo
+    holds code 3k, and the generator codes up to max_code add their words."""
+    table = {3 * k: w for k, w in enumerate(ct.code_to_word)}
+    for i in range(ct.graph.n):
+        for code, sign in ((3 * i + 1, 1), (3 * i + 2, -1)):
+            if code <= max_code:
+                table[code] = (gen(i, sign),)
+    return table
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_enumerate_to_every_small_cut_matches_word_of(n):
     # every cut from the identity to 3n + 9 code by code, including those
     # between v_i and v_i^{-1}: the table in code order, as word_of gives
-    # each code, and the memo holding exactly the table
+    # each code, and the memo holding exactly the table's composites
     t = graph(n, [(0, 1)] if n > 1 else [])
     unrank = CodingTable(t)
     for max_code in range(3 * n + 10):
@@ -439,7 +486,7 @@ def test_enumerate_to_every_small_cut_matches_word_of(n):
         table = ct.enumerate_to(max_code)
         want = [(c, unrank.word_of(c)) for c in range(max_code + 1) if unrank.registrable(c)]
         assert table == want, max_code
-        assert ct.code_to_word == dict(want)
+        assert _memo_table(ct, max_code) == dict(want), max_code
 
 
 @pytest.mark.parametrize("n", [5, 8])
@@ -689,8 +736,9 @@ def test_memos_are_bounded():
         t = graph(n, [(0, 1)] if n > 1 else [])
         oracle = _oracle_table(n, 3000)
         ct = CodingTable(t)
-        ct.enumerate_to(enumerated)
-        memo = dict(ct.code_to_word)
+        table = ct.enumerate_to(enumerated)
+        assert _memo_table(ct, enumerated) == dict(table)
+        memo = list(ct.code_to_word)
         codes = random.Random(5).sample(sorted(oracle), min(200, len(oracle)))
         for c in codes:
             assert ct.word_of(c) == oracle[c]
@@ -708,7 +756,7 @@ def test_the_longest_table_fills_the_memos():
         ct = CodingTable(P3)
         tables = {m: ct.enumerate_to(m) for m in order}
         assert tables[30] == tables[300][: len(tables[30])]
-        assert ct.code_to_word == dict(tables[300])
+        assert _memo_table(ct, 300) == dict(tables[300])
 
 
 def test_codes_beyond_reach():
@@ -740,7 +788,7 @@ def test_enumerate_to_checks_size_first():
     assert time.perf_counter() - start < 0.1
     # the identity, six generator codes and every multiple of 3 up to 10^12
     assert (err.value.budget, err.value.used) == (MAX_ELEMENTS, 7 + 10**12 // 3)
-    assert len(ct.code_to_word) == 1
+    assert ct.code_to_word == [EMPTY]
 
 
 def test_coding_budget_error_fields_and_message():
