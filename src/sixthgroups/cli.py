@@ -5,6 +5,7 @@ parse error, 3 budget exceeded, 4 internal error (a bug, never an
 answer), 141 (128 + SIGPIPE) the reader closed stdout before the report
 ended.  Reports are line oriented `key: value`.
 
+`COMMANDS` is the one list of subcommands, with the operands each takes.
 Each subcommand imports the engine modules it runs when it runs: start-up
 is most of a call's time, and every imported module is compiled unless
 its bytecode is cached.
@@ -13,9 +14,9 @@ its bytecode is cached.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
+from functools import partial
 
 from . import graphs
 from .words import (
@@ -204,7 +205,11 @@ def _cmd_hom_check(args, out):
 def _cmd_rado_adj(args, out):
     from . import randomgraph
 
-    return _verdict(out, "adjacent", randomgraph.adjacent(args.m, args.n))
+    try:
+        m, n = int(args.m), int(args.n)
+    except ValueError:
+        raise InputError("the vertices of rado-adj are integers") from None
+    return _verdict(out, "adjacent", randomgraph.adjacent(m, n))
 
 
 def _cmd_rado_embed(args, out):
@@ -240,68 +245,62 @@ def _at_least(low: int, high: int | None = None):
     return integer
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's handler and operands; parse_args sets each operand on
+# the namespace under its name, where the handler reads it.
+COMMANDS = {
+    "relators": (_cmd_relators, "graph"),
+    "check-c16": (_cmd_check_c16, "graph"),
+    "wp": (_cmd_wp, "graph word"),
+    "order": (_cmd_order, "graph word"),
+    "code": (_cmd_code, "graph"),
+    "star-table": (_cmd_star_table, "graph"),
+    "aut-extend": (_cmd_aut_extend, "graph partialmap"),
+    "embed-graph": (partial(_cmd_vertex_map, "embeds", graphs.induced_embeds), "graph_t graph_s"),
+    "graph-iso": (partial(_cmd_vertex_map, "isomorphic", graphs.graph_iso), "graph_t graph_s"),
+    "hom-check": (_cmd_hom_check, "graph_t graph_s mapfile"),
+    "rado-adj": (_cmd_rado_adj, "m n"),
+    "rado-embed": (_cmd_rado_embed, "graph"),
+    "rigid": (_cmd_rigid, "graph"),
+    "tree": (_cmd_tree, "graph"),
+}
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The flags, command and operands of one call.  Flags may come before,
+    between or after the operands; a usage error raises SystemExit."""
     parser = argparse.ArgumentParser(
         prog="sixthgroups",
         description="small-cancellation graph-group computations",
+        epilog="subcommands:\n"
+        + "\n".join(f"  {name} {ops.upper()}" for name, (_, ops) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    def add_flags(p, top):
-        # flags are accepted before or after the subcommand; subparser
-        # defaults are suppressed so they never clobber a value already
-        # parsed by the main parser
-        def default(value):
-            return value if top else argparse.SUPPRESS
-
-        p.add_argument("--max-code", type=_at_least(1), default=default(500))
-        p.add_argument("--conj-bound", type=_at_least(0), default=default(None))
-        p.add_argument(
-            "--dehn-budget", type=_at_least(1), default=default(DEFAULT_DEHN_BUDGET)
-        )
-        p.add_argument(
-            "--max-n", type=_at_least(1, MAX_N_LIMIT), default=default(DEFAULT_MAX_N)
-        )
-
-    add_flags(parser, top=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, fn, *specs):
-        p = sub.add_parser(name)
-        add_flags(p, top=False)
-        for spec in specs:
-            p.add_argument(**spec)
-        p.set_defaults(fn=fn)
-        return p
-
-    g = dict(dest="graph")
-    cmd("relators", _cmd_relators, g)
-    cmd("check-c16", _cmd_check_c16, g)
-    cmd("wp", _cmd_wp, g, dict(dest="word"))
-    cmd("order", _cmd_order, g, dict(dest="word"))
-    cmd("code", _cmd_code, g)
-    cmd("star-table", _cmd_star_table, g)
-    p_aut = cmd("aut-extend", _cmd_aut_extend, g, dict(dest="partialmap"))
-    p_aut.add_argument("--oracle", action="store_true")
-    ts = (dict(dest="graph_t"), dict(dest="graph_s"))
-    cmd("embed-graph", functools.partial(_cmd_vertex_map, "embeds", graphs.induced_embeds), *ts)
-    cmd("graph-iso", functools.partial(_cmd_vertex_map, "isomorphic", graphs.graph_iso), *ts)
-    cmd("hom-check", _cmd_hom_check, *ts, dict(dest="mapfile"))
-    cmd("rado-adj", _cmd_rado_adj, dict(dest="m", type=int), dict(dest="n", type=int))
-    cmd("rado-embed", _cmd_rado_embed, g)
-    cmd("rigid", _cmd_rigid, g)
-    cmd("tree", _cmd_tree, g)
-    return parser
+    parser.add_argument("--max-code", type=_at_least(1), default=500)
+    parser.add_argument("--conj-bound", type=_at_least(0))
+    parser.add_argument("--dehn-budget", type=_at_least(1), default=DEFAULT_DEHN_BUDGET)
+    parser.add_argument("--max-n", type=_at_least(1, MAX_N_LIMIT), default=DEFAULT_MAX_N)
+    parser.add_argument("--oracle", action="store_true", help="aut-extend only")
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help="one listed below")
+    parser.add_argument("operands", nargs="*")
+    args = parser.parse_intermixed_args(argv)
+    names = COMMANDS[args.command][1].split()
+    if len(args.operands) != len(names):
+        parser.error(f"{args.command} takes the operands {' '.join(names).upper()}")
+    if args.oracle and args.command != "aut-extend":
+        parser.error("--oracle goes only with aut-extend")
+    vars(args).update(zip(names, args.operands))
+    return args
 
 
 def main(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-    out = functools.partial(print, file=stdout)
-    parser = build_parser()
+    out = partial(print, file=stdout)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args, out)
+        return COMMANDS[args.command][0](args, out)
     except BrokenPipeError:
         # Nothing more can be reported.  Point stdout at the null device so
         # that the flush at exit does not raise again.

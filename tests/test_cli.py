@@ -1,3 +1,4 @@
+import argparse
 import io
 import itertools
 import os
@@ -19,8 +20,8 @@ from sixthgroups.cli import (
     EXIT_PIPE,
     EXIT_USAGE,
     MAX_N_LIMIT,
-    build_parser,
     main,
+    parse_args,
     read_map,
 )
 from sixthgroups.words import BudgetError, InputError, MapError, WordFormatError, power
@@ -73,7 +74,7 @@ def test_max_n_is_bounded(k2, monkeypatch):
     assert MAX_N_LIMIT == 64
     assert run("--max-n", "65", "rigid", k2) == (EXIT_USAGE, "")
     for argv in (["--max-n", "64", "rigid", k2], ["rigid", "--max-n=64", k2]):
-        assert build_parser().parse_args(argv).max_n == 64
+        assert parse_args(argv).max_n == 64
 
 
 def test_relators(k2):
@@ -577,6 +578,99 @@ def test_usage_errors(k2, tmp_path):
     big.write_text("n 9\n")
     code, out = run("wp", str(big), "g0")
     assert code == EXIT_USAGE and "max-n" in out
+
+
+# one small valid call of each subcommand, with the names of CALL_FILES
+# for their paths
+CALL_FILES = {"K2": K2_TEXT, "P3": P3_TEXT, "ID": "0 0\n1 1\n", "SWAP": "1 4\n4 1\n"}
+CALLS = {
+    "relators": ["K2"],
+    "check-c16": ["K2"],
+    "wp": ["K2", "g0 g1"],
+    "order": ["K2", "g0 g1"],
+    "code": ["K2"],
+    "star-table": ["K2"],
+    "aut-extend": ["K2", "SWAP"],
+    "embed-graph": ["K2", "P3"],
+    "graph-iso": ["K2", "P3"],
+    "hom-check": ["K2", "P3", "ID"],
+    "rado-adj": ["2", "5"],
+    "rado-embed": ["P3"],
+    "rigid": ["K2"],
+    "tree": ["P3"],
+}
+
+
+def _call(tmp_path, command):
+    for name, text in CALL_FILES.items():
+        (tmp_path / name).write_text(text)
+    return [command, *(str(tmp_path / a) if a in CALL_FILES else a for a in CALLS[command])]
+
+
+@pytest.mark.parametrize("command", CALLS)
+def test_flags_anywhere(tmp_path, command):
+    # before the subcommand, between two operands (or the subcommand and
+    # its one operand), after the last operand, and as --flag=value
+    argv = _call(tmp_path, command)
+    flags = [("--max-n", "8")]
+    if command in ("code", "star-table"):
+        flags.append(("--max-code", "12"))
+    split = [a for pair in flags for a in pair]
+    joined = [f"{flag}={value}" for flag, value in flags]
+    k = 1 + (len(argv) - 1) // 2
+    answers = [
+        run(*split, *argv),
+        run(*argv[:k], *split, *argv[k:]),
+        run(*argv, *split),
+        run(*argv[:k], *joined, *argv[k:]),
+    ]
+    assert answers[0][0] in (EXIT_OK, EXIT_NO) and answers[0][1]
+    assert answers == [answers[0]] * 4
+    if len(flags) > 1:
+        # --max-code took effect: the default 500 lists more
+        assert run(*argv) != answers[0]
+
+
+@pytest.mark.parametrize("command", CALLS)
+def test_parse_failures_are_usage_errors(tmp_path, command):
+    # one operand too few or too many, --oracle on another subcommand, and
+    # an unknown flag, each wherever it stands
+    argv = _call(tmp_path, command)
+    bad = [argv[:-1], argv + argv[-1:], argv + ["--bogus"], ["--bogus"] + argv]
+    if command != "aut-extend":
+        bad += [argv + ["--oracle"], ["--oracle"] + argv]
+    for call in bad:
+        assert run(*call) == (EXIT_USAGE, ""), call
+
+
+def test_usage_and_help(k2, capsys):
+    assert run() == (EXIT_USAGE, "")
+    assert run("no-such-command", k2) == (EXIT_USAGE, "")
+    for argv in (["-h"], ["-h", "rigid", k2], ["rigid", k2, "-h"], ["wp", "-h"]):
+        assert run(*argv) == (EXIT_OK, "")
+        # the help lists each subcommand with its operands
+        help_text = capsys.readouterr().out
+        assert "  hom-check GRAPH_T GRAPH_S MAPFILE\n" in help_text
+        assert all(f"\n  {command} " in help_text for command in CALLS)
+    # rado-adj converts its own operands: a vertex int() does not take
+    for vertex in ("x", "9" * 5000):
+        code, out = run("rado-adj", "2", vertex)
+        assert code == EXIT_USAGE
+        assert out == "error: the vertices of rado-adj are integers\n"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_one_parser_per_call(k2, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run("--max-n", "8", "rigid", k2, "--dehn-budget=5") == (EXIT_NO, "rigid: false\n")
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
