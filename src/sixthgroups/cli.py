@@ -21,6 +21,7 @@ from functools import partial
 from . import graphs
 from .words import (
     DEFAULT_DEHN_BUDGET,
+    MAX_ALPHABET_SIZE,
     BudgetError,
     InputError,
     MapError,
@@ -38,12 +39,11 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE = 128 + 13  # SIGPIPE, as a shell reports a process it killed
 
-# The default and the largest --max-n.  A presentation is built in closed
-# form, but the graph searches of rigid, graph-iso, embed-graph and
-# aut-extend walk every permutation or injection with no budget of their
-# own.
-DEFAULT_MAX_N = 8
-MAX_N_LIMIT = 64
+# The most vertices a graph operand may have: MAX_ALPHABET_SIZE, and
+# WALK_CAP for the WALKS, which try every permutation or injection with
+# no budget.
+WALK_CAP = 8
+WALKS = {"rigid", "graph-iso", "embed-graph", "aut-extend"}
 
 
 class OracleDisagreement(RuntimeError):
@@ -52,9 +52,10 @@ class OracleDisagreement(RuntimeError):
 
 def _load_graph(args, path: str) -> graphs.Graph:
     g = graphs.load_graph(path)
-    if g.n > args.max_n:
+    cap = WALK_CAP if args.command in WALKS else MAX_ALPHABET_SIZE
+    if g.n > cap:
         raise graphs.GraphFormatError(
-            f"graph has {g.n} vertices, above --max-n {args.max_n}"
+            f"graph has {g.n} vertices; {args.command} takes at most {cap}"
         )
     return g
 
@@ -230,16 +231,13 @@ def _cmd_tree(args, out):
     return _verdict(out, "tree", graphs.is_combinatorial_tree(_load_graph(args, args.graph)))
 
 
-def _at_least(low: int, high: int | None = None):
-    """An argparse type: an integer of at least low, and at most high if
-    high is given."""
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, not {value}")
         return value
 
     return integer
@@ -278,7 +276,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--max-code", type=_at_least(1), default=500)
     parser.add_argument("--conj-bound", type=_at_least(0))
     parser.add_argument("--dehn-budget", type=_at_least(1), default=DEFAULT_DEHN_BUDGET)
-    parser.add_argument("--max-n", type=_at_least(1, MAX_N_LIMIT), default=DEFAULT_MAX_N)
     parser.add_argument("--oracle", action="store_true", help="aut-extend only")
     parser.add_argument("command", choices=COMMANDS, metavar="command", help="one listed below")
     parser.add_argument("operands", nargs="*")

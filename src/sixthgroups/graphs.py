@@ -4,8 +4,9 @@ for induced embeddability, isomorphism, rigidity and the tree check.
 Everything here is deliberately naive: these functions serve as ground
 truth for the group-theoretic machinery, so they must be trivially
 correct.  The searches walk every permutation or injection, so they
-finish only on small graphs; the CLI refuses graphs above its --max-n,
-8 vertices by default and at most 64.
+finish only on small graphs: the CLI hands them at most 8 vertices
+(``cli.WALK_CAP``), and its other subcommands at most 127
+(``words.MAX_ALPHABET_SIZE``).
 """
 
 from __future__ import annotations

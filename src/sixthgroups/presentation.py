@@ -29,6 +29,7 @@ from .graphs import Graph
 from .words import (
     DEFAULT_DEHN_BUDGET,
     EMPTY,
+    MAX_ALPHABET_SIZE,
     BudgetError,
     InputError,
     Letter,
@@ -48,9 +49,6 @@ GENERATOR_ORDER = 7
 EDGE_ORDER = 11
 NONEDGE_ORDER = 13
 LONGEST_RELATOR = 2 * NONEDGE_ORDER
-
-# Dehn's algorithm keeps a word as one signed byte per letter.
-MAX_ALPHABET_SIZE = 127
 
 # Where a Dehn step may start: a run of 4 to 7 equal letters, or an
 # alternation a b a b ... of 12 to 27 letters, one past the longest step.

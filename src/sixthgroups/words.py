@@ -16,9 +16,11 @@ Word = Tuple[int, ...]
 
 EMPTY: Word = ()
 
-# The step budget of Dehn's algorithm (``presentation``), kept here so the
-# CLI can default its flag without loading the presentation layer.
+# The step budget of Dehn's algorithm (``presentation``) and its largest
+# alphabet, one signed byte per letter; kept here so the CLI can use them
+# without loading the presentation layer.
 DEFAULT_DEHN_BUDGET = 10_000
+MAX_ALPHABET_SIZE = 127
 
 
 class BudgetError(RuntimeError):

@@ -3,6 +3,7 @@ import io
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -19,9 +20,7 @@ from sixthgroups.cli import (
     EXIT_OK,
     EXIT_PIPE,
     EXIT_USAGE,
-    MAX_N_LIMIT,
     main,
-    parse_args,
     read_map,
 )
 from sixthgroups.words import BudgetError, InputError, MapError, WordFormatError, power
@@ -51,9 +50,7 @@ def p3(tmp_path):
     return str(p)
 
 
-@pytest.mark.parametrize(
-    "flag", ["--max-code=0", "--dehn-budget=-1", "--max-n=0", "--max-n=65", "--conj-bound=-1"]
-)
+@pytest.mark.parametrize("flag", ["--max-code=0", "--dehn-budget=-1", "--conj-bound=-1"])
 def test_flags_out_of_range_are_usage_errors(k2, tmp_path, flag):
     # a negative --conj-bound leaves no conjugator to try, which must not
     # read as an answer
@@ -61,20 +58,6 @@ def test_flags_out_of_range_are_usage_errors(k2, tmp_path, flag):
     mapfile.write_text("1 1\n")
     for argv in ([flag, "aut-extend", k2, str(mapfile)], ["aut-extend", flag, k2, str(mapfile)]):
         assert run(*argv) == (EXIT_USAGE, "")
-
-
-def test_max_n_is_bounded(k2, monkeypatch):
-    # the graph searches walk every permutation or injection with no budget
-    # of their own, so a --max-n past the limit is refused before any graph
-    # is read
-    def refuse(*args):
-        raise AssertionError("a graph was loaded")
-
-    monkeypatch.setattr(graphs, "load_graph", refuse)
-    assert MAX_N_LIMIT == 64
-    assert run("--max-n", "65", "rigid", k2) == (EXIT_USAGE, "")
-    for argv in (["--max-n", "64", "rigid", k2], ["rigid", "--max-n=64", k2]):
-        assert parse_args(argv).max_n == 64
 
 
 def test_relators(k2):
@@ -574,10 +557,17 @@ def test_usage_errors(k2, tmp_path):
     assert code == EXIT_USAGE
     code, out = run("wp", str(tmp_path / "missing.graph"), "g0")
     assert code == EXIT_USAGE
+    # 9 vertices are in reach of Dehn's algorithm with no flag, and no
+    # flag lifts the cap of 127
     big = tmp_path / "big.graph"
     big.write_text("n 9\n")
-    code, out = run("wp", str(big), "g0")
-    assert code == EXIT_USAGE and "max-n" in out
+    assert run("wp", str(big), "g8 g0") == (EXIT_OK, "identity: false\nnormal-form: g8 g0\n")
+    big.write_text("n 128\n")
+    assert run("wp", str(big), "g0") == (
+        EXIT_USAGE,
+        "error: graph has 128 vertices; wp takes at most 127\n",
+    )
+    assert run("--max-n", "128", "wp", str(big), "g0") == (EXIT_USAGE, "")
 
 
 # one small valid call of each subcommand, with the names of CALL_FILES
@@ -607,12 +597,95 @@ def _call(tmp_path, command):
     return [command, *(str(tmp_path / a) if a in CALL_FILES else a for a in CALLS[command])]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a graph above its cap reached the engine")
+
+
+@pytest.mark.parametrize("command", [c for c in CALLS if c != "rado-adj"])
+def test_graphs_above_their_cap_are_refused(tmp_path, monkeypatch, command):
+    # every graph above 127 vertices, and above 8 for the four subcommands
+    # that walk every permutation or injection, is refused before the
+    # engine sees it.  embed-graph's handler holds induced_embeds itself,
+    # so permutations, where every walk starts, is stubbed too.
+    for module, name in [
+        (graphs, "is_rigid"),
+        (graphs, "graph_iso"),
+        (graphs, "induced_embeds"),
+        (reduction, "automorphisms_extending"),
+        (itertools, "permutations"),
+        (graphs, "is_combinatorial_tree"),
+        (reduction, "relators_from_graph"),
+        (coding, "CodingTable"),
+        (randomgraph, "embed_graph"),
+    ]:
+        monkeypatch.setattr(module, name, _refuse)
+    argv = _call(tmp_path, command)
+    walks = command in ("rigid", "graph-iso", "embed-graph", "aut-extend")
+    cap = 8 if walks else 127
+    big = tmp_path / "big.graph"
+    for n in (9, 128) if walks else (128,):
+        big.write_text(f"n {n}\n")
+        # the large graph in each graph operand's place in turn
+        for i in [i for i, a in enumerate(argv) if a.endswith(("K2", "P3"))]:
+            assert run(*argv[:i], str(big), *argv[i + 1 :]) == (
+                EXIT_USAGE,
+                f"error: graph has {n} vertices; {command} takes at most {cap}\n",
+            )
+
+
+def test_graph_subcommands_answer_on_127_vertices(tmp_path):
+    # G(127, 1/2), with the empty graph for rado-embed, whose images on
+    # denser graphs outgrow the prime budget, and the path for tree.  The
+    # nine calls took 1.5 s in all on 2 vCPUs.
+    n = 127
+    rng = random.Random(2)
+    g = graphs.graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+    files = {
+        "G": graphs.format_graph(g),
+        "E": f"n {n}\n",
+        "P": graphs.format_graph(graphs.graph(n, [(i, i + 1) for i in range(n - 1)])),
+        "ID": "".join(f"{i} {i}\n" for i in range(n)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    calls = {
+        "relators": ["G"],
+        "check-c16": ["G"],
+        "wp": ["G", " ".join(["g126"] * 7)],
+        "order": ["G", "g0 g126"],
+        "code": ["G", "--max-code", "12"],
+        "star-table": ["G", "--max-code", "12"],
+        "hom-check": ["G", "G", "ID"],
+        "rado-embed": ["E"],
+        "tree": ["P"],
+    }
+    start = time.perf_counter()
+    answers = {
+        command: run(command, *(str(tmp_path / a) if a in files else a for a in operands))
+        for command, operands in calls.items()
+    }
+    assert time.perf_counter() - start < 15
+    assert {command: code for command, (code, _) in answers.items()} == dict.fromkeys(calls, 0)
+    lines = {command: out.splitlines() for command, (_, out) in answers.items()}
+    # a seed per generator and per pair of generators
+    assert len(lines["relators"]) == 1 + n + n * (n - 1) // 2
+    assert lines["relators"][-1].startswith("symmetrized-size: ")
+    assert lines["check-c16"] == ["c16: true", "max-piece-length: 1"]
+    assert lines["wp"] == ["identity: true", "normal-form: e"]
+    assert lines["order"] == [f"order: {11 if g.adj(0, n - 1) else 13}"]
+    assert [line.split(":")[0] for line in lines["code"]] == [str(c) for c in range(13)]
+    assert lines["star-table"][0] == "n,m,star" and len(lines["star-table"]) == 1 + 13 * 13
+    assert lines["hom-check"] == ["homomorphism: true", "injective-up-to-3: true"]
+    assert [line.split()[0] for line in lines["rado-embed"]] == [str(v) for v in range(n)]
+    assert lines["tree"] == ["tree: true"]
+
+
 @pytest.mark.parametrize("command", CALLS)
 def test_flags_anywhere(tmp_path, command):
     # before the subcommand, between two operands (or the subcommand and
     # its one operand), after the last operand, and as --flag=value
     argv = _call(tmp_path, command)
-    flags = [("--max-n", "8")]
+    flags = [("--dehn-budget", "10000")]
     if command in ("code", "star-table"):
         flags.append(("--max-code", "12"))
     split = [a for pair in flags for a in pair]
@@ -652,6 +725,9 @@ def test_usage_and_help(k2, capsys):
         help_text = capsys.readouterr().out
         assert "  hom-check GRAPH_T GRAPH_S MAPFILE\n" in help_text
         assert all(f"\n  {command} " in help_text for command in CALLS)
+        assert set(re.findall(r"--[a-z-]+", help_text)) == {
+            "--help", "--max-code", "--conj-bound", "--dehn-budget", "--oracle"
+        }
     # rado-adj converts its own operands: a vertex int() does not take
     for vertex in ("x", "9" * 5000):
         code, out = run("rado-adj", "2", vertex)
@@ -669,7 +745,10 @@ def test_one_parser_per_call(k2, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run("--max-n", "8", "rigid", k2, "--dehn-budget=5") == (EXIT_NO, "rigid: false\n")
+    assert run("--dehn-budget", "10000", "rigid", k2, "--dehn-budget=5") == (
+        EXIT_NO,
+        "rigid: false\n",
+    )
     assert len(built) == 1
 
 
@@ -923,7 +1002,7 @@ _OPERANDS = {
     "tree": "G",
 }
 _FLAG = st.sampled_from(
-    ["--dehn-budget", "--max-n", "--max-code", "--conj-bound", "--oracle", "--bogus"]
+    ["--dehn-budget", "--max-code", "--conj-bound", "--oracle", "--bogus"]
 ).flatmap(lambda f: st.tuples(st.just(f), st.sampled_from(["3", "40", "1", "0", "-1", "x"])))
 # hypothesis favours small integers, so a middle value is a rare case
 _RARELY = st.integers(0, 7).map(lambda k: k == 5)
