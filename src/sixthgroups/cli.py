@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from functools import partial
+from itertools import islice
 
 from . import graphs
 from .words import (
@@ -39,12 +40,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE = 128 + 13  # SIGPIPE, as a shell reports a process it killed
 
-# The most vertices a graph operand may have: MAX_ALPHABET_SIZE, and
-# WALK_CAP for the WALKS, which try every permutation or injection with
-# no budget.
-WALK_CAP = 8
-WALKS = {"rigid", "graph-iso", "embed-graph", "aut-extend"}
-
 
 class OracleDisagreement(RuntimeError):
     """The extension checker and the brute-force oracle answered differently."""
@@ -52,11 +47,11 @@ class OracleDisagreement(RuntimeError):
 
 def _load_graph(args, path: str) -> graphs.Graph:
     g = graphs.load_graph(path)
-    cap = WALK_CAP if args.command in WALKS else MAX_ALPHABET_SIZE
+    # --oracle walks every automorphism with no budget
+    cap = 8 if args.oracle else MAX_ALPHABET_SIZE
     if g.n > cap:
-        raise graphs.GraphFormatError(
-            f"graph has {g.n} vertices; {args.command} takes at most {cap}"
-        )
+        command = f"{args.command} --oracle" if args.oracle else args.command
+        raise graphs.GraphFormatError(f"graph has {g.n} vertices; {command} takes at most {cap}")
     return g
 
 
@@ -170,10 +165,17 @@ def _cmd_aut_extend(args, out):
     return code
 
 
-def _cmd_vertex_map(key, search, args, out):
-    """``embed-graph`` and ``graph-iso``: whether search finds a vertex map
-    from the first graph to the second, and the map if it does."""
-    f = search(_load_graph(args, args.graph_t), _load_graph(args, args.graph_s))
+def _cmd_vertex_map(key, args, out):
+    """``embed-graph`` and ``graph-iso``: the least induced embedding of
+    the first graph into the second, if there is one; for graph-iso only
+    between graphs of one size and edge count, where it is an
+    isomorphism."""
+    from .search import vertex_maps
+
+    t, s = _load_graph(args, args.graph_t), _load_graph(args, args.graph_s)
+    f = None
+    if key == "embeds" or (t.n, len(t.edges)) == (s.n, len(s.edges)):
+        f = next(vertex_maps(t, s, {}), None)
     code = _verdict(out, key, f is not None)
     for i, v in enumerate(f or ()):
         out(f"{i}: {v}")
@@ -224,7 +226,11 @@ def _cmd_rado_embed(args, out):
 
 
 def _cmd_rigid(args, out):
-    return _verdict(out, "rigid", graphs.is_rigid(_load_graph(args, args.graph)))
+    from .search import vertex_maps
+
+    g = _load_graph(args, args.graph)
+    # the identity, and a second automorphism if there is one
+    return _verdict(out, "rigid", len(list(islice(vertex_maps(g, g, {}), 2))) == 1)
 
 
 def _cmd_tree(args, out):
@@ -253,8 +259,8 @@ COMMANDS = {
     "code": (_cmd_code, "graph"),
     "star-table": (_cmd_star_table, "graph"),
     "aut-extend": (_cmd_aut_extend, "graph partialmap"),
-    "embed-graph": (partial(_cmd_vertex_map, "embeds", graphs.induced_embeds), "graph_t graph_s"),
-    "graph-iso": (partial(_cmd_vertex_map, "isomorphic", graphs.graph_iso), "graph_t graph_s"),
+    "embed-graph": (partial(_cmd_vertex_map, "embeds"), "graph_t graph_s"),
+    "graph-iso": (partial(_cmd_vertex_map, "isomorphic"), "graph_t graph_s"),
     "hom-check": (_cmd_hom_check, "graph_t graph_s mapfile"),
     "rado-adj": (_cmd_rado_adj, "m n"),
     "rado-embed": (_cmd_rado_embed, "graph"),

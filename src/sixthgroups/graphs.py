@@ -4,9 +4,9 @@ for induced embeddability, isomorphism, rigidity and the tree check.
 Everything here is deliberately naive: these functions serve as ground
 truth for the group-theoretic machinery, so they must be trivially
 correct.  The searches walk every permutation or injection, so they
-finish only on small graphs: the CLI hands them at most 8 vertices
-(``cli.WALK_CAP``), and its other subcommands at most 127
-(``words.MAX_ALPHABET_SIZE``).
+finish only on small graphs.  They are the oracles of
+``search.vertex_maps``, the budgeted search that the engine and the CLI
+run instead.
 """
 
 from __future__ import annotations

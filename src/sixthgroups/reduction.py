@@ -13,10 +13,11 @@ searches only for the conjugator t, among the words of bounded length.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .graphs import Graph, graph_iso, is_automorphism
+from .graphs import Graph
 from .presentation import DEFAULT_DEHN_BUDGET, INFINITE, Presentation
+from .search import SearchBudgetError, vertex_maps
 from .words import (
     EMPTY,
     MapError,
@@ -28,6 +29,10 @@ from .words import (
 
 # Images of v_0 .. v_{n-1}, one reduced word each.
 GeneratorMap = Tuple[Word, ...]
+
+# The most conjugators one canonical_witness call tries, summed over every
+# (rho, eps).
+MAX_CONJUGATORS = 250_000
 
 
 def relators_from_graph(t: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET) -> Presentation:
@@ -151,17 +156,6 @@ def read_off_letters(
     return targets, eps
 
 
-def automorphisms_extending(t: Graph, partial: Dict[int, int]) -> Iterator[Tuple[int, ...]]:
-    """The automorphisms of t that agree with the injective vertex map
-    partial, in the order ``graphs.automorphisms`` lists them."""
-    free = [i for i in range(t.n) if i not in partial]
-    for perm in itertools.permutations(sorted(set(range(t.n)) - set(partial.values()))):
-        full = {**partial, **dict(zip(free, perm))}
-        rho = tuple(full[i] for i in range(t.n))
-        if is_automorphism(t, rho):
-            yield rho
-
-
 def canonical_witness(
     pres: Presentation,
     pairs: Sequence[Tuple[Word, Word]],
@@ -175,9 +169,11 @@ def canonical_witness(
     rho and eps are read off the values of the pairs whose w is one
     positive generator, each generator once (``read_off_letters``; with
     none both signs are tried), and rho ranges over the automorphisms
-    extending what was read.  The ball of conjugators is walked lazily,
-    afresh for each (rho, eps).  A negative bound is a ValueError.  Each
-    Dehn call takes at most ``pres.dehn_budget`` steps.
+    extending what was read (``search.vertex_maps``).  The ball of
+    conjugators is walked lazily, afresh for each (rho, eps), and past
+    MAX_CONJUGATORS conjugators in all a SearchBudgetError is raised.  A
+    negative bound is a ValueError.  Each Dehn call takes at most
+    ``pres.dehn_budget`` steps.
     """
     if bound < 0:
         raise ValueError(f"conjugator bound must be at least 0, not {bound}")
@@ -188,11 +184,28 @@ def canonical_witness(
     targets, eps = read
     partial = {i: j for (i, _), j in zip(fixed, targets)}
     t = pres.graph
-    for rho in automorphisms_extending(t, partial):
+    # theta0 is applied only to the words w, so it depends on rho only
+    # through rho restricted to the vertices those words use.  A rho that
+    # agrees there with one tried before maps every w as that one did, and
+    # that one found no witness under any sign, so skipping it keeps the
+    # first witness.
+    support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
+    seen = set()
+    tried = 0
+    for rho in vertex_maps(t, t, partial):
+        restriction = tuple(map(rho.__getitem__, support))
+        if restriction in seen:
+            continue
+        seen.add(restriction)
         for sign in (eps,) if fixed else (1, -1):
             theta0 = induced_hom(t, t, rho, sign)
             mapped = [(apply_hom(theta0, w), v) for w, v in pairs]
             for conj in reduced_words(t.n, bound):
+                tried += 1
+                if tried > MAX_CONJUGATORS:
+                    raise SearchBudgetError(
+                        "conjugator budget MAX_CONJUGATORS", MAX_CONJUGATORS, tried
+                    )
                 if all(pres.equal(conjugate(conj, m), v) for m, v in mapped):
                     return CanonicalAuto(rho, sign, conj)
     return None
@@ -223,7 +236,9 @@ def iso_search(t: Graph, s: Graph):
     relator of G_S, and the map induced by rho^{-1} undoes it letter by
     letter, so the two compose to the identity on generators.
     """
-    rho = graph_iso(t, s)
+    if t.n != s.n or len(t.edges) != len(s.edges):
+        return None
+    rho = next(vertex_maps(t, s, {}), None)
     if rho is None:
         return None
     return rho, 1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sixthgroups
-from sixthgroups import coding, graphs, presentation, randomgraph, reduction
+from sixthgroups import coding, graphs, presentation, randomgraph, reduction, search
 from sixthgroups.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -460,7 +460,7 @@ def test_closed_stdout_pipe_exits_quietly(k2):
     assert proc.returncode == EXIT_PIPE == 141
 
 
-_GROUP_MODULES = {"graphs", "words", "presentation", "reduction"}
+_GROUP_MODULES = {"graphs", "words", "search", "presentation", "reduction"}
 
 
 @pytest.mark.parametrize(
@@ -468,7 +468,7 @@ _GROUP_MODULES = {"graphs", "words", "presentation", "reduction"}
     [
         (None, None, {"graphs", "words"}),
         (["rado-adj", "2", "5"], EXIT_OK, {"cli", "graphs", "words", "randomgraph"}),
-        (["rigid", "K2"], EXIT_NO, {"cli", "graphs", "words"}),
+        (["rigid", "K2"], EXIT_NO, {"cli", "graphs", "words", "search"}),
         (["wp", "K2", "g0 g1 G0 G1"], EXIT_OK, {"cli", *_GROUP_MODULES}),
         (["hom-check", "K2", "K2", "MAP"], EXIT_OK, {"cli", *_GROUP_MODULES}),
     ],
@@ -603,15 +603,14 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("command", [c for c in CALLS if c != "rado-adj"])
 def test_graphs_above_their_cap_are_refused(tmp_path, monkeypatch, command):
-    # every graph above 127 vertices, and above 8 for the four subcommands
-    # that walk every permutation or injection, is refused before the
-    # engine sees it.  embed-graph's handler holds induced_embeds itself,
-    # so permutations, where every walk starts, is stubbed too.
+    # every graph above 127 vertices, and above 8 for aut-extend --oracle,
+    # whose oracle walks every automorphism with no budget, is refused
+    # before the engine sees it.  The oracle's walk starts in permutations.
     for module, name in [
         (graphs, "is_rigid"),
         (graphs, "graph_iso"),
         (graphs, "induced_embeds"),
-        (reduction, "automorphisms_extending"),
+        (search, "vertex_maps"),
         (itertools, "permutations"),
         (graphs, "is_combinatorial_tree"),
         (reduction, "relators_from_graph"),
@@ -620,34 +619,50 @@ def test_graphs_above_their_cap_are_refused(tmp_path, monkeypatch, command):
     ]:
         monkeypatch.setattr(module, name, _refuse)
     argv = _call(tmp_path, command)
-    walks = command in ("rigid", "graph-iso", "embed-graph", "aut-extend")
-    cap = 8 if walks else 127
     big = tmp_path / "big.graph"
-    for n in (9, 128) if walks else (128,):
+    cases = [(128, [], command, 127)]
+    if command == "aut-extend":
+        cases.append((9, ["--oracle"], "aut-extend --oracle", 8))
+    for n, flags, what, cap in cases:
         big.write_text(f"n {n}\n")
         # the large graph in each graph operand's place in turn
         for i in [i for i, a in enumerate(argv) if a.endswith(("K2", "P3"))]:
-            assert run(*argv[:i], str(big), *argv[i + 1 :]) == (
+            assert run(*argv[:i], str(big), *argv[i + 1 :], *flags) == (
                 EXIT_USAGE,
-                f"error: graph has {n} vertices; {command} takes at most {cap}\n",
+                f"error: graph has {n} vertices; {what} takes at most {cap}\n",
             )
+
+
+def _g127(tmp_path):
+    """G(127, 1/2) at seed 2 and a relabelling of it, written to tmp_path
+    as G and H."""
+    n = 127
+    rng = random.Random(2)
+    g = graphs.graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+    perm = rng.sample(range(n), n)
+    h = graphs.graph(n, [(perm[i], perm[j]) for i, j in g.edges])
+    (tmp_path / "G").write_text(graphs.format_graph(g))
+    (tmp_path / "H").write_text(graphs.format_graph(h))
+    return g, h
 
 
 def test_graph_subcommands_answer_on_127_vertices(tmp_path):
     # G(127, 1/2), with the empty graph for rado-embed, whose images on
-    # denser graphs outgrow the prime budget, and the path for tree.  The
-    # nine calls took 1.5 s in all on 2 vCPUs.
-    n = 127
-    rng = random.Random(2)
-    g = graphs.graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+    # denser graphs outgrow the prime budget, and the path for tree; the
+    # walks against a relabelling H of G, and aut-extend on the identity
+    # map of every generator code.  The thirteen calls took 1.6-2.3 s in
+    # all on 2 vCPUs.
+    g, h = _g127(tmp_path)
+    n = g.n
     files = {
-        "G": graphs.format_graph(g),
         "E": f"n {n}\n",
         "P": graphs.format_graph(graphs.graph(n, [(i, i + 1) for i in range(n - 1)])),
         "ID": "".join(f"{i} {i}\n" for i in range(n)),
+        "GENS": "".join(f"{3 * i + 1} {3 * i + 1}\n" for i in range(n)),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    paths = {"G", "H", *files}
     calls = {
         "relators": ["G"],
         "check-c16": ["G"],
@@ -658,10 +673,14 @@ def test_graph_subcommands_answer_on_127_vertices(tmp_path):
         "hom-check": ["G", "G", "ID"],
         "rado-embed": ["E"],
         "tree": ["P"],
+        "rigid": ["G"],
+        "graph-iso": ["G", "H"],
+        "embed-graph": ["G", "H"],
+        "aut-extend": ["G", "GENS"],
     }
     start = time.perf_counter()
     answers = {
-        command: run(command, *(str(tmp_path / a) if a in files else a for a in operands))
+        command: run(command, *(str(tmp_path / a) if a in paths else a for a in operands))
         for command, operands in calls.items()
     }
     assert time.perf_counter() - start < 15
@@ -678,6 +697,61 @@ def test_graph_subcommands_answer_on_127_vertices(tmp_path):
     assert lines["hom-check"] == ["homomorphism: true", "injective-up-to-3: true"]
     assert [line.split()[0] for line in lines["rado-embed"]] == [str(v) for v in range(n)]
     assert lines["tree"] == ["tree: true"]
+    assert lines["rigid"] == ["rigid: true"]
+    # G is rigid, so the one isomorphism onto H is the relabelling
+    for command, key in (("graph-iso", "isomorphic"), ("embed-graph", "embeds")):
+        assert lines[command][0] == f"{key}: true"
+        f = [int(line.split(": ")[1]) for line in lines[command][1:]]
+        assert len(set(f)) == n and all(h.adj(f[i], f[j]) for i, j in g.edges)
+    assert lines["graph-iso"][1:] == lines["embed-graph"][1:]
+    assert lines["aut-extend"][:2] == ["extends: true", "conj-bound: 0"]
+    assert lines["aut-extend"][2] == f"witness-r: {dict((i, i) for i in range(n))}"
+
+
+def test_walk_past_its_budget_exits_3(tmp_path):
+    # G(127, 1/2) less its last vertex into a relabelling of G: the least
+    # embedding lies past the budget of the vertex-map search, which took
+    # 0.3-0.5 s to use up on 2 vCPUs
+    g, _ = _g127(tmp_path)
+    (tmp_path / "F").write_text(
+        graphs.format_graph(graphs.graph(g.n - 1, [(i, j) for i, j in g.edges if j < g.n - 1]))
+    )
+    start = time.perf_counter()
+    got = run("embed-graph", str(tmp_path / "F"), str(tmp_path / "H"))
+    assert time.perf_counter() - start < 15
+    assert got == (
+        EXIT_BUDGET,
+        "budget-error: vertex-map candidate budget MAX_CANDIDATES 2000000 exceeded "
+        "(needs at least 2000001)\n",
+    )
+
+
+def test_aut_extend_tries_each_restriction_to_the_words_once(tmp_path):
+    # the words of the map use only vertex 0 of the empty graph on 8
+    # vertices, so one of the 5 040 automorphisms fixing 0 walks the 57 857
+    # conjugators of length at most 4; a walk for each would take minutes.
+    # It took 0.8-0.9 s on 2 vCPUs.
+    (tmp_path / "e8").write_text("n 8\n")
+    (tmp_path / "map").write_text("1 25261720641\n3 3\n")
+    start = time.perf_counter()
+    got = run("aut-extend", str(tmp_path / "e8"), str(tmp_path / "map"))
+    assert time.perf_counter() - start < 10
+    assert got == (EXIT_NO, "extends: false\nconj-bound: 4\n")
+
+
+def test_conjugator_walk_has_a_budget(k2, tmp_path):
+    # 4 (rho, eps) times the 1 062 881 conjugators of length at most 12 on
+    # K2 would take about a minute; the budget ran out after 2.9-4.0 s on
+    # 2 vCPUs.
+    (tmp_path / "map").write_text("3 6\n")
+    start = time.perf_counter()
+    code, out = run("--conj-bound", "12", "aut-extend", k2, str(tmp_path / "map"))
+    assert time.perf_counter() - start < 20
+    assert (code, out) == (
+        EXIT_BUDGET,
+        "budget-error: conjugator budget MAX_CONJUGATORS 250000 exceeded "
+        "(needs at least 250001)\n",
+    )
 
 
 @pytest.mark.parametrize("command", CALLS)
@@ -854,10 +928,10 @@ def test_budget_errors_share_one_shape():
 
 
 def test_internal_errors_exit_4(k2, tmp_path, monkeypatch, capsys):
-    def broken(g):
+    def broken(t, s, fixed):
         raise AssertionError("planted bug")
 
-    monkeypatch.setattr(graphs, "is_rigid", broken)
+    monkeypatch.setattr(search, "vertex_maps", broken)
     code, out = run("rigid", k2)
     assert code == EXIT_INTERNAL
     assert out.splitlines() == ["internal-error: AssertionError: planted bug"]

@@ -20,7 +20,7 @@ from sixthgroups.reduction import (
     CanonicalAuto,
     apply_hom,
     aut_canonical_check,
-    automorphisms_extending,
+    canonical_witness,
     conjugate,
     default_conj_bound,
     induced_hom,
@@ -30,7 +30,16 @@ from sixthgroups.reduction import (
     reduced_words,
     relators_from_graph,
 )
-from sixthgroups.words import EMPTY, MapError, concat, gen, invert_word, power, word_key
+from sixthgroups.search import vertex_maps
+from sixthgroups.words import (
+    EMPTY,
+    MapError,
+    concat,
+    gen,
+    invert_word,
+    power,
+    word_key,
+)
 
 K2 = graph(2, [(0, 1)])
 P3 = graph(3, [(0, 1), (1, 2)])
@@ -333,9 +342,66 @@ def test_automorphisms_extending_filters_automorphisms():
                     for img in itertools.permutations(range(n), k):
                         partial = dict(zip(dom, img))
                         want = [r for r in auts if all(r[i] == v for i, v in partial.items())]
-                        assert list(automorphisms_extending(t, partial)) == want, (t, partial)
+                        assert list(vertex_maps(t, t, partial)) == want, (t, partial)
                         cases += 1
     assert cases == 1 + 2 + 2 * 7 + 8 * 34 + 64 * 209
+
+
+def canonical_witness_before(pres, pairs, bound):
+    """``canonical_witness`` without the skip on the support and with no
+    budget: every automorphism extending the read-off, as
+    ``graphs.automorphisms`` lists them, walks the whole ball."""
+    fixed = [(w[0] - 1, v) for w, v in pairs if len(w) == 1 and w[0] > 0]
+    read = read_off_letters(pres, [v for _, v in fixed])
+    if read is None:
+        return None
+    targets, eps = read
+    t = pres.graph
+    for rho in automorphisms(t):
+        if any(rho[i] != j for (i, _), j in zip(fixed, targets)):
+            continue
+        for sign in (eps,) if fixed else (1, -1):
+            theta0 = induced_hom(t, t, rho, sign)
+            mapped = [(apply_hom(theta0, w), v) for w, v in pairs]
+            for conj in reduced_words(t.n, bound):
+                if all(pres.equal(conjugate(conj, m), v) for m, v in mapped):
+                    return CanonicalAuto(rho, sign, conj)
+    return None
+
+
+def test_skipping_repeated_restrictions_keeps_every_witness():
+    # pairs whose words use only some of the vertices, so that
+    # automorphisms agreeing there are skipped: half are images under a
+    # canonical automorphism, the other half have one letter more
+    rng = random.Random(13)
+    cases = positive = repeated = 0
+    for t in graphs_up_to(4):
+        if t.n < 2:
+            continue
+        pres = relators_from_graph(t)
+        auts = automorphisms(t)
+        for _ in range(12):
+            support = rng.sample(range(t.n), rng.randint(1, t.n - 1))
+            letters = [c for i in support for c in (gen(i), -gen(i))]
+            words = [
+                w
+                for w in reduced_words(t.n, 3)
+                if w and all(c in letters for c in w)
+            ]
+            conj = rng.choice(list(reduced_words(t.n, 1)))
+            theta = induced_hom(t, t, rng.choice(auts), rng.choice((1, -1)), conj)
+            pairs = [(w, apply_hom(theta, w)) for w in rng.sample(words, 2)]
+            if rng.random() < 0.5:
+                w, v = pairs[-1]
+                pairs[-1] = (w, concat(v, (gen(rng.randrange(t.n)),)))
+            # automorphisms that agree on the support
+            repeated += len({tuple(r[i] for i in support) for r in auts}) < len(auts)
+            for bound in (0, 1):
+                got = canonical_witness(pres, pairs, bound)
+                assert got == canonical_witness_before(pres, pairs, bound), (t, pairs, bound)
+                cases += 1
+                positive += got is not None
+    assert cases == 2 * 12 * 17 and positive > 100 and repeated > 50, (positive, repeated)
 
 
 def test_read_off_letters():
