@@ -5,12 +5,15 @@ The extension-property witness search is exact but not a linear scan.
 As p_x > x, a witness x < max(A) is adjacent to max(A) only through
 p_x | max(A).  One trial division of max(A), the only member of A it
 factors, finds these candidates: a small factor's index is its sieve
-position; only the prime cofactor left goes through prime_index.  The
-sieve then holds p_x, so each p_y, y <= x, is read from it.  Above
-max(A), a witness is a common multiple of {p_y : y in A}, checked
-against B alone with primes from nth_prime, as the sieve may grow.
+position; only the prime cofactor left goes through prime_index.  A
+bounded memo keeps these indices for the last few hundred max(A), as
+an embedding job asks for many witnesses over the same few images.
+Above max(A), a witness is a common multiple of {p_y : y in A},
+checked against B alone.  Each p_y is read straight from the sieve when
+y is sieved, and through nth_prime, which grows the sieve, when not.
 Every prime index the search reads is held to MAX_PRIME_INDEX; past it,
-PrimeBudgetError is raised rather than silently stalling.
+PrimeBudgetError is raised rather than silently stalling.  The sieve
+flags odd numbers only and keeps its primes in 4-byte items.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import compress, count
 from typing import Dict, Iterable, List, Tuple
 
@@ -38,8 +42,12 @@ class PrimeBudgetError(BudgetError):
     """
 
 
-# All primes up to _sieve_limit, ascending; the sieve only ever grows.
-_primes = array("q")
+# The smallest item that holds every prime below _MAX_SIEVE < 2**31:
+# 4 bytes ("i" is at least 2 bytes in C, "l" at least 4).
+_TYPECODE = next(c for c in "ilq" if array(c).itemsize >= 4)
+# All primes up to _sieve_limit, ascending; the sieve only grows, but for
+# a build that fails, which leaves it empty.
+_primes = array(_TYPECODE)
 _sieve_limit = 0
 
 
@@ -50,13 +58,21 @@ def _extend_sieve(limit: int) -> None:
     if limit > _MAX_SIEVE:
         raise PrimeBudgetError("sieve limit _MAX_SIEVE", _MAX_SIEVE, limit)
     limit = min(max(limit, 1 << 16, _sieve_limit * 2), _MAX_SIEVE)
-    flags = bytearray([1]) * (limit + 1)
-    flags[:2] = b"\0\0"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes((limit - p * p) // p + 1)
-    _primes = array("q", compress(range(limit + 1), flags))
-    _sieve_limit = limit
+    # The old primes go before the new ones are built, so the two are
+    # never held at once; should the build raise (MemoryError), the
+    # sieve is left empty, its limit 0, and nth_prime's loop cannot spin.
+    _primes, _sieve_limit = array(_TYPECODE), 0
+    # flags[i] stands for the odd number 2i + 1; p * p is at p * p // 2.
+    half = (limit + 1) // 2
+    flags = bytearray([1]) * half
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes((half - 1 - p * p // 2) // p + 1)
+    primes = array(_TYPECODE, [2])
+    primes.extend(compress(range(1, limit + 1, 2), flags))
+    _primes, _sieve_limit = primes, limit
 
 
 def _prime_bound(i: int) -> int:
@@ -113,6 +129,24 @@ def _trial_division(y: int) -> Tuple[List[int], int]:
     return found, rem
 
 
+# The rado benchmark's 12 s runs (5 760 embedding jobs, 392 000
+# searches each) ask for 136-151 distinct max(A) at seeds 7, 1001, 1301
+# and 2024: at 256 entries only these miss, at 128 up to 162, at 64 up
+# to 848.
+_FACTOR_MEMO = 256
+
+
+@lru_cache(maxsize=_FACTOR_MEMO, typed=True)
+def _factor_indices(y: int) -> Tuple[int, ...]:
+    """The sieve indices of the distinct prime factors of y >= 2,
+    ascending.  Sieve indices never change as the sieve grows, and an
+    exception is never cached, so a budget error raises on every call."""
+    found, rem = _trial_division(y)
+    if rem > 1:
+        found.append(prime_index(rem))
+    return tuple(found)
+
+
 def prime_factors(y: int) -> List[int]:
     """Distinct prime factors, by trial division up to sqrt(y)."""
     if y < 2:
@@ -142,15 +176,15 @@ def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
 
     The candidates are the indices of the prime factors of max(a),
     ascending (each is below max(a), as x < p_x; none when a is empty),
-    checked with primes read from the sieve once x <= MAX_PRIME_INDEX,
     then the multiples k * m, k = 1, 2, ..., of m = prod p_y over y in a
-    (m = 1 when a is empty), adjacent to all of a and checked against b
-    through nth_prime.  The loop over k needs no budget of its own: for
-    a prime q, q * m is rejected only if q * m is in b, q = p_z for some
-    z in b, or p_{q m} | z for some z in b.  As z is not in a, p_z does
-    not divide m, and distinct q give distinct p_{q m}.  So each z rules
-    out at most 2 + omega(z) primes, and the loop stops by the
-    (2|b| + sum_z omega(z) + 1)-th prime.
+    (m = 1 when a is empty), adjacent to all of a and checked against b.
+    Each prime is read from the sieve where its index is sieved and at
+    most MAX_PRIME_INDEX, else through nth_prime.  The loop over k needs
+    no budget of its own: for a prime q, q * m is rejected only if q * m
+    is in b, q = p_z for some z in b, or p_{q m} | z for some z in b.  As
+    z is not in a, p_z does not divide m, and distinct q give distinct
+    p_{q m}.  So each z rules out at most 2 + omega(z) primes, and the
+    loop stops by the (2|b| + sum_z omega(z) + 1)-th prime.
     """
     a, b = set(a), set(b)
     ab = a | b
@@ -159,34 +193,37 @@ def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
             _check_vertex(v)
     if a & b:
         raise ValueError("witness sets must be disjoint")
-    if a:
-        xs, rem = _trial_division(max(a))
-        if rem > 1:
-            xs.append(prime_index(rem))
-        for x in xs:
-            if x < 2 or x in a or x in b:
-                continue
-            px = _primes[x] if x <= MAX_PRIME_INDEX else nth_prime(x)
-            for y in a:
-                if (y % px if y > x else x % _primes[y]) != 0:
+    high = max(a) if a else 0
+    xs = _factor_indices(high) if a else ()
+    # Indices below n are read from the sieve, others through nth_prime;
+    # once it returns p_x, the sieve holds p_y for every y < x.
+    n = min(len(_primes), MAX_PRIME_INDEX + 1)
+    for x in xs:
+        if x < 2 or x in a or x in b:
+            continue
+        px = _primes[x] if x < n else nth_prime(x)
+        for y in a:
+            if (y % px if y > x else x % _primes[y]) != 0:
+                break
+        else:
+            for z in b:
+                if (z % px if z > x else x % _primes[z]) == 0:
                     break
             else:
-                for z in b:
-                    if (z % px if z > x else x % _primes[z]) == 0:
-                        break
-                else:
-                    return x
-    # m = prod p_y >= p_max(a) > max(a): k * m exceeds and is adjacent to all of a.
+                return x
+    # m = prod p_y >= p_max(a) > max(a): k * m exceeds and is adjacent to
+    # all of a.  If an index is past n, nth_prime takes them in ascending
+    # order, so that a budget error names the least index past the budget.
     m = 1
-    for y in sorted(a):
-        m *= nth_prime(y)
+    for y in a if high < n else sorted(a):
+        m *= _primes[y] if y < n else nth_prime(y)
     top = max(b) if b else 0
     for x in count(m, m):
         if x < 2 or x in b:
             continue
-        px = nth_prime(x) if top > x else 0
+        px = (_primes[x] if x < n else nth_prime(x)) if top > x else 0
         for z in b:
-            if (z % px if z > x else x % nth_prime(z)) == 0:
+            if (z % px if z > x else x % (_primes[z] if z < n else nth_prime(z))) == 0:
                 break
         else:
             return x

@@ -74,7 +74,7 @@ def test_sieve_growth_matches_sympy(monkeypatch):
     # From an empty sieve, a small index sieves to 2**16, which holds
     # p_0 .. p_6541.  Index 6542 forces the first extension, and 20 000
     # and 100 000 one more each.
-    monkeypatch.setattr(randomgraph, "_primes", array("q"))
+    monkeypatch.setattr(randomgraph, "_primes", array(randomgraph._primes.typecode))
     monkeypatch.setattr(randomgraph, "_sieve_limit", 0)
     assert nth_prime(0) == 2 and len(randomgraph._primes) == 6542
     limits = []
@@ -88,6 +88,73 @@ def test_sieve_growth_matches_sympy(monkeypatch):
                 prime_index(composite)
     assert limits[:3] == [1 << 16, 1 << 17, 1 << 17]
     assert limits[2] < limits[3] < limits[4]
+
+
+def test_sieve_items_hold_every_prime_below_the_cap():
+    code = randomgraph._TYPECODE
+    cap = randomgraph._MAX_SIEVE
+    nth_prime(0)
+    assert randomgraph._primes.typecode == code
+    assert array(code, [cap])[0] == cap
+    assert array(code).itemsize == min(
+        array(c).itemsize for c in "ilq" if array(c).itemsize >= 4
+    )
+
+
+@pytest.mark.parametrize(
+    "limit", [65536, 65537, 65538, 66049, 66050, 128881, 128882, 131070, 131071, 131072, 131073]
+)
+def test_odd_only_sieve_matches_sympy(monkeypatch, limit):
+    # 65537 = 2**16 + 1 and 131071 = 2**17 - 1 are prime: each limit
+    # takes or leaves a prime at its very end.  66049 = 257**2 and
+    # 128881 = 359**2 are struck out only by the largest prime at most
+    # the limit's square root.
+    monkeypatch.setattr(randomgraph, "_primes", array(randomgraph._TYPECODE))
+    monkeypatch.setattr(randomgraph, "_sieve_limit", 0)
+    randomgraph._extend_sieve(limit)
+    assert randomgraph._sieve_limit == limit
+    assert list(randomgraph._primes) == list(sympy.primerange(limit + 1))
+
+
+def test_failed_sieve_build_leaves_a_consistent_sieve(monkeypatch):
+    # A build that fails partway (here a MemoryError while the primes are
+    # collected) leaves the sieve empty with limit 0, so nth_prime raises
+    # instead of looping on a limit its primes do not reach; the next
+    # call builds a correct sieve, and memoised factor indices stay right.
+    monkeypatch.setattr(randomgraph, "_primes", array(randomgraph._TYPECODE))
+    monkeypatch.setattr(randomgraph, "_sieve_limit", 0)
+    # the witness 10 is the memoised factor index of max(A) = 31 = p_10
+    a, b = {2, 31}, {3}
+    witness = extension_witness(a, b)
+    assert witness == rado_oracle.extension_witness(a, b) == 10
+    extensions = []
+    extend = randomgraph._extend_sieve
+
+    def counted(limit):
+        extensions.append(limit)
+        if len(extensions) == 10:
+            raise RuntimeError("nth_prime loops")
+        extend(limit)
+
+    def failing(data, selectors):
+        for k, item in enumerate(itertools.compress(data, selectors)):
+            if k == 1000:
+                raise MemoryError
+            yield item
+
+    monkeypatch.setattr(randomgraph, "_extend_sieve", counted)
+    monkeypatch.setattr(randomgraph, "compress", failing)
+    with pytest.raises(MemoryError):
+        nth_prime(7000)
+    assert (len(randomgraph._primes), randomgraph._sieve_limit) == (0, 0)
+    with pytest.raises(MemoryError):
+        nth_prime(7000)
+    assert len(extensions) == 2
+    monkeypatch.setattr(randomgraph, "compress", itertools.compress)
+    assert extension_witness(a, b) == witness
+    assert nth_prime(7000) == sympy.prime(7001)
+    limit = randomgraph._sieve_limit
+    assert list(randomgraph._primes) == list(sympy.primerange(limit + 1))
 
 
 def test_prime_factors():
@@ -230,7 +297,7 @@ def test_extension_witness_factors_only_max_a():
 
 
 def test_extension_witness_factors_once(monkeypatch):
-    # max(A) = 13 is the only member factored
+    # max(A) = 13 is the only member factored, and only once
     calls = []
     factor = randomgraph._trial_division
 
@@ -238,9 +305,60 @@ def test_extension_witness_factors_once(monkeypatch):
         calls.append(y)
         return factor(y)
 
+    randomgraph._factor_indices.cache_clear()
     monkeypatch.setattr(randomgraph, "_trial_division", counted)
     assert extension_witness({2, 5, 13}, {3}) == 2795  # p_2 p_5 p_13
     assert calls == [13]
+    assert extension_witness({2, 5, 13}, {3}) == 2795
+    assert calls == [13]
+
+
+def test_extension_witness_cold_and_warm_memo_match_oracle():
+    rng = random.Random(20170512)
+    memo = randomgraph._factor_indices
+    for _ in range(1000):
+        pool = rng.choice(WITNESS_POOLS)
+        picks = rng.sample(pool, rng.randint(0, min(5, len(pool))))
+        cut = rng.randint(0, len(picks))
+        a, b = set(picks[:cut]), set(picks[cut:])
+        expected = _outcome(rado_oracle.extension_witness, a, b)
+        memo.cache_clear()
+        assert _outcome(extension_witness, a, b) == expected, (a, b)
+        hits = memo.cache_info().hits
+        assert _outcome(extension_witness, a, b) == expected, (a, b)
+        assert memo.cache_info().hits == hits + bool(a)
+
+
+def test_budget_errors_are_never_memoised():
+    # q is the least prime above the sieve cap: indexing it is refused,
+    # and so is factoring 10**18, before any sieving
+    q = sympy.nextprime(randomgraph._MAX_SIEVE)
+    randomgraph._factor_indices.cache_clear()
+    for top, used in ((q, q), (10**18, 10**9 + 1)):
+        for _ in range(2):
+            with pytest.raises(PrimeBudgetError) as exc:
+                extension_witness({2, top}, {3})
+            assert exc.value.used == used
+    assert randomgraph._factor_indices.cache_info().currsize == 0
+
+
+def test_factor_memo_keys_on_type():
+    # 5.0 == 5, but a float max(A) is not factored: it raises TypeError
+    # with the indices of 5 in the memo, as it does without them
+    assert extension_witness({5}, set()) == 2
+    with pytest.raises(TypeError):
+        extension_witness({5.0}, set())
+
+
+def test_factor_memo_is_bounded():
+    memo = randomgraph._factor_indices
+    size = randomgraph._FACTOR_MEMO
+    assert memo.cache_info().maxsize == size
+    memo.cache_clear()
+    for y in range(2, size + 100):
+        extension_witness({y}, set())
+        assert memo.cache_info().currsize <= size
+    assert memo.cache_info().currsize == size
 
 
 def test_extension_witness_index_budget_holds_for_sieve_reads(monkeypatch):
@@ -252,6 +370,17 @@ def test_extension_witness_index_budget_holds_for_sieve_reads(monkeypatch):
             with pytest.raises(PrimeBudgetError, match="MAX_PRIME_INDEX") as exc:
                 search(a, b)
             assert (exc.value.budget, exc.value.used) == (5, 10)
+
+
+def test_extension_witness_budget_error_names_the_least_index(monkeypatch):
+    # no candidate below max(A) = 10 is a witness, and 7, 9 and 10 are all
+    # past the budget; the set yields 9 and 10 before 7, yet the error
+    # names 7, as nth_prime of each in ascending order would
+    monkeypatch.setattr(randomgraph, "MAX_PRIME_INDEX", 5)
+    for search in (extension_witness, rado_oracle.extension_witness):
+        with pytest.raises(PrimeBudgetError, match="MAX_PRIME_INDEX") as exc:
+            search({7, 9, 10}, set())
+        assert (exc.value.budget, exc.value.used) == (5, 7)
 
 
 def test_extension_witness_branches_match_oracle():
