@@ -21,7 +21,6 @@ from itertools import islice
 
 from . import graphs
 from .words import (
-    DEFAULT_DEHN_BUDGET,
     MAX_ALPHABET_SIZE,
     BudgetError,
     InputError,
@@ -58,13 +57,13 @@ def _load_graph(args, path: str) -> graphs.Graph:
 def _presentation(args):
     from . import reduction
 
-    return reduction.relators_from_graph(_load_graph(args, args.graph), args.dehn_budget)
+    return reduction.relators_from_graph(_load_graph(args, args.graph))
 
 
 def _coding_table(args):
     from . import coding
 
-    return coding.CodingTable(_load_graph(args, args.graph), args.dehn_budget)
+    return coding.CodingTable(_load_graph(args, args.graph))
 
 
 def _verdict(out, key: str, ok: bool) -> int:
@@ -193,8 +192,8 @@ def _cmd_hom_check(args, out):
             raise MapError("mapfile must be empty: the first graph has no vertices")
         raise MapError(f"mapfile must map exactly the vertices 0..{t.n - 1}")
     gm = reduction.induced_hom(t, s, [mapping[i] for i in range(t.n)])
-    p_t = reduction.relators_from_graph(t, args.dehn_budget)
-    p_s = reduction.relators_from_graph(s, args.dehn_budget)
+    p_t = reduction.relators_from_graph(t)
+    p_s = reduction.relators_from_graph(s)
     ok = reduction.is_homomorphism(p_t, p_s, gm)
     code = _verdict(out, "homomorphism", ok)
     if ok:
@@ -281,7 +280,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument("--max-code", type=_at_least(1), default=500)
     parser.add_argument("--conj-bound", type=_at_least(0))
-    parser.add_argument("--dehn-budget", type=_at_least(1), default=DEFAULT_DEHN_BUDGET)
     parser.add_argument("--oracle", action="store_true", help="aut-extend only")
     parser.add_argument("command", choices=COMMANDS, metavar="command", help="one listed below")
     parser.add_argument("operands", nargs="*")

@@ -39,7 +39,6 @@ import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, automorphisms
-from .presentation import DEFAULT_DEHN_BUDGET
 from .reduction import (
     apply_hom,
     canonical_witness,
@@ -278,9 +277,9 @@ class CodingTable:
     other word first.
     """
 
-    def __init__(self, graph: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.pres = relators_from_graph(graph, dehn_budget)
+        self.pres = relators_from_graph(graph)
         self._letters, completions, first = _counts(graph.n)
         self._auto = _automaton(graph.n)
         self._reach = first[-1]  # composite codes 3 .. 3 * _reach

@@ -27,7 +27,6 @@ from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from .graphs import Graph
 from .words import (
-    DEFAULT_DEHN_BUDGET,
     EMPTY,
     MAX_ALPHABET_SIZE,
     BudgetError,
@@ -49,6 +48,10 @@ GENERATOR_ORDER = 7
 EDGE_ORDER = 11
 NONEDGE_ORDER = 13
 LONGEST_RELATOR = 2 * NONEDGE_ORDER
+
+# The most Dehn steps one method call takes.  Each step shortens the
+# word, so no word of at most 10 000 letters can need more.
+MAX_DEHN_STEPS = 10_000
 
 # Where a Dehn step may start: a run of 4 to 7 equal letters, or an
 # alternation a b a b ... of 12 to 27 letters, one past the longest step.
@@ -173,18 +176,17 @@ class Presentation:
     keeps the packed core across its rounds and finds its wrap-around
     step itself.  ``relators``, the symmetrized set, is built on first use.
 
-    ``dehn_budget`` bounds the Dehn steps of each method call: a call
-    that needs more raises DehnBudgetError.
+    A method call that needs more than MAX_DEHN_STEPS Dehn steps raises
+    DehnBudgetError.
     """
 
-    def __init__(self, t: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET):
+    def __init__(self, t: Graph):
         if t.n > MAX_ALPHABET_SIZE:
             raise InputError(
                 f"{t.n} generators: Dehn's algorithm takes at most "
                 f"{MAX_ALPHABET_SIZE}, one signed byte per letter"
             )
         self.graph = t
-        self.dehn_budget = dehn_budget
         self.alphabet_size = t.n
         # the byte of each letter, for _signed_bytes
         self._alphabet = bytes(c & 0xFF for c in range(-t.n, t.n + 1) if c)
@@ -193,7 +195,7 @@ class Presentation:
         self._inverses = {}
 
     def __repr__(self):
-        return f"Presentation({self.graph!r}, dehn_budget={self.dehn_budget})"
+        return f"Presentation({self.graph!r})"
 
     @functools.cached_property
     def relators(self) -> RelatorSet:
@@ -278,7 +280,7 @@ class Presentation:
         A partial step splices in the rest of the relator's inverse."""
         search = _CANDIDATE.search
         inverses = self._inverses
-        budget = self.dehn_budget
+        budget = MAX_DEHN_STEPS
         start = 0
         while (m := search(word, start)) is not None:
             i, end = m.span()
@@ -291,7 +293,7 @@ class Presentation:
                 continue
             used += 1
             if used > budget:
-                raise DehnBudgetError("Dehn step budget", budget, used, origin)
+                raise DehnBudgetError("Dehn step budget MAX_DEHN_STEPS", budget, used, origin)
             hi = len(inv) - length
             if hi <= 0:
                 # the match covers the relator r (and may run past it):
@@ -341,9 +343,9 @@ class Presentation:
         half of it within |core| letters, each used once; a candidate
         before it may be no step.  The core is rotated to start at the
         step and reduced again, which shortens it.  All rounds share one
-        ``dehn_budget`` of Dehn steps.  w is packed and its letters checked
-        once: every round cyclically reduces, scans and rotates the packed
-        core, and only the answer is made a tuple.
+        budget of MAX_DEHN_STEPS Dehn steps.  w is packed and its letters
+        checked once: every round cyclically reduces, scans and rotates the
+        packed core, and only the answer is made a tuple.
         """
         core = self._signed_bytes(w)
         used = self._scan(core, 0, w)
@@ -375,7 +377,7 @@ class Presentation:
         root is one letter (e = 7) or two of one sign (e = k), and a
         rotation of (ab)^j is (ab)^j or (ba)^j, so the root is the first
         letter or the first two letters of the core.  Each e is prime, so
-        the order is e.  ``dehn_budget`` bounds all the Dehn steps of the
+        the order is e.  MAX_DEHN_STEPS bounds all the Dehn steps of the
         call.
         """
         core = self.cyclic_dehn_reduce(w)

@@ -51,12 +51,12 @@ _primes = array(_TYPECODE)
 _sieve_limit = 0
 
 
-def _extend_sieve(limit: int) -> None:
+def _extend_sieve(limit: int, context: str = "") -> None:
     global _primes, _sieve_limit
     if limit <= _sieve_limit:
         return
     if limit > _MAX_SIEVE:
-        raise PrimeBudgetError("sieve limit _MAX_SIEVE", _MAX_SIEVE, limit)
+        raise PrimeBudgetError("sieve limit _MAX_SIEVE", _MAX_SIEVE, limit, context=context)
     limit = min(max(limit, 1 << 16, _sieve_limit * 2), _MAX_SIEVE)
     # The old primes go before the new ones are built, so the two are
     # never held at once; should the build raise (MemoryError), the
@@ -96,11 +96,7 @@ def prime_index(p: int) -> int:
     """Index i with p_i = p.  Raises ValueError on composites and
     PrimeBudgetError on primes beyond the sieve limit; every prime that
     nth_prime returns lies within it."""
-    if p > _MAX_SIEVE:
-        raise PrimeBudgetError(
-            "sieve limit _MAX_SIEVE", _MAX_SIEVE, p, context=f": cannot find the index of {p}"
-        )
-    _extend_sieve(p)
+    _extend_sieve(p, f": cannot find the index of {p}")
     i = bisect_left(_primes, p)
     if i >= len(_primes) or _primes[i] != p:
         raise ValueError(f"{p} is not prime")
@@ -111,11 +107,7 @@ def _trial_division(y: int) -> Tuple[List[int], int]:
     """The sieve indices of the small prime factors of y >= 2, ascending,
     and the cofactor left: 1 or a prime.  Refuses before sieving."""
     root = math.isqrt(y)
-    if root + 1 > _MAX_SIEVE:
-        raise PrimeBudgetError(
-            "sieve limit _MAX_SIEVE", _MAX_SIEVE, root + 1, context=f": cannot factor {y}"
-        )
-    _extend_sieve(root + 1)
+    _extend_sieve(root + 1, f": cannot factor {y}")
     found, rem = [], y
     # The sieve holds every prime up to root, so rem ends as 1 or a prime.
     for i, p in enumerate(_primes):

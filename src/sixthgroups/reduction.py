@@ -16,7 +16,7 @@ import itertools
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph
-from .presentation import DEFAULT_DEHN_BUDGET, INFINITE, Presentation
+from .presentation import INFINITE, Presentation
 from .search import SearchBudgetError, vertex_maps
 from .words import (
     EMPTY,
@@ -35,11 +35,9 @@ GeneratorMap = Tuple[Word, ...]
 MAX_CONJUGATORS = 250_000
 
 
-def relators_from_graph(t: Graph, dehn_budget: int = DEFAULT_DEHN_BUDGET) -> Presentation:
-    """A new presentation of G_T whose Dehn calls each take at most
-    dehn_budget steps.  No cache: a presentation is built in closed form,
-    and a cache keyed by the graph would hand out the wrong budget."""
-    return Presentation(t, dehn_budget)
+def relators_from_graph(t: Graph) -> Presentation:
+    """A new presentation of G_T."""
+    return Presentation(t)
 
 
 def conjugate(t_word: Word, w: Word) -> Word:
@@ -82,8 +80,7 @@ def is_homomorphism(p_t: Presentation, p_s: Presentation, gm: GeneratorMap) -> b
     that is iff the order of u divides e.  The order is exact by the
     torsion theorem (``Presentation.order``), so only the image of each
     root, one or two letters of G_T, goes through Dehn's algorithm, not
-    the image of the whole relator.  The ``dehn_budget`` of p_s bounds the
-    Dehn steps of each root image's ``order``.
+    the image of the whole relator.
 
     For the map ``induced_hom(t, s, f)`` of an injective vertex map f this
     decides injectivity too, by two facts:
@@ -172,8 +169,7 @@ def canonical_witness(
     extending what was read (``search.vertex_maps``).  The ball of
     conjugators is walked lazily, afresh for each (rho, eps), and past
     MAX_CONJUGATORS conjugators in all a SearchBudgetError is raised.  A
-    negative bound is a ValueError.  Each Dehn call takes at most
-    ``pres.dehn_budget`` steps.
+    negative bound is a ValueError.
     """
     if bound < 0:
         raise ValueError(f"conjugator bound must be at least 0, not {bound}")
@@ -188,11 +184,13 @@ def canonical_witness(
     # through rho restricted to the vertices those words use.  A rho that
     # agrees there with one tried before maps every w as that one did, and
     # that one found no witness under any sign, so skipping it keeps the
-    # first witness.
+    # first witness.  vertex_maps lists only the first rho of each
+    # restriction to the vertices up to max(support); those outside the
+    # support can still repeat a restriction to it.
     support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
     seen = set()
     tried = 0
-    for rho in vertex_maps(t, t, partial):
+    for rho in vertex_maps(t, t, partial, prefix=max(support, default=-1) + 1):
         restriction = tuple(map(rho.__getitem__, support))
         if restriction in seen:
             continue

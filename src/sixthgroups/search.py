@@ -7,7 +7,7 @@ its oracles.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .graphs import Graph
 from .words import BudgetError
@@ -31,20 +31,26 @@ def _neighbours(g: Graph) -> list:
     return masks
 
 
-def vertex_maps(t: Graph, s: Graph, fixed: Dict[int, int]) -> Iterator[Tuple[int, ...]]:
+def vertex_maps(
+    t: Graph, s: Graph, fixed: Dict[int, int], *, prefix: Optional[int] = None
+) -> Iterator[Tuple[int, ...]]:
     """The induced embeddings f of t into s with f(i) = fixed[i] for each
     i in fixed, in lexicographic order, so the first is
-    ``graphs.induced_embeds(t, s)``.
+    ``graphs.induced_embeds(t, s)``; of those that agree on f(0) ..
+    f(prefix - 1), only the first (prefix defaults to t.n, listing all).
 
     It places f(0), f(1), ... in turn, trying the images in increasing
     order, and keeps an image only if its adjacency to the images already
     placed is that of the vertex.  An induced embedding between graphs of
     one size is an isomorphism, so there an image must also have the
-    vertex's degree.  Past MAX_CANDIDATES images tried it raises
-    SearchBudgetError.
+    vertex's degree.  Past the first prefix vertices, each branch ends at
+    its first embedding (``place`` returns whether it found one).  Past
+    MAX_CANDIDATES images tried it raises SearchBudgetError.
     """
     if t.n > s.n:
         return
+    if prefix is None:
+        prefix = t.n
     nt, ns = _neighbours(t), _neighbours(s)
 
     def pool(mask: int) -> int:
@@ -64,8 +70,9 @@ def vertex_maps(t: Graph, s: Graph, fixed: Dict[int, int]) -> Iterator[Tuple[int
         nonlocal tried
         if i == t.n:
             yield tuple(f)
-            return
+            return True
         want = sum(1 << f[k] for k in earlier[i])
+        found = False
         for j in candidates[i]:
             tried += 1
             if tried > MAX_CANDIDATES:
@@ -74,6 +81,9 @@ def vertex_maps(t: Graph, s: Graph, fixed: Dict[int, int]) -> Iterator[Tuple[int
                 )
             if not used >> j & 1 and ns[j] & used == want:
                 f[i] = j
-                yield from place(i + 1, used | 1 << j)
+                found |= yield from place(i + 1, used | 1 << j)
+                if found and i >= prefix:
+                    return True
+        return found
 
     yield from place(0, 0)

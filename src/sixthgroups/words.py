@@ -16,10 +16,9 @@ Word = Tuple[int, ...]
 
 EMPTY: Word = ()
 
-# The step budget of Dehn's algorithm (``presentation``) and its largest
-# alphabet, one signed byte per letter; kept here so the CLI can use them
-# without loading the presentation layer.
-DEFAULT_DEHN_BUDGET = 10_000
+# The largest alphabet of Dehn's algorithm (``presentation``), one signed
+# byte per letter; kept here so the CLI can use it without loading the
+# presentation layer.
 MAX_ALPHABET_SIZE = 127
 
 

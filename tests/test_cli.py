@@ -50,7 +50,7 @@ def p3(tmp_path):
     return str(p)
 
 
-@pytest.mark.parametrize("flag", ["--max-code=0", "--dehn-budget=-1", "--conj-bound=-1"])
+@pytest.mark.parametrize("flag", ["--max-code=0", "--conj-bound=-1"])
 def test_flags_out_of_range_are_usage_errors(k2, tmp_path, flag):
     # a negative --conj-bound leaves no conjugator to try, which must not
     # read as an answer
@@ -252,15 +252,17 @@ FILES = {
     "SWAP": "1 4\n4 1\n6 21\n",
 }
 # argv with the names of FILES for their paths, the exit code, and the
-# report: all its lines, or (the number of lines, lines it contains)
+# report: all its lines, or (the number of lines, lines it contains).  No
+# flag sets the Dehn step budget: an argv that starts MAX_DEHN_STEPS=<n>
+# runs with presentation.MAX_DEHN_STEPS patched to n.
 CLI_ANSWERS = [
     pytest.param(
         ["--conj-bound", "-1", "rado-adj", "2", "5"], EXIT_USAGE, [], id="conj-bound-negative"
     ),
     pytest.param(
-        ["--dehn-budget", "1", "wp", "E2", "g0 g0 g0 g0 g1 g1 g1 g1"],
+        ["MAX_DEHN_STEPS=1", "wp", "E2", "g0 g0 g0 g0 g1 g1 g1 g1"],
         EXIT_BUDGET,
-        ["budget-error: Dehn step budget 1 exceeded (needs at least 2) "
+        ["budget-error: Dehn step budget MAX_DEHN_STEPS 1 exceeded (needs at least 2) "
          "on g0 g0 g0 g0 g1 g1 g1 g1 (8 letters)"],
         id="wp-budget",
     ),
@@ -295,9 +297,9 @@ CLI_ANSWERS = [
     ),
     pytest.param(["order", "K3", PRODUCT + " g0"], EXIT_OK, ["order: 7"], id="order-product"),
     pytest.param(
-        ["--dehn-budget", "1", "order", "K3", PRODUCT + " g0"],
+        ["MAX_DEHN_STEPS=1", "order", "K3", PRODUCT + " g0"],
         EXIT_BUDGET,
-        ["budget-error: Dehn step budget 1 exceeded (needs at least 2) "
+        ["budget-error: Dehn step budget MAX_DEHN_STEPS 1 exceeded (needs at least 2) "
          "on g0 g1 g2 g1 g2 g1 g2 g1 … (498 letters)"],
         id="order-product-budget",
     ),
@@ -307,27 +309,27 @@ CLI_ANSWERS = [
         ["order", "K3", "g1 g1 g1 G0 g1 g1 g1"], EXIT_OK, ["order: 11"], id="order-wrap-around"
     ),
     pytest.param(
-        ["--dehn-budget", "1", "order", "K3", LINEAR_AND_WRAP],
+        ["MAX_DEHN_STEPS=1", "order", "K3", LINEAR_AND_WRAP],
         EXIT_BUDGET,
-        ["budget-error: Dehn step budget 1 exceeded (needs at least 2) "
+        ["budget-error: Dehn step budget MAX_DEHN_STEPS 1 exceeded (needs at least 2) "
          "on g0 g0 g0 g2 g1 g1 g1 g1 … (10 letters)"],
         id="order-linear-and-wrap-budget-1",
     ),
     pytest.param(
-        ["--dehn-budget", "2", "order", "K3", LINEAR_AND_WRAP],
+        ["MAX_DEHN_STEPS=2", "order", "K3", LINEAR_AND_WRAP],
         EXIT_OK,
         ["order: INFINITE"],
         id="order-linear-and-wrap-budget-2",
     ),
     pytest.param(
-        ["--dehn-budget", "1", "order", "E3", BEHIND_A_CANDIDATE],
+        ["MAX_DEHN_STEPS=1", "order", "E3", BEHIND_A_CANDIDATE],
         EXIT_BUDGET,
-        ["budget-error: Dehn step budget 1 exceeded (needs at least 2) "
+        ["budget-error: Dehn step budget MAX_DEHN_STEPS 1 exceeded (needs at least 2) "
          "on g0 g0 G1 g0 G1 g0 G1 g0 … (20 letters)"],
         id="order-behind-a-candidate-budget-1",
     ),
     pytest.param(
-        ["--dehn-budget", "2", "order", "E3", BEHIND_A_CANDIDATE],
+        ["MAX_DEHN_STEPS=2", "order", "E3", BEHIND_A_CANDIDATE],
         EXIT_OK,
         ["order: INFINITE"],
         id="order-behind-a-candidate-budget-2",
@@ -410,9 +412,12 @@ CLI_ANSWERS = [
 
 
 @pytest.mark.parametrize("argv, code, report", CLI_ANSWERS)
-def test_cli_answers(tmp_path, argv, code, report):
+def test_cli_answers(tmp_path, monkeypatch, argv, code, report):
     for name, text in FILES.items():
         (tmp_path / name).write_text(text)
+    if argv[0].startswith("MAX_DEHN_STEPS="):
+        monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", int(argv[0].split("=")[1]))
+        argv = argv[1:]
     got, out = run(*(str(tmp_path / a) if a in FILES else a for a in argv))
     assert got == code, out
     if isinstance(report, list):
@@ -739,6 +744,20 @@ def test_aut_extend_tries_each_restriction_to_the_words_once(tmp_path):
     assert got == (EXIT_NO, "extends: false\nconj-bound: 4\n")
 
 
+@pytest.mark.parametrize("n", [10, 127])
+def test_aut_extend_lists_one_automorphism_per_restriction_to_the_words(tmp_path, n):
+    # the words of the map use only vertex 0 of the empty graph, and its
+    # image is read off, so the first automorphism decides the map.
+    # Listing all (n - 1)! automorphisms that fix it, to skip the repeats,
+    # ran out of the vertex-map candidate budget after 0.3-0.5 s on 2 vCPUs.
+    (tmp_path / "e").write_text(f"n {n}\n")
+    (tmp_path / "map").write_text("1 4\n3 3\n")
+    start = time.perf_counter()
+    got = run("aut-extend", str(tmp_path / "e"), str(tmp_path / "map"))
+    assert time.perf_counter() - start < 5
+    assert got == (EXIT_NO, "extends: false\nconj-bound: 0\n")
+
+
 def test_conjugator_walk_has_a_budget(k2, tmp_path):
     # 4 (rho, eps) times the 1 062 881 conjugators of length at most 12 on
     # K2 would take about a minute; the budget ran out after 2.9-4.0 s on
@@ -759,7 +778,7 @@ def test_flags_anywhere(tmp_path, command):
     # before the subcommand, between two operands (or the subcommand and
     # its one operand), after the last operand, and as --flag=value
     argv = _call(tmp_path, command)
-    flags = [("--dehn-budget", "10000")]
+    flags = [("--conj-bound", "0")]
     if command in ("code", "star-table"):
         flags.append(("--max-code", "12"))
     split = [a for pair in flags for a in pair]
@@ -800,7 +819,7 @@ def test_usage_and_help(k2, capsys):
         assert "  hom-check GRAPH_T GRAPH_S MAPFILE\n" in help_text
         assert all(f"\n  {command} " in help_text for command in CALLS)
         assert set(re.findall(r"--[a-z-]+", help_text)) == {
-            "--help", "--max-code", "--conj-bound", "--dehn-budget", "--oracle"
+            "--help", "--max-code", "--conj-bound", "--oracle"
         }
     # rado-adj converts its own operands: a vertex int() does not take
     for vertex in ("x", "9" * 5000):
@@ -819,7 +838,7 @@ def test_one_parser_per_call(k2, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run("--dehn-budget", "10000", "rigid", k2, "--dehn-budget=5") == (
+    assert run("--max-code", "12", "rigid", k2, "--max-code=5") == (
         EXIT_NO,
         "rigid: false\n",
     )
@@ -836,54 +855,40 @@ def test_directory_paths_are_usage_errors(k2, tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_budget_exit(k2):
-    code, out = run("--dehn-budget", "1", "wp", k2, " ".join(["g0 g1"] * 40))
+def test_budget_exit(k2, monkeypatch):
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 1)
+    code, out = run("wp", k2, " ".join(["g0 g1"] * 40))
     assert code == EXIT_BUDGET
     assert "budget-error:" in out
-    assert "budget 1 " in out and "(80 letters)" in out
+    assert "MAX_DEHN_STEPS 1 " in out and "(80 letters)" in out
     assert len(out.strip()) < 200
     # one step in each of two rounds of cyclic reduction: the budget
     # covers both
     w = "g0 g0 g1 g1 g1 g1 g0 g0"
-    assert run("--dehn-budget", "1", "order", k2, w)[0] == EXIT_BUDGET
-    assert run("--dehn-budget", "2", "order", k2, w) == (0, "order: INFINITE\n")
+    assert run("order", k2, w)[0] == EXIT_BUDGET
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 2)
+    assert run("order", k2, w) == (0, "order: INFINITE\n")
 
 
-@pytest.mark.parametrize(
-    "argv, built",
-    [
-        (["wp", "K2", "g0 g1"], 1),
-        (["order", "K2", "g0 g1"], 1),
-        (["code", "K2"], 1),
-        (["star-table", "K2"], 1),
-        (["aut-extend", "K2", "SWAP"], 1),
-        (["aut-extend", "--oracle", "K2", "SWAP"], 1),
-        (["hom-check", "K2", "P3", "ID"], 2),
-        (["relators", "K2"], 1),
-        (["check-c16", "K2"], 1),
-    ],
-    ids=["wp", "order", "code", "star-table", "aut-extend", "aut-extend-oracle",
-         "hom-check", "relators", "check-c16"],
-)
-def test_dehn_budget_reaches_every_presentation(argv, built, k2, p3, tmp_path, monkeypatch):
-    # every presentation the subcommand builds, by whatever path, carries
-    # the flag's budget and none the default
-    budgets = []
-    init = presentation.Presentation.__init__
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        budgets.append(self.dehn_budget)
-
-    monkeypatch.setattr(presentation.Presentation, "__init__", recording)
-    swap, ident = tmp_path / "swap.map", tmp_path / "id.map"
-    swap.write_text("1 4\n4 1\n")
-    ident.write_text("0 0\n1 1\n")
-    paths = {"K2": k2, "P3": p3, "SWAP": str(swap), "ID": str(ident)}
-    argv = [paths.get(a, a) for a in argv]
-    code, _ = run("--dehn-budget", "4321", "--max-code", "12", *argv)
-    assert code == EXIT_OK
-    assert budgets == [4321] * built
+def test_dehn_budget_boundary(tmp_path):
+    # (g0^4 g1^4)^k on the empty graph on 2 vertices takes 2k Dehn steps,
+    # each g^4 -> G^3: 5 000 blocks take the whole budget, one more block
+    # is a budget error.  Each call took 0.07-0.09 s on 2 vCPUs.
+    (tmp_path / "e2").write_text(E2_TEXT)
+    block = "g0 g0 g0 g0 g1 g1 g1 g1"
+    start = time.perf_counter()
+    code, out = run("wp", str(tmp_path / "e2"), " ".join([block] * 5000))
+    assert (code, out) == (
+        EXIT_OK,
+        "identity: false\nnormal-form: " + " ".join(["G0 G0 G0 G1 G1 G1"] * 5000) + "\n",
+    )
+    code, out = run("wp", str(tmp_path / "e2"), " ".join([block] * 5001))
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (
+        EXIT_BUDGET,
+        "budget-error: Dehn step budget MAX_DEHN_STEPS 10000 exceeded (needs at least 10001) "
+        f"on {block} … (40008 letters)\n",
+    )
 
 
 def test_max_code_beyond_reach_is_a_quick_budget_error(p3):
@@ -911,9 +916,10 @@ def test_budget_errors_share_one_shape():
     # a Dehn step, a representative, a table and a prime index too many;
     # the last two requests are numbers, so no word comes with them
     k2 = graphs.graph(2, [(0, 1)])
-    w, long_rep = power((1, 2), 40), power((1, 2, 2), 27)
+    # (g0^4 g1^4)^5001 takes one Dehn step per g^4, two past the budget
+    w, long_rep = power((1, 1, 1, 1, 2, 2, 2, 2), 5001), power((1, 2, 2), 27)
     requests = [
-        (lambda: reduction.relators_from_graph(k2, 2).dehn_reduce(w), w),
+        (lambda: reduction.relators_from_graph(k2).dehn_reduce(w), w),
         (lambda: coding.CodingTable(k2).code_of(long_rep), long_rep),
         (lambda: coding.CodingTable(k2).enumerate_to(3 * coding.MAX_ELEMENTS), ()),
         (lambda: randomgraph.nth_prime(randomgraph.MAX_PRIME_INDEX + 1), ()),
@@ -1076,7 +1082,7 @@ _OPERANDS = {
     "tree": "G",
 }
 _FLAG = st.sampled_from(
-    ["--dehn-budget", "--max-code", "--conj-bound", "--oracle", "--bogus"]
+    ["--max-code", "--conj-bound", "--oracle", "--bogus"]
 ).flatmap(lambda f: st.tuples(st.just(f), st.sampled_from(["3", "40", "1", "0", "-1", "x"])))
 # hypothesis favours small integers, so a middle value is a rare case
 _RARELY = st.integers(0, 7).map(lambda k: k == 5)

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sixthgroups import presentation
 from sixthgroups.graphs import graph, graphs_up_to
 from sixthgroups.presentation import (
     INFINITE,
@@ -257,8 +258,11 @@ def test_order_power_law():
     assert Z7.order(power((1,), 7)) == 1
 
 
-def test_dehn_budget():
-    fresh = relators_from_graph(graph(1, []), 1)
+def test_dehn_budget(monkeypatch):
+    # the budget is read when a call starts, not when the presentation is
+    # built
+    fresh = relators_from_graph(graph(1, []))
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 1)
     # g0^12 takes two steps: g0^7 goes, then g0^5 becomes G0^2
     with pytest.raises(DehnBudgetError):
         fresh.dehn_reduce(power((1,), 12))
@@ -267,21 +271,26 @@ def test_dehn_budget():
     assert fresh.dehn_reduce(power((1,), 4)) == (-1, -1, -1)
     with pytest.raises(DehnBudgetError):
         fresh.dehn_reduce(power((1,), 12))
-    assert relators_from_graph(graph(1, []), 2).dehn_reduce(power((1,), 12)) == (-1, -1)
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 2)
+    assert fresh.dehn_reduce(power((1,), 12)) == (-1, -1)
 
 
-def test_dehn_budget_error_names_budget_and_truncates():
+def test_dehn_budget_error_names_budget_and_truncates(monkeypatch):
     w = power((1, 2), 40)
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 2)
     with pytest.raises(DehnBudgetError) as info:
-        relators_from_graph(K2, 2).dehn_reduce(w)
+        P_K2.dehn_reduce(w)
     err = info.value
-    assert (err.budget, err.used, err.word) == (2, 3, w)
+    assert (err.name, err.budget, err.used, err.word) == (
+        "Dehn step budget MAX_DEHN_STEPS", 2, 3, w
+    )
     assert str(err) == (
-        "Dehn step budget 2 exceeded (needs at least 3) "
+        "Dehn step budget MAX_DEHN_STEPS 2 exceeded (needs at least 3) "
         "on g0 g1 g0 g1 g0 g1 g0 g1 … (80 letters)"
     )
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 0)
     with pytest.raises(DehnBudgetError, match=r"on g0 g0 g0 g0 \(4 letters\)$"):
-        relators_from_graph(graph(1, []), 0).dehn_reduce(power((1,), 4))
+        Z7.dehn_reduce(power((1,), 4))
 
 
 def test_letters_outside_alphabet_rejected():
@@ -365,18 +374,12 @@ def test_dehn_reduce_matches_naive_rescan():
         pres = relators_from_graph(t)
         for target_len in (10, 60, 300, 900, 2000):
             w = _noisy_relator_product(rng, pres, target_len)
-            expected, steps = DehnOracle(t).reduce(w)
-            assert pres.dehn_reduce(w) == expected, (n, format_word(w))
-            assert relators_from_graph(t, steps).dehn_reduce(w) == expected
-            if steps:
-                with pytest.raises(DehnBudgetError):
-                    relators_from_graph(t, steps - 1).dehn_reduce(w)
-            small = rng.randint(0, 12)
-            if steps > small:
-                with pytest.raises(DehnBudgetError):
-                    relators_from_graph(t, small).dehn_reduce(w)
-            else:
-                assert relators_from_graph(t, small).dehn_reduce(w) == expected
+            expected = DehnOracle(t).reduce(w)
+            assert pres._reduce(w) == expected, (n, format_word(w))
+            steps = expected[1]
+            for budget in {steps, steps - 1, rng.randint(0, 12)} - {-1}:
+                got = _outcome(pres.dehn_reduce, w, budget)
+                assert got == _expected(expected, w, budget), (n, budget)
 
 
 @given(words)
@@ -483,21 +486,22 @@ def test_order_of_long_word_is_fast():
     assert peak < 4_000_000
 
 
-def test_order_budget_covers_all_rounds():
+def test_order_budget_covers_all_rounds(monkeypatch):
     # dehn_reduce rewrites g1^4 (one step); the core g0^2 G1^3 g0^2 then
     # wraps round to g0^4, one more step in a second round
     w = parse_word("g0 g0 g1 g1 g1 g1 g0 g0")
-    one_step = relators_from_graph(K2, 1)
-    assert one_step.dehn_reduce(w) == parse_word("g0 g0 G1 G1 G1 g0 g0")
+    assert P_K2._reduce(w) == (parse_word("g0 g0 G1 G1 G1 g0 g0"), 1)
     rotated = parse_word("g0 g0 g0 g0 G1 G1 G1")
-    assert one_step.dehn_reduce(rotated) == parse_word("G0 G0 G0 G1 G1 G1")
+    assert P_K2._reduce(rotated) == (parse_word("G0 G0 G0 G1 G1 G1"), 1)
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 1)
     with pytest.raises(DehnBudgetError) as info:
-        one_step.order(w)
+        P_K2.order(w)
     assert (info.value.budget, info.value.word) == (1, w)
-    assert relators_from_graph(K2, 2).order(w) == INFINITE
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 2)
+    assert P_K2.order(w) == INFINITE
 
 
-def test_wrap_around_step_behind_a_candidate_that_is_no_step():
+def test_wrap_around_step_behind_a_candidate_that_is_no_step(monkeypatch):
     # The first candidate in the ring, the mixed-sign alternation at 1, is
     # no step; the run g0^4 from 14 is one, and it covers position 1.
     w = parse_word("g0 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 G1 g0 g0")
@@ -507,13 +511,15 @@ def test_wrap_around_step_behind_a_candidate_that_is_no_step():
         assert DehnOracle(t).cyclic_reduce(w) == (core, 1)
     # one linear step (g2^4) and this wrap-around step share the budget
     e3 = graph(3, [])
+    pres = relators_from_graph(e3)
     w = parse_word("g0 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 g0 G1 G1 g2 g2 g2 g2 g0 g0")
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 1)
     with pytest.raises(DehnBudgetError) as info:
-        relators_from_graph(e3, 1).order(w)
+        pres.order(w)
     assert (info.value.budget, info.value.used, info.value.word) == (1, 2, w)
-    two_steps = relators_from_graph(e3, 2)
-    assert two_steps.order(w) == INFINITE
-    assert two_steps.cyclic_dehn_reduce(w) == core + parse_word("G2 G2 G2")
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 2)
+    assert pres.order(w) == INFINITE
+    assert pres.cyclic_dehn_reduce(w) == core + parse_word("G2 G2 G2")
     oracle = DehnOracle(e3)
     assert oracle.cyclic_reduce(w) == (core + parse_word("G2 G2 G2"), 2)
     assert oracle.order(w) == (INFINITE, 2)
@@ -557,11 +563,15 @@ def _order_word(rng, t, length):
     return reduce_word(_identity_product(rng, t, length) + c + x + invert_word(c))
 
 
-def _outcome(call, w):
-    try:
-        return call(w)
-    except DehnBudgetError as err:
-        return "budget", err.budget, err.used, err.word, str(err)
+def _outcome(call, w, budget):
+    """call(w) with the Dehn step budget patched to ``budget``: the
+    answer, or the budget error's budget, used, word and message."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(presentation, "MAX_DEHN_STEPS", budget)
+        try:
+            return call(w)
+        except DehnBudgetError as err:
+            return "budget", err.budget, err.used, err.word, str(err)
 
 
 def _expected(answer, w, budget):
@@ -570,7 +580,7 @@ def _expected(answer, w, budget):
     value, steps = answer
     if steps <= budget:
         return value
-    message = str(DehnBudgetError("Dehn step budget", budget, budget + 1, w))
+    message = str(DehnBudgetError("Dehn step budget MAX_DEHN_STEPS", budget, budget + 1, w))
     return "budget", budget, budget + 1, w, message
 
 
@@ -584,22 +594,21 @@ def test_closed_form_matches_dehn_oracle():
     finite = nonempty = over_budget = 0
     for t in graphs:
         pres, oracle = relators_from_graph(t), DehnOracle(t)
-        unbounded = relators_from_graph(t, math.inf)
         for make in (_identity_product, _order_word, _random_reduced):
             for _ in range(2):
                 length = rng.choice((rng.randint(10, 300), rng.randint(300, 3000)))
                 w = make(rng, t.n if make is _random_reduced else t, length)
                 expected = oracle.reduce(w)
-                assert unbounded._reduce(w) == expected, (t, format_word(w))
+                assert pres._reduce(w) == expected, (t, format_word(w))
                 steps = expected[1]
                 for budget in {0, 1, steps - 1, steps} - {-1}:
-                    got = _outcome(relators_from_graph(t, budget).dehn_reduce, w)
+                    got = _outcome(pres.dehn_reduce, w, budget)
                     assert got == _expected(expected, w, budget), (t, budget)
                     over_budget += got[:1] == ("budget",)
                 assert pres.cyclic_dehn_reduce(w) == oracle.cyclic_reduce(w)[0], t
                 order = oracle.order(w)
                 assert pres.order(w) == order[0], (t, format_word(w))
-                engine = _outcome(relators_from_graph(t, steps).order, w)
+                engine = _outcome(pres.order, w, steps)
                 assert engine == _expected(order, w, steps)
                 finite += order[0] not in (1, INFINITE)
                 nonempty += bool(expected[0])
@@ -629,10 +638,11 @@ def _assert_reduce_matches_oracle(t, oracle, w):
     outcome, answer or budget error with its used and word, under budgets
     0, 1, steps - 1 and steps.  Returns the normal form and steps."""
     expected = oracle.reduce(w)
-    assert relators_from_graph(t, math.inf)._reduce(w) == expected, format_word(w)
+    pres = relators_from_graph(t)
+    assert pres._reduce(w) == expected, format_word(w)
     steps = expected[1]
     for budget in {0, 1, steps - 1, steps} - {-1}:
-        got = _outcome(relators_from_graph(t, budget).dehn_reduce, w)
+        got = _outcome(pres.dehn_reduce, w, budget)
         assert got == _expected(expected, w, budget), (budget, format_word(w))
     return expected
 
@@ -757,10 +767,10 @@ def test_cyclic_rounds_match_dehn_oracle_under_every_budget():
                     _assert_reduce_matches_oracle(t, oracle, w)
                     answers = {"cyclic_dehn_reduce": core, "order": oracle.order(w)}
                     steps = core[1]
+                    pres = relators_from_graph(t)
                     for budget in {0, 1, steps - 1, steps} - {-1}:
-                        pres = relators_from_graph(t, budget)
                         for name, answer in answers.items():
-                            got = _outcome(getattr(pres, name), w)
+                            got = _outcome(getattr(pres, name), w, budget)
                             assert got == _expected(answer, w, budget), (
                                 name,
                                 budget,

@@ -51,16 +51,22 @@ def test_index_budget_is_reachable():
 def test_budget_errors_carry_budget_and_used():
     cap = randomgraph._MAX_SIEVE
     q = sympy.nextprime(cap)
+    # each refuses before it sieves, with the context of the request
     cases = [
-        (lambda: randomgraph._extend_sieve(cap + 1), cap, cap + 1),
-        (lambda: prime_index(q), cap, q),
-        (lambda: prime_factors(10**18), cap, 10**9 + 1),
-        (lambda: prime_factors(cap**2), cap, cap + 1),
+        (lambda: randomgraph._extend_sieve(cap + 1), cap, cap + 1, ""),
+        (lambda: prime_index(q), cap, q, f": cannot find the index of {q}"),
+        (lambda: prime_factors(10**18), cap, 10**9 + 1, f": cannot factor {10**18}"),
+        (lambda: prime_factors(cap**2), cap, cap + 1, f": cannot factor {cap**2}"),
     ]
-    for call, budget, used in cases:
+    limit = randomgraph._sieve_limit
+    for call, budget, used, context in cases:
         with pytest.raises(PrimeBudgetError, match=str(cap)) as exc:
             call()
         assert (exc.value.budget, exc.value.used) == (budget, used)
+        assert str(exc.value) == (
+            f"sieve limit _MAX_SIEVE {cap} exceeded (needs at least {used}){context}"
+        )
+        assert randomgraph._sieve_limit == limit
 
 
 def test_prime_index_inverts():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from injectivity_oracle import check_injective_up_to
+from sixthgroups import presentation, reduction
 from sixthgroups.coding import CodingTable, sigma_ns_nonempty
 from sixthgroups.graphs import all_graphs, automorphisms, graph, graphs_up_to
 from sixthgroups.presentation import (
-    DEFAULT_DEHN_BUDGET,
     EDGE_ORDER,
     AlphabetError,
+    DehnBudgetError,
     GENERATOR_ORDER,
     NONEDGE_ORDER,
     Presentation,
@@ -369,10 +370,25 @@ def canonical_witness_before(pres, pairs, bound):
     return None
 
 
+def _pairs_on_part(rng, t, auts):
+    """A random proper subset of the vertices of t, and two pairs (w, v)
+    whose words w use only those vertices: half of them images under a
+    canonical automorphism, the other half with one letter more."""
+    support = rng.sample(range(t.n), rng.randint(1, t.n - 1))
+    letters = [c for i in support for c in (gen(i), -gen(i))]
+    words = [w for w in reduced_words(t.n, 3) if w and all(c in letters for c in w)]
+    conj = rng.choice(list(reduced_words(t.n, 1)))
+    theta = induced_hom(t, t, rng.choice(auts), rng.choice((1, -1)), conj)
+    pairs = [(w, apply_hom(theta, w)) for w in rng.sample(words, 2)]
+    if rng.random() < 0.5:
+        w, v = pairs[-1]
+        pairs[-1] = (w, concat(v, (gen(rng.randrange(t.n)),)))
+    return support, pairs
+
+
 def test_skipping_repeated_restrictions_keeps_every_witness():
     # pairs whose words use only some of the vertices, so that
-    # automorphisms agreeing there are skipped: half are images under a
-    # canonical automorphism, the other half have one letter more
+    # automorphisms agreeing there are skipped
     rng = random.Random(13)
     cases = positive = repeated = 0
     for t in graphs_up_to(4):
@@ -381,19 +397,7 @@ def test_skipping_repeated_restrictions_keeps_every_witness():
         pres = relators_from_graph(t)
         auts = automorphisms(t)
         for _ in range(12):
-            support = rng.sample(range(t.n), rng.randint(1, t.n - 1))
-            letters = [c for i in support for c in (gen(i), -gen(i))]
-            words = [
-                w
-                for w in reduced_words(t.n, 3)
-                if w and all(c in letters for c in w)
-            ]
-            conj = rng.choice(list(reduced_words(t.n, 1)))
-            theta = induced_hom(t, t, rng.choice(auts), rng.choice((1, -1)), conj)
-            pairs = [(w, apply_hom(theta, w)) for w in rng.sample(words, 2)]
-            if rng.random() < 0.5:
-                w, v = pairs[-1]
-                pairs[-1] = (w, concat(v, (gen(rng.randrange(t.n)),)))
+            support, pairs = _pairs_on_part(rng, t, auts)
             # automorphisms that agree on the support
             repeated += len({tuple(r[i] for i in support) for r in auts}) < len(auts)
             for bound in (0, 1):
@@ -402,6 +406,72 @@ def test_skipping_repeated_restrictions_keeps_every_witness():
                 cases += 1
                 positive += got is not None
     assert cases == 2 * 12 * 17 and positive > 100 and repeated > 50, (positive, repeated)
+
+
+def canonical_witness_every_rho(pres, pairs, bound, walked):
+    """``canonical_witness`` listing every automorphism that extends the
+    read-off, skipping each whose restriction to the support an earlier
+    one had, and with no budget.  Appends each (rho, eps) it walks the
+    ball for to ``walked``."""
+    fixed = [(w[0] - 1, v) for w, v in pairs if len(w) == 1 and w[0] > 0]
+    read = read_off_letters(pres, [v for _, v in fixed])
+    if read is None:
+        return None
+    targets, eps = read
+    t = pres.graph
+    support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
+    seen = set()
+    for rho in vertex_maps(t, t, {i: j for (i, _), j in zip(fixed, targets)}):
+        restriction = tuple(rho[i] for i in support)
+        if restriction in seen:
+            continue
+        seen.add(restriction)
+        for sign in (eps,) if fixed else (1, -1):
+            walked.append((rho, sign))
+            theta0 = induced_hom(t, t, rho, sign)
+            mapped = [(apply_hom(theta0, w), v) for w, v in pairs]
+            for conj in reduced_words(t.n, bound):
+                if all(pres.equal(conjugate(conj, m), v) for m, v in mapped):
+                    return CanonicalAuto(rho, sign, conj)
+    return None
+
+
+def test_one_rho_per_prefix_walks_what_every_rho_walks(monkeypatch):
+    # canonical_witness lists only the first automorphism of each
+    # restriction to the vertices up to the last one the words use.  It
+    # walks the ball for the same (rho, eps), in the same order, as the
+    # loop over every automorphism, and finds the same witness.
+    walked = []
+
+    def recording(t, s, mapping, epsilon=1, conj=EMPTY):
+        walked.append((tuple(mapping), epsilon))
+        return induced_hom(t, s, mapping, epsilon, conj)
+
+    monkeypatch.setattr(reduction, "induced_hom", recording)
+    six = [
+        graph(6),
+        graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+        graph(6, [(0, 1), (2, 3), (4, 5)]),
+        graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    ]
+    rng = random.Random(34)
+    cases = positive = cut = 0
+    for t in [t for t in graphs_up_to(5) if t.n == 5] + six:
+        pres = relators_from_graph(t)
+        auts = automorphisms(t)
+        for _ in range(6):
+            support, pairs = _pairs_on_part(rng, t, auts)
+            # maps cut by the prefix, with no image read off
+            cut += len(list(vertex_maps(t, t, {}, prefix=max(support) + 1))) < len(auts)
+            for bound in (0, 1):
+                want = []
+                got = canonical_witness_every_rho(pres, pairs, bound, want)
+                walked.clear()
+                assert canonical_witness(pres, pairs, bound) == got, (t, pairs, bound)
+                assert walked == want, (t, pairs, bound)
+                cases += 1
+                positive += got is not None
+    assert cases == 2 * 6 * 38 and positive > 100 and cut > 30, (positive, cut)
 
 
 def test_read_off_letters():
@@ -512,17 +582,20 @@ def test_iso_search():
     assert iso_search(K2, K3) is None
 
 
-def test_relators_from_graph_builds_a_new_presentation_with_its_budget():
-    # no cache: a presentation built earlier for an equal graph with
-    # another budget is never handed out
+def test_relators_from_graph_builds_a_new_presentation_with_its_budget(monkeypatch):
+    # no cache: each call builds a presentation, and each reads the one
+    # budget, MAX_DEHN_STEPS, when a Dehn call starts
     first = relators_from_graph(P3)
-    for budget in (1, 7, DEFAULT_DEHN_BUDGET):
-        pres = relators_from_graph(graph(3, [(0, 1), (1, 2)]), budget)
-        assert pres is not first and pres is not relators_from_graph(P3, budget)
-        assert isinstance(pres, Presentation)
-        assert (pres.graph, pres.dehn_budget) == (P3, budget)
-    assert first.dehn_budget == DEFAULT_DEHN_BUDGET
-    assert repr(relators_from_graph(K2, 5)) == f"Presentation({K2!r}, dehn_budget=5)"
+    pres = relators_from_graph(graph(3, [(0, 1), (1, 2)]))
+    assert pres is not first and isinstance(pres, Presentation)
+    assert pres.graph == P3 and repr(pres) == f"Presentation({P3!r})"
+    w = power((1,), 12)  # g0^7 goes, then g0^5 becomes G0^2
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 1)
+    for p in (first, pres):
+        with pytest.raises(DehnBudgetError):
+            p.dehn_reduce(w)
+    monkeypatch.setattr(presentation, "MAX_DEHN_STEPS", 2)
+    assert first.dehn_reduce(w) == pres.dehn_reduce(w) == (-1, -1)
 
 
 letters = st.integers(min_value=-4, max_value=4).filter(bool)

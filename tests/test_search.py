@@ -80,6 +80,43 @@ def test_every_map_in_order_on_small_graphs():
         assert _rigid(s) == is_rigid(s)
 
 
+def test_a_prefix_lists_the_first_map_of_each_prefix():
+    # every pair of graphs of at most 5 vertices and every prefix length:
+    # the full list with each map dropped whose first k images an earlier
+    # map shares
+    pool = graphs_up_to(5)
+    for s in pool:
+        for t in pool:
+            maps = list(vertex_maps(t, s, {}))
+            for k in range(t.n + 1):
+                firsts = {}
+                for f in maps:
+                    firsts.setdefault(f[:k], f)
+                assert list(vertex_maps(t, s, {}, prefix=k)) == list(firsts.values()), (t, s, k)
+    # with fixed images too: the path 0-1-2 into the empty graph on 4
+    # vertices, vertex 1 placed on 3
+    p3, e4 = graph(3, [(0, 1), (1, 2)]), graph(4)
+    assert list(vertex_maps(p3, graph(5, [(0, 3), (3, 1), (3, 2)]), {1: 3}, prefix=1)) == [
+        (0, 3, 1),
+        (1, 3, 0),
+        (2, 3, 0),
+    ]
+    assert list(vertex_maps(e4, e4, {0: 2}, prefix=2)) == [(2, 0, 1, 3), (2, 1, 0, 3), (2, 3, 0, 1)]
+
+
+def test_a_prefix_stops_each_branch_at_its_first_map(monkeypatch):
+    # the empty graph on 4 vertices with prefix 1: after the 4 images of
+    # vertex 0, one descent each, which tries the images from 0 up to the
+    # first free one at each level: 9, 8, 7 and 6 candidates, 34 in all.
+    # The full list takes 164.
+    e4 = graph(4)
+    monkeypatch.setattr(search, "MAX_CANDIDATES", 34)
+    assert len(list(vertex_maps(e4, e4, {}, prefix=1))) == 4
+    monkeypatch.setattr(search, "MAX_CANDIDATES", 33)
+    with pytest.raises(SearchBudgetError):
+        list(vertex_maps(e4, e4, {}, prefix=1))
+
+
 def test_seeded_pairs_up_to_8_vertices_match_graphs():
     rng = random.Random(31)
     found = 0
