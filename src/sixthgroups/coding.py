@@ -23,10 +23,12 @@ counts built once per generator count.  ``_code`` codes a stable word by
 one walk of the automaton, one stored transition per letter, and
 ``_unrank`` runs the walk in reverse.  The automaton of each generator
 count is shared by every table and learns a transition when a walk
-first takes it, up to MAX_TRANSITIONS.  A CodingTable's one memo is
-indexed by rank: the list of stable words ``enumerate_to`` built for the
-largest table it has returned, the identity in front, so index k holds
-the word of code 3k.  No lookup writes to it: it changes speed, never
+first takes it, up to MAX_TRANSITIONS.  So is the list of stable words
+``enumerate_to`` lays tables out from, the identity in front, so index
+k holds the word of code 3k: built again only for a longer table, and
+capped at MAX_ELEMENTS words over all generator counts.  A CodingTable's
+one memo is its exact prefix up to the largest table that CodingTable
+has returned.  No lookup writes to either: they change speed, never
 answers.
 A word or code whose representative would be longer than MAX_REP_LEN
 letters is a budget error, never a wrong answer.
@@ -260,6 +262,34 @@ def _stable_words(letters: Sequence[int], count: int) -> List[Word]:
     return words
 
 
+# The word list of each generator count, shared by every CodingTable.
+_WORDS: Dict[int, List[Word]] = {}
+
+
+def _shared_words(n: int, composites: int) -> List[Word]:
+    """The identity and at least the first composites stable words over
+    n generators, so index k holds the word of code 3k on every graph of
+    n vertices: the edges only pick the 22- and 26-letter relators, whose
+    Dehn steps need more than MAX_REP_LEN letters.  The list is built
+    again only when it is too short.  All lists hold at most MAX_ELEMENTS
+    words together, as a build that would pass that empties the store
+    first: what outlives every table is then at most one maximal table's
+    words, as much as one live table may already hold.
+    """
+    words = _WORDS.get(n)
+    if words is not None and len(words) > composites:
+        return words
+    # popped first, so the store never holds two lists of one n, and a
+    # build that raises leaves none
+    _WORDS.pop(n, None)
+    if sum(map(len, _WORDS.values())) + composites + 1 > MAX_ELEMENTS:
+        _WORDS.clear()
+    words = [EMPTY]
+    words += _stable_words(_counts(n)[0], composites)
+    _WORDS[n] = words
+    return words
+
+
 class CodingTable:
     """The coding of G_T: a word's code by one walk of the stable-word
     automaton, a code's word by unrank, and a memo of the second.
@@ -269,7 +299,7 @@ class CodingTable:
     rank r.  It holds the composites of the largest table ``enumerate_to`` has
     returned (at first the identity alone), and only ``enumerate_to``
     writes it: tables are prefixes of one another, so one with more
-    composites hands the memo the word list it was built from.
+    composites copies its prefix of the shared word list.
     ``word_of`` reads a generator's word from a tuple indexed by code and
     a multiple of 3 from the memo, and otherwise unranks, never stores.
     ``code_of`` needs no memo: it walks a stable word of at most
@@ -280,7 +310,7 @@ class CodingTable:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.pres = relators_from_graph(graph)
-        self._letters, completions, first = _counts(graph.n)
+        letters, completions, first = _counts(graph.n)
         self._auto = _automaton(graph.n)
         self._reach = first[-1]  # composite codes 3 .. 3 * _reach
         # no stable word longer than MAX_REP_LEN: the group has no element
@@ -289,7 +319,7 @@ class CodingTable:
         # the generator words by code: slot 3i + 1 holds v_i, 3i + 2 its
         # inverse, and word_of never reads the multiples of 3
         singles: List[Optional[Word]] = [None] * (3 * graph.n)
-        for c in self._letters:
+        for c in letters:
             singles[_letter_code(c)] = (c,)
         self._singles = tuple(singles)
         self.code_to_word: List[Word] = [EMPTY]
@@ -362,10 +392,12 @@ class CodingTable:
         MAX_ELEMENTS, and its reach against MAX_REP_LEN, before anything
         is built.
 
-        The table is laid out in code order, never sorted: composite
-        3(i + 1) follows v_i and v_i^{-1} for i < n, and the composites
-        past 3n take the rest of ``_stable_words`` in turn.  A table with
-        more composites than the memo holds gives the memo its words.
+        The table is laid out in code order, never sorted, from the word
+        list every table on n vertices shares (``_shared_words``):
+        composite 3(i + 1) follows v_i and v_i^{-1} for i < n, and the
+        composites past 3n take the rest of the list in turn.  A table
+        with more composites than the memo holds copies that prefix of
+        the list into the memo.
         """
         if type(max_code) is not int:
             raise InputError(f"table bound {max_code!r} is not an int")
@@ -386,18 +418,17 @@ class CodingTable:
             )
         if composites > self._reach:
             raise self._reach_error(3 * (self._reach + 1))
-        words = _stable_words(self._letters, composites)
+        words = _shared_words(n, composites)
         head = min(n, composites)
         table = [(0, EMPTY)]
         for i in range(head):
             table += singles[2 * i : 2 * i + 2]
-            table.append((3 * (i + 1), words[i]))
+            table.append((3 * (i + 1), words[i + 1]))
         table += singles[2 * head :]
         rest = range(3 * (head + 1), 3 * composites + 1, 3)
-        table += zip(rest, itertools.islice(words, head, None))
+        table += zip(rest, itertools.islice(words, head + 1, composites + 1))
         if composites >= len(self.code_to_word):
-            words.insert(0, EMPTY)
-            self.code_to_word = words
+            self.code_to_word = words[: composites + 1]
         return table
 
 

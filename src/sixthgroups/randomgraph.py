@@ -178,12 +178,15 @@ def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
     p_{q m}.  So each z rules out at most 2 + omega(z) primes, and the
     loop stops by the (2|b| + sum_z omega(z) + 1)-th prime.
     """
-    a, b = set(a), set(b)
-    ab = a | b
-    if ab and min(ab) < 2:
-        for v in ab:
+    # neither set is written to, so a caller's set is used as it is
+    if not isinstance(a, set):
+        a = set(a)
+    if not isinstance(b, set):
+        b = set(b)
+    if (a and min(a) < 2) or (b and min(b) < 2):
+        for v in a | b:
             _check_vertex(v)
-    if a & b:
+    if not a.isdisjoint(b):
         raise ValueError("witness sets must be disjoint")
     high = max(a) if a else 0
     xs = _factor_indices(high) if a else ()

@@ -178,12 +178,26 @@ def test_enumerated_word_of_matches_a_fresh_table_at_every_cut(n):
                     ct.word_of(code)
 
 
+def _store():
+    """The shared word lists as they stand: each list and a copy of it."""
+    return {n: (w, list(w)) for n, w in coding._WORDS.items()}
+
+
+def _assert_store_is(before):
+    assert coding._WORDS.keys() == before.keys()
+    for n, (w, copy) in before.items():
+        assert coding._WORDS[n] is w and w == copy, n
+
+
 @pytest.mark.parametrize("bound", [True, 4.5, 7.0, "5", None])
 def test_enumerate_to_refuses_a_bound_that_is_no_int(bound):
+    CodingTable(K2).enumerate_to(30)
+    before = _store()
     ct = CodingTable(K2)
     with pytest.raises(InputError, match=re.escape(repr(bound))):
         ct.enumerate_to(bound)
     assert ct.code_to_word == [EMPTY]
+    _assert_store_is(before)
 
 
 def test_budget_errors():
@@ -764,6 +778,123 @@ def test_the_longest_table_fills_the_memos():
         assert _memo_table(ct, 300) == dict(tables[300])
 
 
+def _two_graphs(n: int):
+    """The empty and the complete graph on n vertices: the same n, other
+    relators wherever n > 1."""
+    return [graph(n, []), graph(n, itertools.combinations(range(n), 2))]
+
+
+def _assert_answers_as_the_oracle(ct: CodingTable, max_code: int, table) -> None:
+    oracle = _oracle_table(ct.graph.n, max_code + 5)
+    assert table == [(c, w) for c, w in sorted(oracle.items()) if c <= max_code]
+    for code in range(-3, max_code + 6):
+        if code in oracle:
+            assert ct.word_of(code) == oracle[code], (ct.graph, code)
+        else:
+            with pytest.raises(KeyError):
+                ct.word_of(code)
+
+
+def test_tables_on_one_vertex_count_share_their_words(monkeypatch):
+    # fresh tables on the empty and the complete graph of each n = 0..4,
+    # the bounds rising and then falling and the vertex counts
+    # interleaved: each table, its memo and word_of answer as the oracle,
+    # and a long-lived table per graph keeps the memo of its largest table
+    monkeypatch.setattr(coding, "_WORDS", {})
+    kept = {t: CodingTable(t) for n in range(5) for t in _two_graphs(n)}
+    largest = {t: -1 for t in kept}
+    for max_code in (0, 7, 30, 300, 3000, 300, 31, 8, 0):
+        for n in (2, 0, 4, 1, 3):
+            for t in _two_graphs(n):
+                ct = CodingTable(t)
+                table = ct.enumerate_to(max_code)
+                _assert_answers_as_the_oracle(ct, max_code, table)
+                assert ct.code_to_word == [w for c, w in table if c % 3 == 0]
+                assert kept[t].enumerate_to(max_code) == table
+                largest[t] = max(largest[t], max_code)
+                memo = dict(enumerate(kept[t].code_to_word))
+                want = _oracle_table(n, largest[t])
+                assert memo == {c // 3: w for c, w in want.items() if c % 3 == 0}
+    # one list per vertex count, as long as the longest table asked
+    assert {n: len(w) for n, w in coding._WORDS.items()} == {
+        0: 1,
+        1: 5,
+        2: 1001,
+        3: 1001,
+        4: 1001,
+    }
+
+
+def test_a_second_table_reads_the_first_ones_words(monkeypatch):
+    # the composites as the same tuple objects, not equal ones built
+    # again; a longer table rebuilds the list, and tables after it share
+    # the new one
+    monkeypatch.setattr(coding, "_WORDS", {})
+
+    def composites(table):
+        return [w for c, w in table if c and c % 3 == 0]
+
+    for n in (2, 3, 4):
+        first, second = _two_graphs(n)
+        a = composites(CodingTable(first).enumerate_to(3000))
+        b = composites(CodingTable(second).enumerate_to(1500))
+        assert len(a) == 1000 and len(b) == 500
+        assert all(x is y for x, y in zip(a, b))
+        c = composites(CodingTable(second).enumerate_to(6000))
+        assert c[:1000] == a and not any(x is y for x, y in zip(a, c))
+        d = composites(CodingTable(first).enumerate_to(6000))
+        assert len(d) == 2000 and all(x is y for x, y in zip(c, d))
+        assert coding._WORDS[n] == [EMPTY] + d
+
+
+def test_the_shared_words_stay_within_max_elements(monkeypatch):
+    # with the element budget patched small, the lists of all vertex
+    # counts never hold more than it, a build that would pass it empties
+    # the store, and every table still answers as the oracle
+    monkeypatch.setattr(coding, "MAX_ELEMENTS", 120)
+    monkeypatch.setattr(coding, "_WORDS", {})
+    rng = random.Random(35)
+    cleared = 0
+    for _ in range(120):
+        n = rng.randint(0, 4)
+        max_code = rng.randint(0, 3 * (coding.MAX_ELEMENTS - 1 - 2 * n))
+        held = sum(map(len, coding._WORDS.values()))
+        ct = CodingTable(rng.choice(_two_graphs(n)))
+        table = ct.enumerate_to(max_code)
+        _assert_answers_as_the_oracle(ct, max_code, table)
+        total = sum(map(len, coding._WORDS.values()))
+        assert total <= coding.MAX_ELEMENTS
+        cleared += total < held
+    assert cleared > 5
+    with pytest.raises(CodingBudgetError, match="MAX_ELEMENTS"):
+        CodingTable(K2).enumerate_to(3 * coding.MAX_ELEMENTS)
+
+
+def test_a_failed_build_leaves_no_list(monkeypatch):
+    # a build that raises pops the list of its vertex count first, so the
+    # store holds no half-built or stale list, and the next table answers
+    monkeypatch.setattr(coding, "_WORDS", {})
+    CodingTable(K2).enumerate_to(300)
+    CodingTable(P3).enumerate_to(300)
+    ct = CodingTable(K2)
+    ct.enumerate_to(30)
+    memo = list(ct.code_to_word)
+
+    def out_of_memory(letters, count):
+        raise MemoryError
+
+    with monkeypatch.context() as m:
+        m.setattr(coding, "_stable_words", out_of_memory)
+        with pytest.raises(MemoryError):
+            ct.enumerate_to(3000)
+        assert 2 not in coding._WORDS and len(coding._WORDS[3]) == 101
+        assert ct.code_to_word == memo
+        # a table the list still covers needs no build
+        assert CodingTable(P3).enumerate_to(90) == sorted(_oracle_table(3, 90).items())
+    _assert_answers_as_the_oracle(ct, 3000, ct.enumerate_to(3000))
+    assert len(coding._WORDS[2]) == 1001
+
+
 def test_codes_beyond_reach():
     # on two or more vertices the group is infinite: a code past the last
     # representative of MAX_REP_LEN letters exists, but the coding cannot
@@ -786,6 +917,9 @@ def test_codes_beyond_reach():
 
 
 def test_enumerate_to_checks_size_first():
+    CodingTable(P3).enumerate_to(30)
+    CodingTable(K2).enumerate_to(30)
+    before = _store()
     ct = CodingTable(P3)
     start = time.perf_counter()
     with pytest.raises(CodingBudgetError, match="MAX_ELEMENTS") as err:
@@ -794,6 +928,13 @@ def test_enumerate_to_checks_size_first():
     # the identity, six generator codes and every multiple of 3 up to 10^12
     assert (err.value.budget, err.value.used) == (MAX_ELEMENTS, 7 + 10**12 // 3)
     assert ct.code_to_word == [EMPTY]
+    _assert_store_is(before)
+    # a bound past the reach of the coding is refused before building too
+    ct = CodingTable(K2)
+    with pytest.raises(CodingBudgetError, match="MAX_REP_LEN"):
+        ct.enumerate_to(3 * _counts(2)[2][-1] + 3)
+    assert ct.code_to_word == [EMPTY]
+    _assert_store_is(before)
 
 
 def test_coding_budget_error_fields_and_message():

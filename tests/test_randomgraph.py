@@ -19,6 +19,7 @@ from sixthgroups.randomgraph import (
     prime_factors,
     prime_index,
 )
+from sixthgroups.words import InputError
 
 # p_0 = 2, so sympy.prime(i + 1) is the independent oracle.
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
@@ -425,6 +426,45 @@ def test_extension_witness_rejects_overlap():
         extension_witness({2}, {2})
     with pytest.raises(ValueError):
         extension_witness({1}, set())
+
+
+@pytest.mark.parametrize(
+    "a, b, low",
+    [({1, 5}, {7}, 1), ({5}, {0, 7}, 0), ({0}, {1}, None), ({1, 9}, {1, 9}, 1), (set(), {-4}, -4)],
+)
+def test_extension_witness_refuses_a_vertex_below_2(a, b, low):
+    # a vertex below 2 in a, in b or in both is an input error, checked
+    # before the overlap; the caller's sets are left as they were
+    copies = set(a), set(b)
+    with pytest.raises(InputError, match="out of range: vertices start at 2") as err:
+        extension_witness(a, b)
+    if low is not None:
+        assert str(err.value) == f"vertex {low} out of range: vertices start at 2"
+    assert (a, b) == copies
+
+
+def test_extension_witness_refuses_overlapping_sets():
+    a, b = {2, 3, 9}, {9, 4}
+    with pytest.raises(ValueError, match="^witness sets must be disjoint$") as err:
+        extension_witness(a, b)
+    assert not isinstance(err.value, InputError)
+    assert (a, b) == ({2, 3, 9}, {9, 4})
+
+
+def test_extension_witness_takes_any_iterable_and_keeps_its_sets():
+    rng = random.Random(35)
+    for _ in range(200):
+        picks = rng.sample(range(2, 60), rng.randint(0, 6))
+        cut = rng.randint(0, len(picks))
+        a, b = set(picks[:cut]), set(picks[cut:])
+        copies = set(a), set(b)
+        want = extension_witness(a, b)
+        assert (a, b) == copies
+        assert want == rado_oracle.extension_witness(a, b)
+        assert extension_witness(sorted(a), sorted(b)) == want
+        assert extension_witness(frozenset(a), frozenset(b)) == want
+        assert extension_witness(iter(sorted(a)), (z for z in b)) == want
+        assert extension_witness(list(a) + list(a), tuple(b)) == want
 
 
 def test_embed_path():
