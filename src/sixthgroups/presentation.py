@@ -74,10 +74,10 @@ class AlphabetError(InputError):
 def primitive_root(w: Word) -> Tuple[Word, int]:
     """Write w = u^k with k maximal (u the primitive root)."""
     n = len(w)
-    for p in range(1, n + 1):
+    for p in range(1, n):
         if n % p == 0 and w == w[:p] * (n // p):
             return w[:p], n // p
-    raise AssertionError("unreachable")
+    return w, 1
 
 
 class RelatorSet(NamedTuple):
@@ -305,22 +305,14 @@ class Presentation:
                 del word[a:b]
             else:
                 # r = u . s with u the matched prefix; replace u by s^{-1},
-                # the first |r| - |u| letters of r^{-1}.  The prefix
-                # word[:i], the complement and the suffix word[i+length:]
-                # are each freely reduced, so letters cancel only at the
-                # seams.
-                a, b, lo = i, end, 0
-                while lo < hi and a > 0 and word[a - 1] == -inv[lo]:
-                    a -= 1
-                    lo += 1
-                while lo < hi and b < len(word) and inv[hi - 1] == -word[b]:
-                    hi -= 1
-                    b += 1
-                if lo == hi:
-                    while a > 0 and b < len(word) and word[a - 1] == -word[b]:
-                        a -= 1
-                        b += 1
-                word[a:b] = inv[lo:hi]
+                # the first |r| - |u| letters of r^{-1}.  No letter cancels
+                # at a seam, as the search is leftmost and greedy.  Left:
+                # s^{-1} starts with the inverse of r's last letter, which
+                # before u would start a match one letter earlier, at least
+                # as long (a non-step there is one here too).  Right: the
+                # next letter of r after u would have extended the match.
+                a = i
+                word[i:end] = inv[:hi]
             start = a - LONGEST_RELATOR if a > LONGEST_RELATOR else 0
         return used
 

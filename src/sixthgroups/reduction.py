@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .graphs import Graph
+from .graphs import Graph, graph
 from .presentation import INFINITE, Presentation
 from .search import SearchBudgetError, vertex_maps
 from .words import (
@@ -158,15 +158,18 @@ def canonical_witness(
     pairs: Sequence[Tuple[Word, Word]],
     bound: int,
 ) -> Optional[CanonicalAuto]:
-    """The first (rho, eps, conj) in (rho, eps, conjugator shortlex) order
-    with |conj| <= bound and conj theta0(w) conj^{-1} = v in G_T for every
-    pair (w, v), theta0 the map v_i -> v_{rho(i)}^eps; or None.  G_T is
-    ``pres`` and T is ``pres.graph``.
+    """The first (rho, eps, conj) in (rho|S, eps, conjugator shortlex)
+    order with |conj| <= bound and conj theta0(w) conj^{-1} = v in G_T for
+    every pair (w, v), theta0 the map v_i -> v_{rho(i)}^eps; or None.  G_T
+    is ``pres`` and T is ``pres.graph``.
 
-    rho and eps are read off the values of the pairs whose w is one
-    positive generator, each generator once (``read_off_letters``; with
-    none both signs are tried), and rho ranges over the automorphisms
-    extending what was read (``search.vertex_maps``).  The ball of
+    theta0 is applied only to the words w, so it depends on rho only
+    through rho|S, rho on the vertices S those words use.  Each rho|S is
+    tried once, in lexicographic order of (rho(s) : s in S ascending), by
+    its least rho: ``vertex_maps`` walks a copy of T numbered S first, cut
+    after |S| vertices.  rho and eps are read off the values of the pairs
+    whose w is one positive generator, each generator once
+    (``read_off_letters``; with none both signs are tried).  The ball of
     conjugators is walked lazily, afresh for each (rho, eps), and past
     MAX_CONJUGATORS conjugators in all a SearchBudgetError is raised.  A
     negative bound is a ValueError.
@@ -180,21 +183,20 @@ def canonical_witness(
     targets, eps = read
     partial = {i: j for (i, _), j in zip(fixed, targets)}
     t = pres.graph
-    # theta0 is applied only to the words w, so it depends on rho only
-    # through rho restricted to the vertices those words use.  A rho that
-    # agrees there with one tried before maps every w as that one did, and
-    # that one found no witness under any sign, so skipping it keeps the
-    # first witness.  vertex_maps lists only the first rho of each
-    # restriction to the vertices up to max(support); those outside the
-    # support can still repeat a restriction to it.
     support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
-    seen = set()
+    k = len(support)
+    if support and support[-1] != k - 1:
+        # vertex pos[i] of the copy is vertex i of t; the rest keep their
+        # order, so both numberings have the same least rho for each rho|S
+        order = support + sorted(set(range(t.n)).difference(support))
+        pos = sorted(range(t.n), key=order.__getitem__)
+        first = graph(t.n, ((pos[i], pos[j]) for i, j in t.edges))
+        maps = vertex_maps(first, t, {pos[i]: j for i, j in partial.items()}, prefix=k)
+        rhos = (tuple(map(f.__getitem__, pos)) for f in maps)
+    else:
+        rhos = vertex_maps(t, t, partial, prefix=k)
     tried = 0
-    for rho in vertex_maps(t, t, partial, prefix=max(support, default=-1) + 1):
-        restriction = tuple(map(rho.__getitem__, support))
-        if restriction in seen:
-            continue
-        seen.add(restriction)
+    for rho in rhos:
         for sign in (eps,) if fixed else (1, -1):
             theta0 = induced_hom(t, t, rho, sign)
             mapped = [(apply_hom(theta0, w), v) for w, v in pairs]

@@ -8,20 +8,39 @@ the sorted union of those indices, then the common multiples of
 keeps the scan and multiple limits that bounded the old search, as its
 own constants.  The new search must return its witness, or raise the
 same exception type, wherever it answers.
+
+Its primes, factorisations and prime indices come from sympy, not from
+the engine's prime layer, so that layer's faults are not shared.  It
+holds only the engine's prime index budget, read from ``randomgraph`` at
+each call.
 """
 
 from typing import Iterable, Set
 
-from sixthgroups.randomgraph import (
-    PrimeBudgetError,
-    _check_vertex,
-    nth_prime,
-    prime_factors,
-    prime_index,
-)
+import sympy
+
+from sixthgroups import randomgraph
+from sixthgroups.randomgraph import PrimeBudgetError, _check_vertex
 
 _SCAN_LIMIT = 2_000_000
 _MULTIPLE_LIMIT = 1_000
+
+
+def nth_prime(i: int) -> int:
+    """The i-th prime with p_0 = 2, within MAX_PRIME_INDEX."""
+    budget = randomgraph.MAX_PRIME_INDEX
+    if i > budget:
+        raise PrimeBudgetError("prime index budget MAX_PRIME_INDEX", budget, i)
+    # sympy's sieve, which grows as needed; sympy.prime past the sieve
+    # searches from an estimate, in milliseconds a call
+    return sympy.sieve[i + 1]
+
+
+def prime_index(q: int) -> int:
+    """Index i with p_i = q."""
+    if not sympy.isprime(q):
+        raise ValueError(f"{q} is not prime")
+    return int(sympy.primepi(q)) - 1
 
 
 def _valid_witness(x: int, a: Set[int], b: Set[int]) -> bool:
@@ -63,7 +82,7 @@ def extension_witness(a: Iterable[int], b: Iterable[int]) -> int:
     # y in a (these are the only x with p_x | y available).
     candidates = set()
     for y in a:
-        for q in prime_factors(y):
+        for q in sympy.primefactors(y):
             candidates.add(prime_index(q))
     for x in sorted(candidates):
         if _valid_witness(x, a, b):

@@ -746,16 +746,19 @@ def test_aut_extend_tries_each_restriction_to_the_words_once(tmp_path):
 
 @pytest.mark.parametrize("n", [10, 127])
 def test_aut_extend_lists_one_automorphism_per_restriction_to_the_words(tmp_path, n):
-    # the words of the map use only vertex 0 of the empty graph, and its
-    # image is read off, so the first automorphism decides the map.
+    # the words of the first map use only vertex 0 of the empty graph, and
+    # its image is read off, so the first automorphism decides the map.
     # Listing all (n - 1)! automorphisms that fix it, to skip the repeats,
     # ran out of the vertex-map candidate budget after 0.3-0.5 s on 2 vCPUs.
+    # The words of the second use vertices 0 and 9: cutting the walk after
+    # vertex 9 instead of after the two of them ran out of the same budget.
     (tmp_path / "e").write_text(f"n {n}\n")
-    (tmp_path / "map").write_text("1 4\n3 3\n")
-    start = time.perf_counter()
-    got = run("aut-extend", str(tmp_path / "e"), str(tmp_path / "map"))
-    assert time.perf_counter() - start < 5
-    assert got == (EXIT_NO, "extends: false\nconj-bound: 0\n")
+    for words in ("1 4\n3 3\n", "3 6\n28 4\n"):
+        (tmp_path / "map").write_text(words)
+        start = time.perf_counter()
+        got = run("aut-extend", str(tmp_path / "e"), str(tmp_path / "map"))
+        assert time.perf_counter() - start < 5
+        assert got == (EXIT_NO, "extends: false\nconj-bound: 0\n"), words
 
 
 def test_conjugator_walk_has_a_budget(k2, tmp_path):

@@ -97,6 +97,7 @@ def test_generator_code_on_three_vertices():
 
 def test_k1_exhaustion():
     ct = CodingTable(K1)
+    assert ct.enumerate_to(-1) == []
     table = ct.enumerate_to(100)
     assert sorted(c for c, _ in table) == sorted(K1_EXP_OF_CODE)
     assert not ct.registrable(4)  # no second generator
@@ -342,6 +343,47 @@ def test_sigma_matches_star_search():
                 positive += got[0]
                 conjugated += got[0] and got[1].k != 0
     assert answered > 300 and positive > 100 and conjugated > 20 and out_of_reach > 20
+
+
+def test_sigma_matches_oracle_off_an_initial_support():
+    # maps whose words use vertices that are no initial segment of 0, 1,
+    # ..., so canonical_witness walks a copy of T that numbers them first;
+    # three in four are images under a canonical automorphism, the rest
+    # one letter off.  Every witness found maps each pair.
+    rng = random.Random(36)
+    cases = positive = 0
+    for t in graphs_up_to(4):
+        if t.n < 2:
+            continue
+        ct = CodingTable(t)
+        auts = automorphisms(t)
+        conjugators = list(reduced_words(t.n, 1))
+        for _ in range(10):
+            support = sorted(rng.sample(range(t.n), rng.randint(1, t.n - 1)))
+            if support[-1] == len(support) - 1:
+                support[-1] = t.n - 1
+            letters = {c for i in support for c in (gen(i), -gen(i))}
+            words = [w for w in reduced_words(t.n, 2) if w and set(w) <= letters]
+            gm = induced_hom(t, t, rng.choice(auts), rng.choice((1, -1)), rng.choice(conjugators))
+            s = {}
+            for w in rng.sample(words, 2):
+                v = apply_hom(gm, w)
+                if rng.random() < 0.25:
+                    v = concat(v, (gen(rng.randrange(t.n)),))
+                s[ct.code_of(w)] = ct.code_of(v)
+            if len(set(s.values())) < len(s):
+                continue
+            pairs = [(ct.word_of(c), ct.word_of(v)) for c, v in s.items()]
+            for bound in (0, 1):
+                ok, _ = sigma_ns_nonempty(ct, s, bound)
+                assert ok == oracle_aut_extends(ct, s, bound), (t, s, bound)
+                found = reduction.canonical_witness(ct.pres, pairs, bound)
+                if found is not None:
+                    theta = induced_hom(t, t, found.rho, found.epsilon, found.conj)
+                    assert all(ct.code_of(apply_hom(theta, w)) == ct.code_of(v) for w, v in pairs)
+                cases += 1
+                positive += ok
+    assert cases > 250 and positive > 100, (cases, positive)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

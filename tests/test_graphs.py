@@ -57,7 +57,11 @@ def test_graph_basics():
     assert g != graph(3, [(0, 1)]) and g != Graph(4, g.edges)
     with pytest.raises(AttributeError):
         g.n = 4
+    with pytest.raises(AttributeError):
+        del g.n
     assert g.n == 3
+    # == against a non-Graph defers to the other side
+    assert (Graph(2) == 2) is False
     assert pickle.loads(pickle.dumps(g)) == g
 
 
@@ -89,6 +93,8 @@ def test_parse_format_roundtrip():
         "n 2\ne 0 1\ne 0 1\n",
         "n 2\nn 2\n",
         "n 2\nz 0 1\n",
+        "n 2\ne 0\n",
+        "n 2\ne 0 1 1\n",
     ],
 )
 def test_parse_rejects(text):

@@ -81,6 +81,7 @@ def test_primitive_root():
     assert primitive_root((1, 2, 1, 2)) == ((1, 2), 2)
     assert primitive_root((1, 2, 3)) == ((1, 2, 3), 1)
     assert primitive_root((1,) * 7) == ((1,), 7)
+    assert primitive_root(EMPTY) == (EMPTY, 1)
 
 
 def test_symmetrize_closure():

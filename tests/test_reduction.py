@@ -410,9 +410,9 @@ def test_skipping_repeated_restrictions_keeps_every_witness():
 
 def canonical_witness_every_rho(pres, pairs, bound, walked):
     """``canonical_witness`` listing every automorphism that extends the
-    read-off, skipping each whose restriction to the support an earlier
-    one had, and with no budget.  Appends each (rho, eps) it walks the
-    ball for to ``walked``."""
+    read-off, keeping the first of each restriction to the support, and
+    walking those in sorted order of the restriction, with no budget.
+    Appends each (rho, eps) it walks the ball for to ``walked``."""
     fixed = [(w[0] - 1, v) for w, v in pairs if len(w) == 1 and w[0] > 0]
     read = read_off_letters(pres, [v for _, v in fixed])
     if read is None:
@@ -420,12 +420,11 @@ def canonical_witness_every_rho(pres, pairs, bound, walked):
     targets, eps = read
     t = pres.graph
     support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
-    seen = set()
-    for rho in vertex_maps(t, t, {i: j for (i, _), j in zip(fixed, targets)}):
-        restriction = tuple(rho[i] for i in support)
-        if restriction in seen:
-            continue
-        seen.add(restriction)
+    first = {}
+    for rho in automorphisms(t):
+        if all(rho[i] == j for (i, _), j in zip(fixed, targets)):
+            first.setdefault(tuple(rho[i] for i in support), rho)
+    for _, rho in sorted(first.items()):
         for sign in (eps,) if fixed else (1, -1):
             walked.append((rho, sign))
             theta0 = induced_hom(t, t, rho, sign)
@@ -438,9 +437,10 @@ def canonical_witness_every_rho(pres, pairs, bound, walked):
 
 def test_one_rho_per_prefix_walks_what_every_rho_walks(monkeypatch):
     # canonical_witness lists only the first automorphism of each
-    # restriction to the vertices up to the last one the words use.  It
-    # walks the ball for the same (rho, eps), in the same order, as the
-    # loop over every automorphism, and finds the same witness.
+    # restriction to the vertices the words use, the prefix of a walk that
+    # numbers them first.  It walks the ball for the same (rho, eps), in
+    # the same order, as the loop over every automorphism, and finds the
+    # same witness.
     walked = []
 
     def recording(t, s, mapping, epsilon=1, conj=EMPTY):
@@ -455,14 +455,15 @@ def test_one_rho_per_prefix_walks_what_every_rho_walks(monkeypatch):
         graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
     ]
     rng = random.Random(34)
-    cases = positive = cut = 0
+    cases = positive = cut = relabelled = 0
     for t in [t for t in graphs_up_to(5) if t.n == 5] + six:
         pres = relators_from_graph(t)
         auts = automorphisms(t)
         for _ in range(6):
             support, pairs = _pairs_on_part(rng, t, auts)
-            # maps cut by the prefix, with no image read off
-            cut += len(list(vertex_maps(t, t, {}, prefix=max(support) + 1))) < len(auts)
+            # maps cut after the support, with no image read off
+            cut += len({tuple(r[i] for i in support) for r in auts}) < len(auts)
+            relabelled += max(support) >= len(support)
             for bound in (0, 1):
                 want = []
                 got = canonical_witness_every_rho(pres, pairs, bound, want)
@@ -471,7 +472,11 @@ def test_one_rho_per_prefix_walks_what_every_rho_walks(monkeypatch):
                 assert walked == want, (t, pairs, bound)
                 cases += 1
                 positive += got is not None
-    assert cases == 2 * 6 * 38 and positive > 100 and cut > 30, (positive, cut)
+    assert cases == 2 * 6 * 38 and positive > 100 and cut > 30 and relabelled > 100, (
+        positive,
+        cut,
+        relabelled,
+    )
 
 
 def test_read_off_letters():
