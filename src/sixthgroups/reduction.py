@@ -185,16 +185,13 @@ def canonical_witness(
     t = pres.graph
     support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
     k = len(support)
-    if support and support[-1] != k - 1:
-        # vertex pos[i] of the copy is vertex i of t; the rest keep their
-        # order, so both numberings have the same least rho for each rho|S
-        order = support + sorted(set(range(t.n)).difference(support))
-        pos = sorted(range(t.n), key=order.__getitem__)
-        first = graph(t.n, ((pos[i], pos[j]) for i, j in t.edges))
-        maps = vertex_maps(first, t, {pos[i]: j for i, j in partial.items()}, prefix=k)
-        rhos = (tuple(map(f.__getitem__, pos)) for f in maps)
-    else:
-        rhos = vertex_maps(t, t, partial, prefix=k)
+    # vertex pos[i] of the copy is vertex i of t; the rest keep their
+    # order, so both numberings have the same least rho for each rho|S
+    order = support + sorted(set(range(t.n)).difference(support))
+    pos = sorted(range(t.n), key=order.__getitem__)
+    first = graph(t.n, ((pos[i], pos[j]) for i, j in t.edges))
+    maps = vertex_maps(first, t, {pos[i]: j for i, j in partial.items()}, prefix=k)
+    rhos = (tuple(map(f.__getitem__, pos)) for f in maps)
     tried = 0
     for rho in rhos:
         for sign in (eps,) if fixed else (1, -1):

@@ -11,8 +11,8 @@ same exception type, wherever it answers.
 
 Its primes, factorisations and prime indices come from sympy, not from
 the engine's prime layer, so that layer's faults are not shared.  It
-holds only the engine's prime index budget, read from ``randomgraph`` at
-each call.
+holds only the engine's prime index budget and sieve cap, read from
+``randomgraph`` at each call, so it refuses what the engine refuses.
 """
 
 from typing import Iterable, Set
@@ -37,7 +37,12 @@ def nth_prime(i: int) -> int:
 
 
 def prime_index(q: int) -> int:
-    """Index i with p_i = q."""
+    """Index i with p_i = q, for q within the engine's sieve cap."""
+    cap = randomgraph._MAX_SIEVE
+    if q > cap:
+        raise PrimeBudgetError(
+            "sieve limit _MAX_SIEVE", cap, q, context=f": cannot find the index of {q}"
+        )
     if not sympy.isprime(q):
         raise ValueError(f"{q} is not prime")
     return int(sympy.primepi(q)) - 1

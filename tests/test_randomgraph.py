@@ -77,6 +77,19 @@ def test_prime_index_inverts():
         prime_index(9)
 
 
+def test_oracle_prime_index_refuses_past_the_sieve_cap_as_the_engine_does():
+    # the least prime above the cap and the composite after it
+    cap = randomgraph._MAX_SIEVE
+    q = sympy.nextprime(cap)
+    for n in (q, q + 1):
+        raised = []
+        for index in (prime_index, rado_oracle.prime_index):
+            with pytest.raises(PrimeBudgetError) as exc:
+                index(n)
+            raised.append((exc.value.budget, exc.value.used, str(exc.value)))
+        assert raised[0] == raised[1] == (cap, n, raised[0][2])
+
+
 def test_sieve_growth_matches_sympy(monkeypatch):
     # From an empty sieve, a small index sieves to 2**16, which holds
     # p_0 .. p_6541.  Index 6542 forces the first extension, and 20 000
