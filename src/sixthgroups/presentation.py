@@ -53,10 +53,12 @@ LONGEST_RELATOR = 2 * NONEDGE_ORDER
 # word, so no word of at most 10 000 letters can need more.
 MAX_DEHN_STEPS = 10_000
 
-# Where a Dehn step may start: a run of 4 to 7 equal letters, or an
-# alternation a b a b ... of 12 to 27 letters, one past the longest step.
-# A letter is one byte, so '.' must match every byte.
-_CANDIDATE = re.compile(rb"(.)\1{3,6}|(.)(.)(?:\2\3){5,12}\2?", re.DOTALL)
+# Where a Dehn step may start: the first 4 letters of a run of equal
+# letters, or the first 12 of an alternation a b a b ...  It has a fixed
+# length and no repeat, so a match costs no backtracking; the step's
+# extent is found after it.  A letter is one byte, so '.' must match
+# every byte.
+_START = re.compile(rb"(.)\1\1\1|(.)(.)\2\3\2\3\2\3\2\3\2\3", re.DOTALL)
 
 # the byte of each letter's inverse, by the byte of the letter
 _NEGATE = bytes(-c & 0xFF for c in range(256))
@@ -168,13 +170,17 @@ class Presentation:
     """The presentation of G_T, immutable.
 
     Dehn's algorithm makes one resumable left-to-right pass over the word,
-    kept as one signed byte per letter: a step that covers a whole relator
-    is one deletion, free reduction runs only at the seams it leaves, and
-    the scan resumes one relator length left of the lowest letter the step
-    changed.  ``_scan`` is that pass; ``_signed_bytes`` packs a word
-    once and checks its letters on the bytes, and ``cyclic_dehn_reduce``
-    keeps the packed core across its rounds and finds its wrap-around
-    step itself.  ``relators``, the symmetrized set, is built on first use.
+    kept as one signed byte per letter.  A fixed-length pattern finds where
+    a step may start; the relator r its first two letters fix, cached as
+    (r^-1, r, |r|) per letter pair, is compared with the letters there,
+    and a step that covers all of r is one deletion, free reduction
+    running only at the seam it leaves.  The run or alternation is
+    measured only for a partial step or no step.  The scan resumes one
+    relator length left of the lowest letter a step changed.  ``_scan``
+    is that pass; ``_signed_bytes`` packs a word once and checks its
+    letters on the bytes, and ``cyclic_dehn_reduce`` keeps the packed
+    core across its rounds and finds its wrap-around step itself.
+    ``relators``, the symmetrized set, is built on first use.
 
     A method call that needs more than MAX_DEHN_STEPS Dehn steps raises
     DehnBudgetError.
@@ -191,8 +197,8 @@ class Presentation:
         # the byte of each letter, for _signed_bytes
         self._alphabet = bytes(c & 0xFF for c in range(-t.n, t.n + 1) if c)
         self.roots = tuple(relator_roots(t))
-        # (a, b) -> the inverse of the relator that begins a b
-        self._inverses = {}
+        # (a, b) -> (r^-1, r, |r|) for the relator r that begins a b
+        self._relators_at = {}
 
     def __repr__(self):
         return f"Presentation({self.graph!r})"
@@ -201,18 +207,19 @@ class Presentation:
     def relators(self) -> RelatorSet:
         return symmetrize(relator_seeds(self.graph))
 
-    def _relator_inverse(self, a: Letter, b: Letter):
-        """The inverse of the relator that begins with the letters a b, as
-        an array of signed bytes, or None if none does."""
-        inv = self._inverses.get((a, b))
-        if inv is None and a * b > 0:
+    def _relator_at(self, a: Letter, b: Letter):
+        """(r^-1, r, |r|) for the relator r that begins with the letters a
+        b, r and r^-1 as arrays of signed bytes, or None if none does."""
+        found = self._relators_at.get((a, b))
+        if found is None and a * b > 0:
             if a == b:
-                inv = array("b", (-a,)) * GENERATOR_ORDER
+                r = array("b", (a,)) * GENERATOR_ORDER
             else:
                 adjacent = self.graph.adj(abs(a) - 1, abs(b) - 1)
-                inv = array("b", (-b, -a)) * (EDGE_ORDER if adjacent else NONEDGE_ORDER)
-            self._inverses[a, b] = inv
-        return inv
+                r = array("b", (a, b)) * (EDGE_ORDER if adjacent else NONEDGE_ORDER)
+            inv = array("b", (-c for c in reversed(r)))
+            found = self._relators_at[a, b] = inv, r, len(r)
+        return found
 
     def _alphabet_error(self, w: Sequence[Letter]) -> AlphabetError:
         bad = next(c for c in w if not (isinstance(c, int) and 0 < abs(c) <= self.alphabet_size))
@@ -272,47 +279,62 @@ class Presentation:
 
     def _scan(self, word: array, used: int, origin: Word) -> int:
         """Dehn-reduce the packed, freely reduced ``word`` in place and
-        return the steps used so far, counting on from ``used``.  A common
-        step calls no Python function.
+        return the steps used so far, counting on from ``used``.  A step
+        that deletes a whole relator calls no Python function.
 
-        A step whose match covers a whole relator replaces it by nothing:
-        one seam is left, where it cancels, and the step is one ``del``.
-        A partial step splices in the rest of the relator's inverse."""
-        search = _CANDIDATE.search
-        inverses = self._inverses
+        ``_START`` finds the leftmost candidate, at i, and its letters a b
+        fix the relator r, if any.  The longest prefix of r at i is all of
+        r exactly when ``word[i:i + |r|] == r``: then r = 1, and the step
+        deletes it and cancels across the one seam it leaves.  Else those
+        letters are matched against r on from the candidate's 4 or 12,
+        which follows the run or alternation to its length L < |r|: a
+        partial step if 2L > |r|, which splices in the rest of r's
+        inverse, and no step otherwise."""
+        search = _START.search
+        relators_at = self._relators_at
         budget = MAX_DEHN_STEPS
         start = 0
         while (m := search(word, start)) is not None:
             i, end = m.span()
-            inv = inverses.get((word[i], word[i + 1]))
-            if inv is None:
-                inv = self._relator_inverse(word[i], word[i + 1])
-            length = end - i
-            if inv is None or 2 * length <= len(inv):
+            a = word[i]
+            b = word[i + 1]
+            found = relators_at.get((a, b)) or self._relator_at(a, b)
+            if found is None:
                 start = i + 1
                 continue
-            used += 1
-            if used > budget:
-                raise DehnBudgetError("Dehn step budget MAX_DEHN_STEPS", budget, used, origin)
-            hi = len(inv) - length
-            if hi <= 0:
-                # the match covers the relator r (and may run past it):
-                # r = 1, so delete it and cancel across the one seam
-                a, b, n = i, i + len(inv), len(word)
+            inv, r, size = found
+            seg = word[i : i + size]
+            if seg == r:
+                used += 1
+                if used > budget:
+                    raise DehnBudgetError("Dehn step budget MAX_DEHN_STEPS", budget, used, origin)
+                # r = 1: delete it and cancel across the one seam
+                a, b, n = i, i + size, len(word)
                 while a > 0 and b < n and word[a - 1] == -word[b]:
                     a -= 1
                     b += 1
                 del word[a:b]
             else:
+                # the rest of the run or alternation, to L < |r| letters
+                k = end - i
+                n = len(seg)
+                while k < n and seg[k] == r[k]:
+                    k += 1
+                if 2 * k <= size:
+                    start = i + 1
+                    continue
+                used += 1
+                if used > budget:
+                    raise DehnBudgetError("Dehn step budget MAX_DEHN_STEPS", budget, used, origin)
                 # r = u . s with u the matched prefix; replace u by s^{-1},
                 # the first |r| - |u| letters of r^{-1}.  No letter cancels
-                # at a seam, as the search is leftmost and greedy.  Left:
+                # at a seam, as u is the leftmost and longest.  Left:
                 # s^{-1} starts with the inverse of r's last letter, which
                 # before u would start a match one letter earlier, at least
                 # as long (a non-step there is one here too).  Right: the
                 # next letter of r after u would have extended the match.
                 a = i
-                word[i:end] = inv[:hi]
+                word[i : i + k] = inv[: size - k]
             start = a - LONGEST_RELATOR if a > LONGEST_RELATOR else 0
         return used
 
@@ -331,17 +353,18 @@ class Presentation:
         After ``dehn_reduce`` and ``cyclic_reduce`` a step can only wrap
         round the end of the core, so one scan of core + core[:m - 1]
         (m = min(longest relator, |core|)) from |core| - m + 1 finds it:
-        the leftmost candidate that begins a relator and covers more than
-        half of it within |core| letters, each used once; a candidate
-        before it may be no step.  The core is rotated to start at the
-        step and reduced again, which shortens it.  All rounds share one
-        budget of MAX_DEHN_STEPS Dehn steps.  w is packed and its letters
-        checked once: every round cyclically reduces, scans and rotates the
-        packed core, and only the answer is made a tuple.
+        the leftmost candidate that begins a relator r and whose longest
+        prefix of r there covers more than half of r within |core|
+        letters, each used once; a candidate before it may be no step.
+        The core is rotated to start at the step and reduced again, which
+        shortens it.  All rounds share one budget of MAX_DEHN_STEPS Dehn
+        steps.  w is packed and its letters checked once: every round
+        cyclically reduces, scans and rotates the packed core, and only
+        the answer is made a tuple.
         """
         core = self._signed_bytes(w)
         used = self._scan(core, 0, w)
-        search = _CANDIDATE.search
+        search = _START.search
         while True:
             core, _ = cyclic_reduce(core)
             n = len(core)
@@ -350,9 +373,11 @@ class Presentation:
             start = n - m + 1
             while (hit := search(ring, start)) is not None:
                 i = hit.start()
-                inv = self._relator_inverse(ring[i], ring[i + 1])
-                if inv is not None and 2 * min(hit.end() - i, n) > len(inv):
-                    break
+                found = self._relator_at(ring[i], ring[i + 1])
+                if found is not None:
+                    _, r, size = found
+                    if 2 * min(len(_common_prefix(ring[i : i + size], r)), n) > size:
+                        break
                 start = i + 1
             else:
                 return tuple(core)
@@ -376,7 +401,7 @@ class Presentation:
         if not core:
             return 1
         root = core[:1] if core.count(core[0]) == len(core) else core[:2]
-        inv = self._relator_inverse(core[0], root[-1])
-        if inv is None or root * (len(core) // len(root)) != core:
+        found = self._relator_at(core[0], root[-1])
+        if found is None or root * (len(core) // len(root)) != core:
             return INFINITE
-        return len(inv) // len(root)
+        return found[2] // len(root)

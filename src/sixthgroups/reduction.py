@@ -192,18 +192,22 @@ def canonical_witness(
     first = graph(t.n, ((pos[i], pos[j]) for i, j in t.edges))
     maps = vertex_maps(first, t, {pos[i]: j for i, j in partial.items()}, prefix=k)
     rhos = (tuple(map(f.__getitem__, pos)) for f in maps)
+    # conj m conj^-1 = v iff conj m conj^-1 v^-1 = 1: one Dehn call, whose
+    # packing reduces the word freely
+    wanted = [(w, invert_word(v)) for w, v in pairs]
     tried = 0
     for rho in rhos:
         for sign in (eps,) if fixed else (1, -1):
             theta0 = induced_hom(t, t, rho, sign)
-            mapped = [(apply_hom(theta0, w), v) for w, v in pairs]
+            mapped = [(apply_hom(theta0, w), v_inv) for w, v_inv in wanted]
             for conj in reduced_words(t.n, bound):
                 tried += 1
                 if tried > MAX_CONJUGATORS:
                     raise SearchBudgetError(
                         "conjugator budget MAX_CONJUGATORS", MAX_CONJUGATORS, tried
                     )
-                if all(pres.equal(conjugate(conj, m), v) for m, v in mapped):
+                back = invert_word(conj)
+                if all(pres.is_identity(conj + m + back + v_inv) for m, v_inv in mapped):
                     return CanonicalAuto(rho, sign, conj)
     return None
 

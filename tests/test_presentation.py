@@ -1,8 +1,10 @@
+import collections
 import itertools
 import math
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -685,6 +687,41 @@ def test_whole_relator_steps_cancel_long_conjugators():
     assert emptied > 20 and partial > 40, (emptied, partial)
 
 
+def _first_candidate(w):
+    """Reference finder: the first i at which w has a run of 4 or more
+    letters or an alternation of 12 or more, or None."""
+    for i in range(len(w)):
+        if w[i : i + 4] == w[i : i + 1] * 4 or w[i : i + 12] == w[i : i + 2] * 6:
+            return i
+    return None
+
+
+def test_start_pattern_finds_the_first_run_of_4_or_alternation_of_12():
+    # Seeded words of 1-60 letters over at most 4 letters of each sign,
+    # not reduced: runs of 1-6 letters and alternations of 2-14 end to
+    # end, so that runs of 3 and 4 and alternations of 11 to 13 occur.
+    rng = random.Random(20261020)
+    found = collections.Counter()
+    for _ in range(6000):
+        alphabet = rng.sample([c for c in range(-4, 5) if c], rng.randint(1, 8))
+        w = []
+        while len(w) < 60:
+            a, b = rng.choice(alphabet), rng.choice(alphabet)
+            if rng.random() < 0.5:
+                w += [a] * rng.randint(1, 6)
+            else:
+                w += [a, b] * 7
+                del w[len(w) - rng.randint(0, 12) :]
+        del w[rng.randint(1, 60) :]
+        packed = array("b", w)
+        hit = presentation._START.search(packed)
+        want = _first_candidate(w)
+        assert (hit and hit.start()) == want, w
+        if hit:
+            found[hit.end() - hit.start(), hit.start() > 0] += 1
+    assert min(found.values()) > 100 and len(found) == 4, found
+
+
 def test_whole_relator_matches_past_the_relator_next_to_partial_steps():
     # An alternation of 23-27 letters on an edge holds all of (ab)^11,
     # and a run of 8 or more letters all of a^7: the match runs past the
@@ -723,6 +760,43 @@ def test_whole_relator_matches_past_the_relator_next_to_partial_steps():
                 raw += _random_reduced(rng, n, rng.randint(0, 3))
             _assert_reduce_matches_oracle(t, oracle, reduce_word(raw))
     assert past > 200, past
+    # The lengths at the edges of the finder and of the compare, each
+    # block kept apart from its neighbours by one letter of another
+    # generator: runs of 3 (no candidate) and of exactly 7; alternations
+    # on a non-edge of 11 (no candidate), 12 and 13 (a candidate, no step)
+    # and exactly 26; on an edge exactly 22.
+    exact = collections.Counter()
+    for n in range(5, 9):
+        t = _graph_with_edge(rng, n)
+        oracle = DehnOracle(t)
+        edges = [(i + 1, j + 1) for i, j in t.edges]
+        non_edges = [
+            (i + 1, j + 1) for i, j in itertools.combinations(range(n), 2) if not t.adj(i, j)
+        ]
+        kinds = [("run", 3), ("run", 7), ("edge", 22)]
+        if non_edges:
+            kinds += [("non-edge", k) for k in (11, 12, 13, 26)]
+        for _ in range(15):
+            blocks = []
+            for _ in range(rng.randint(2, 6)):
+                kind, length = rng.choice(kinds)
+                if kind == "run":
+                    a = b = rng.randint(1, n)
+                else:
+                    a, b = rng.choice(edges if kind == "edge" else non_edges)
+                if rng.random() < 0.5:
+                    a, b = b, a
+                sign = rng.choice((1, -1))
+                blocks.append(((sign * a, sign * b) * 13)[:length])
+                exact[kind, length] += 1
+            raw = blocks[0]
+            for before, after in itertools.pairwise(blocks):
+                used = {abs(c) for c in before + after}
+                apart = rng.choice([c for c in range(1, n + 1) if c not in used])
+                raw += (rng.choice((1, -1)) * apart,) + after
+            assert reduce_word(raw) == raw
+            _assert_reduce_matches_oracle(t, oracle, raw)
+    assert len(exact) == 7 and min(exact.values()) > 10, exact
 
 
 def _wrap_word(rng, t, rounds):
