@@ -12,6 +12,10 @@ rotation of (ab)^k that starts there, and a b^-1 begins none.  So a Dehn
 step, more than half of a relator, is a run of 4 to 7 equal letters or
 an alternation a b a b ... of more than k letters, and it is found with
 no table of relators.
+
+Dehn's algorithm works on a word packed into one bytearray, letter c as
+the byte c & 0xFF: a letter and its inverse are two bytes that add up to
+256, and the byte 0x80 is no letter.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 import operator
 import re
 import struct
-from array import array
 from typing import FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from .graphs import Graph
@@ -62,6 +65,11 @@ _START = re.compile(rb"(.)\1\1\1|(.)(.)\2\3\2\3\2\3\2\3\2\3", re.DOTALL)
 
 # the byte of each letter's inverse, by the byte of the letter
 _NEGATE = bytes(-c & 0xFF for c in range(256))
+
+# A word of fewer than 32 letters is checked for free reduction letter
+# by letter, and packed and unpacked by a Struct of its length made once.
+_SHORT = 32
+_SHORT_STRUCTS = tuple(struct.Struct(f"{n}b") for n in range(_SHORT))
 
 
 class DehnBudgetError(BudgetError):
@@ -170,17 +178,20 @@ class Presentation:
     """The presentation of G_T, immutable.
 
     Dehn's algorithm makes one resumable left-to-right pass over the word,
-    kept as one signed byte per letter.  A fixed-length pattern finds where
-    a step may start; the relator r its first two letters fix, cached as
-    (r^-1, r, |r|) per letter pair, is compared with the letters there,
-    and a step that covers all of r is one deletion, free reduction
-    running only at the seam it leaves.  The run or alternation is
-    measured only for a partial step or no step.  The scan resumes one
-    relator length left of the lowest letter a step changed.  ``_scan``
-    is that pass; ``_signed_bytes`` packs a word once and checks its
-    letters on the bytes, and ``cyclic_dehn_reduce`` keeps the packed
-    core across its rounds and finds its wrap-around step itself.
-    ``relators``, the symmetrized set, is built on first use.
+    kept from packing to answer as one ``bytearray``: letter c is the
+    unsigned byte c & 0xFF, so a letter and its inverse are bytes that add
+    up to 256.  A fixed-length pattern finds where a step may start; the
+    relator r its first two letters fix, cached as (r^-1, r, |r|) under
+    the int of those two bytes, is matched there by ``startswith``, and a
+    step that covers all of r is one deletion, free reduction running
+    only at the seam it leaves.  The run or alternation is measured only
+    for a partial step or no step.  The scan resumes one relator length
+    left of the lowest letter a step changed.  ``_scan`` is that pass;
+    ``_signed_bytes`` packs a word once and checks its letters on the
+    bytes, and ``_cyclic_core`` strips, scans and rotates the bytes of the
+    core across its rounds and finds its wrap-around step itself.  An
+    answer is made signed letters once, and ``order`` reads the core's
+    bytes.  ``relators``, the symmetrized set, is built on first use.
 
     A method call that needs more than MAX_DEHN_STEPS Dehn steps raises
     DehnBudgetError.
@@ -197,7 +208,8 @@ class Presentation:
         # the byte of each letter, for _signed_bytes
         self._alphabet = bytes(c & 0xFF for c in range(-t.n, t.n + 1) if c)
         self.roots = tuple(relator_roots(t))
-        # (a, b) -> (r^-1, r, |r|) for the relator r that begins a b
+        # a << 8 | b -> (r^-1, r, |r|) for the relator r whose first two
+        # letters are the bytes a b, filled on first use
         self._relators_at = {}
 
     def __repr__(self):
@@ -207,18 +219,20 @@ class Presentation:
     def relators(self) -> RelatorSet:
         return symmetrize(relator_seeds(self.graph))
 
-    def _relator_at(self, a: Letter, b: Letter):
-        """(r^-1, r, |r|) for the relator r that begins with the letters a
-        b, r and r^-1 as arrays of signed bytes, or None if none does."""
-        found = self._relators_at.get((a, b))
-        if found is None and a * b > 0:
-            if a == b:
-                r = array("b", (a,)) * GENERATOR_ORDER
-            else:
-                adjacent = self.graph.adj(abs(a) - 1, abs(b) - 1)
-                r = array("b", (a, b)) * (EDGE_ORDER if adjacent else NONEDGE_ORDER)
-            inv = array("b", (-c for c in reversed(r)))
-            found = self._relators_at[a, b] = inv, r, len(r)
+    def _relator_at(self, key: int):
+        """(r^-1, r, |r|) for the relator r whose first two letters are the
+        bytes key >> 8 and key & 0xFF, r and r^-1 as bytes, or None if no
+        relator begins with them."""
+        found = self._relators_at.get(key)
+        if found is None:
+            a, b = key >> 8, key & 0xFF
+            if (a < 0x80) == (b < 0x80):  # letters of one sign
+                if a == b:
+                    r = bytes((a,)) * GENERATOR_ORDER
+                else:
+                    adjacent = self.graph.adj(_index(a), _index(b))
+                    r = bytes((a, b)) * (EDGE_ORDER if adjacent else NONEDGE_ORDER)
+                found = self._relators_at[key] = r[::-1].translate(_NEGATE), r, len(r)
         return found
 
     def _alphabet_error(self, w: Sequence[Letter]) -> AlphabetError:
@@ -241,53 +255,54 @@ class Presentation:
 
     def _reduce(self, w: Word) -> Tuple[Word, int]:
         """``dehn_reduce`` with its step count: w's normal form and the Dehn
-        steps it took.  w is packed, scanned in place and made a tuple once."""
+        steps it took.  w is packed, scanned in place and made signed
+        letters once."""
         word = self._signed_bytes(w)
         used = self._scan(word, 0, w)
-        return tuple(word), used
+        return _letters(word), used
 
-    def _signed_bytes(self, w: Sequence[Letter]) -> array:
-        """w freely reduced, one signed byte per letter.  The letters are
-        checked before any free reduction: packed (by array if short, else
-        by struct, about twice as fast), the word must vanish when
-        ``bytes.translate`` deletes the bytes of the alphabet, or
-        AlphabetError names the first letter outside it.
+    def _signed_bytes(self, w: Sequence[Letter]) -> bytearray:
+        """w freely reduced, letter c as the byte c & 0xFF.  The letters are
+        checked before any free reduction: packed as signed bytes by the
+        ``Struct`` of w's length, whose ``pack(*w)`` takes the letters
+        without the copy of all of them that ``struct.pack(fmt, *w)``
+        makes to put fmt first, the word must vanish when ``translate``
+        deletes the bytes of the alphabet, or AlphabetError names the
+        first letter outside it.
 
         The input is nearly always freely reduced already: it is when no
         letter is followed by its inverse.  A short word is checked letter
         by letter.  A long one is checked in one pass: XOR-ed with its own
         negation, shifted by one letter, it has a zero byte where a letter
-        meets its inverse.
+        meets its inverse.  A word that is not is reduced on its bytes.
         """
-        short = len(w) < 32
+        n = len(w)
         try:
-            if short:
-                packed = array("b", w)
-                data = packed.tobytes()
-            else:
-                data = struct.pack(f"{len(w)}b", *w)
-        except (TypeError, OverflowError, struct.error):
+            word = bytearray(_signed_struct(n).pack(*w))
+        except struct.error:
             raise self._alphabet_error(w) from None
-        if data.translate(None, self._alphabet):
+        if word.translate(None, self._alphabet):
             raise self._alphabet_error(w)
-        if short:
-            return array("b", reduce_word(w)) if 0 in map(operator.add, w, w[1:]) else packed
-        meets = int.from_bytes(data[1:], "big") ^ int.from_bytes(
-            data.translate(_NEGATE)[:-1], "big"
-        )
-        return array("b", reduce_word(w) if b"\0" in meets.to_bytes(len(w) - 1, "big") else data)
+        if n < _SHORT:
+            meets = 0 in map(operator.add, w, w[1:])
+        else:
+            shifted = int.from_bytes(word[1:], "big") ^ int.from_bytes(
+                word.translate(_NEGATE)[:-1], "big"
+            )
+            meets = b"\0" in shifted.to_bytes(n - 1, "big")
+        return _freely_reduced(word) if meets else word
 
-    def _scan(self, word: array, used: int, origin: Word) -> int:
+    def _scan(self, word: bytearray, used: int, origin: Word) -> int:
         """Dehn-reduce the packed, freely reduced ``word`` in place and
         return the steps used so far, counting on from ``used``.  A step
         that deletes a whole relator calls no Python function.
 
         ``_START`` finds the leftmost candidate, at i, and its letters a b
         fix the relator r, if any.  The longest prefix of r at i is all of
-        r exactly when ``word[i:i + |r|] == r``: then r = 1, and the step
-        deletes it and cancels across the one seam it leaves.  Else those
-        letters are matched against r on from the candidate's 4 or 12,
-        which follows the run or alternation to its length L < |r|: a
+        r exactly when ``word.startswith(r, i)``: then r = 1, and the step
+        deletes it and cancels across the one seam it leaves.  Else the
+        letters at i are matched against r on from the candidate's 4 or
+        12, which follows the run or alternation to its length L < |r|: a
         partial step if 2L > |r|, which splices in the rest of r's
         inverse, and no step otherwise."""
         search = _START.search
@@ -296,29 +311,28 @@ class Presentation:
         start = 0
         while (m := search(word, start)) is not None:
             i, end = m.span()
-            a = word[i]
-            b = word[i + 1]
-            found = relators_at.get((a, b)) or self._relator_at(a, b)
+            key = word[i] << 8 | word[i + 1]
+            found = relators_at.get(key) or self._relator_at(key)
             if found is None:
                 start = i + 1
                 continue
             inv, r, size = found
-            seg = word[i : i + size]
-            if seg == r:
+            if word.startswith(r, i):
                 used += 1
                 if used > budget:
                     raise DehnBudgetError("Dehn step budget MAX_DEHN_STEPS", budget, used, origin)
                 # r = 1: delete it and cancel across the one seam
                 a, b, n = i, i + size, len(word)
-                while a > 0 and b < n and word[a - 1] == -word[b]:
+                while a > 0 and b < n and word[a - 1] + word[b] == 256:
                     a -= 1
                     b += 1
                 del word[a:b]
             else:
                 # the rest of the run or alternation, to L < |r| letters
-                k = end - i
-                n = len(seg)
-                while k < n and seg[k] == r[k]:
+                k, n = end - i, len(word) - i
+                if n > size:
+                    n = size
+                while k < n and word[i + k] == r[k]:
                     k += 1
                 if 2 * k <= size:
                     start = i + 1
@@ -358,29 +372,41 @@ class Presentation:
         letters, each used once; a candidate before it may be no step.
         The core is rotated to start at the step and reduced again, which
         shortens it.  All rounds share one budget of MAX_DEHN_STEPS Dehn
-        steps.  w is packed and its letters checked once: every round
-        cyclically reduces, scans and rotates the packed core, and only
-        the answer is made a tuple.
+        steps.
         """
+        return _letters(self._cyclic_core(w)[0])
+
+    def _cyclic_core(self, w: Word) -> Tuple[bytearray, int]:
+        """The bytes of ``cyclic_dehn_reduce``'s answer and the Dehn steps it
+        took.  w is packed and its letters checked once: every round
+        strips, scans and rotates the bytes of the core."""
         core = self._signed_bytes(w)
         used = self._scan(core, 0, w)
         search = _START.search
         while True:
-            core, _ = cyclic_reduce(core)
+            lo, hi = 0, len(core)
+            while hi - lo >= 2 and core[lo] + core[hi - 1] == 256:
+                lo += 1
+                hi -= 1
+            if lo:
+                core = core[lo:hi]
             n = len(core)
             m = min(LONGEST_RELATOR, n)
             ring = core + core[: m - 1]
             start = n - m + 1
             while (hit := search(ring, start)) is not None:
                 i = hit.start()
-                found = self._relator_at(ring[i], ring[i + 1])
+                found = self._relator_at(ring[i] << 8 | ring[i + 1])
                 if found is not None:
                     _, r, size = found
-                    if 2 * min(len(_common_prefix(ring[i : i + size], r)), n) > size:
+                    k, top = 0, min(size, len(ring) - i)
+                    while k < top and ring[i + k] == r[k]:
+                        k += 1
+                    if 2 * min(k, n) > size:
                         break
                 start = i + 1
             else:
-                return tuple(core)
+                return core, used
             core = core[i:] + core[:i]
             used = self._scan(core, used, w)
 
@@ -393,15 +419,42 @@ class Presentation:
         relator and 0 < j < e, and its order is e / gcd(j, e).  In G_T a
         root is one letter (e = 7) or two of one sign (e = k), and a
         rotation of (ab)^j is (ab)^j or (ba)^j, so the root is the first
-        letter or the first two letters of the core.  Each e is prime, so
-        the order is e.  MAX_DEHN_STEPS bounds all the Dehn steps of the
-        call.
+        letter or the first two letters of the core, read on its bytes.
+        Each e is prime, so the order is e.  MAX_DEHN_STEPS bounds all the
+        Dehn steps of the call.
         """
-        core = self.cyclic_dehn_reduce(w)
+        core, _ = self._cyclic_core(w)
         if not core:
             return 1
-        root = core[:1] if core.count(core[0]) == len(core) else core[:2]
-        found = self._relator_at(core[0], root[-1])
-        if found is None or root * (len(core) // len(root)) != core:
+        root = 1 if core.count(core[0]) == len(core) else 2
+        found = self._relator_at(core[0] << 8 | core[root - 1])
+        if found is None or core[:root] * (len(core) // root) != core:
             return INFINITE
-        return found[2] // len(root)
+        return found[2] // root
+
+
+def _index(byte: int) -> int:
+    """The generator index of the letter with this byte."""
+    return byte - 1 if byte < 0x80 else 0xFF - byte
+
+
+def _freely_reduced(word: bytearray) -> bytearray:
+    """The bytes of word freely reduced in one pass: a letter cancels the
+    one before it when their bytes add up to 256."""
+    out = bytearray()
+    for x in word:
+        if out and out[-1] + x == 256:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+def _signed_struct(n: int) -> struct.Struct:
+    """The Struct of n signed bytes."""
+    return _SHORT_STRUCTS[n] if n < _SHORT else struct.Struct(f"{n}b")
+
+
+def _letters(word: bytearray) -> Word:
+    """The signed letters of a packed word."""
+    return _signed_struct(len(word)).unpack(word)

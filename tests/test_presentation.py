@@ -319,11 +319,20 @@ def _alphabet_message(call):
 
 
 def test_letters_outside_alphabet_rejected_at_every_length():
-    # Words below 32 letters are packed by array, longer ones by struct;
-    # a letter past the alphabet, 0, a letter that is no signed byte or no
-    # int gets the same message at every length and position.
+    # Words below 32 letters are packed by a Struct made once, longer ones
+    # by one made for their length; a letter past the alphabet, 0, a
+    # letter that is no signed byte or no byte of a letter (-128, 0x80),
+    # or no int gets the same message at every length and position.
     n = P_K2.alphabet_size
-    named = (n + 1, "g2"), (-(n + 1), "G2"), (0, "0"), (128, "g127"), (-129, "G128"), (1.0, "1.0")
+    named = (
+        (n + 1, "g2"),
+        (-(n + 1), "G2"),
+        (0, "0"),
+        (128, "g127"),
+        (-128, "G127"),
+        (-129, "G128"),
+        (1.0, "1.0"),
+    )
     for bad, name in named:
         short = _alphabet_message(lambda: P_K2.dehn_reduce((bad,)))
         assert short.startswith(f"letter {name} is outside"), short
@@ -870,9 +879,72 @@ def test_alphabet_fits_one_signed_byte():
         relators_from_graph(graph(n + 1))
 
 
+def test_letters_at_the_byte_edge_match_dehn_oracle():
+    # On 127 generators the letters 1, 126, 127, -127, -126 and -1 are the
+    # bytes 0x01, 0x7e, 0x7f, 0x81, 0x82 and 0xff, the ends of both signs,
+    # where a letter and its inverse add up to 256.  Seeded words of runs,
+    # alternations, conjugated relators, whose conjugators cancel across
+    # the seam a deleted relator leaves, and stray letters: normal form,
+    # steps, cyclic core and order equal the oracle's, and so do the
+    # budget errors at steps - 1.  A word's Dehn steps use only relators
+    # over its letters, so the oracle runs on the graph that generators 0,
+    # 125 and 126 induce, renamed 1, 2 and 3 in the same order.
+    rng = random.Random(20261025)
+    n = MAX_ALPHABET_SIZE
+    gens = (1, n - 1, n)
+    t = graph(n, [(0, n - 1), (n - 2, n - 1)])
+    pres = relators_from_graph(t)
+    oracle = DehnOracle(graph(3, [(0, 2), (1, 2)]))
+    rename = {sign * g: sign * (k + 1) for k, g in enumerate(gens) for sign in (1, -1)}
+    back = {v: k for k, v in rename.items()}
+    letters = sorted(rename)
+    counts = collections.Counter()
+    for _ in range(400):
+        raw = ()
+        for _ in range(rng.randint(1, 10)):
+            sign = rng.choice((1, -1))
+            a, b = (sign * g for g in rng.sample(gens, 2))
+            kind = rng.random()
+            if kind < 0.2:
+                raw += (a,) * rng.randint(3, 9)
+            elif kind < 0.4:
+                raw += ((a, b) * 14)[: rng.randint(10, 28)]
+            elif kind < 0.8:
+                if rng.random() < 0.3:
+                    r = (a,) * 7
+                else:
+                    r = (a, b) * (11 if t.adj(abs(a) - 1, abs(b) - 1) else 13)
+                k = rng.randrange(len(r))
+                c = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                raw += c + r[k:] + r[:k] + invert_word(c)
+                counts["conjugated"] += 1
+            else:
+                raw += tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        mapped = tuple(rename[c] for c in raw)
+        form, steps = oracle.reduce(mapped)
+        form = tuple(back[c] for c in form)
+        assert pres._reduce(raw) == (form, steps), format_word(raw)
+        core, cyclic_steps = oracle.cyclic_reduce(mapped)
+        order = oracle.order(mapped)
+        answers = (
+            (pres.dehn_reduce, (form, steps)),
+            (pres.cyclic_dehn_reduce, (tuple(back[c] for c in core), cyclic_steps)),
+            (pres.order, order),
+        )
+        for call, answer in answers:
+            for budget in {answer[1], answer[1] - 1} - {-1}:
+                got = _outcome(call, raw, budget)
+                assert got == _expected(answer, raw, budget), (call.__name__, format_word(raw))
+        counts["short" if len(raw) < presentation._SHORT else "long"] += 1
+        counts["empty" if not form else "nonempty"] += 1
+        counts["finite order"] += order[0] not in (1, INFINITE)
+    assert min(counts.values()) > 20, counts
+
+
 def test_signed_bytes_reduce_freely_at_every_length():
     # short words are checked letter by letter, long ones in one pass;
-    # a letter meets its inverse anywhere, the ends included
+    # a letter meets its inverse anywhere, the ends included.  The packed
+    # bytes are read back as signed bytes.
     rng = random.Random(20261021)
     pres = relators_from_graph(graph(MAX_ALPHABET_SIZE))
     for length in (1, 2, 30, 31, 32, 33, 100, 1000):
@@ -881,4 +953,5 @@ def test_signed_bytes_reduce_freely_at_every_length():
             if rng.random() < 0.7:
                 k = rng.choice((0, len(w) - 1, rng.randrange(len(w))))
                 w = w[: k + 1] + (-w[k],) + w[k + 1 :]
-            assert tuple(pres._signed_bytes(w)) == reduce_word(w), format_word(w)
+            packed = pres._signed_bytes(w)
+            assert tuple(array("b", packed)) == reduce_word(w), format_word(w)
