@@ -23,13 +23,15 @@ counts built once per generator count.  ``_code`` codes a stable word by
 one walk of the automaton, one stored transition per letter, and
 ``_unrank`` runs the walk in reverse.  The automaton of each generator
 count is shared by every table and learns a transition when a walk
-first takes it, up to MAX_TRANSITIONS.  So is the list of stable words
-``enumerate_to`` lays tables out from, the identity in front, so index
-k holds the word of code 3k: built again only for a longer table, and
-capped at MAX_ELEMENTS words over all generator counts.  A CodingTable's
-one memo is its exact prefix up to the largest table that CodingTable
-has returned.  No lookup writes to either: they change speed, never
-answers.
+first takes it, up to MAX_TRANSITIONS.  So is the list of (code, word)
+pairs ``enumerate_to`` lays tables out from, the identity's in front, so
+index k holds (3k, the word of code 3k): grown only for a longer
+table, capped at MAX_ELEMENTS pairs over all generator counts, and its
+code ints taken from one list of 0, 3, 6, ... that every count shares.
+A table builds only the pairs of its generator codes and slices the
+rest.  A CodingTable's one memo is its exact prefix up to the largest
+table that CodingTable has returned.  No lookup writes to either: they
+change speed, never answers.
 A word or code whose representative would be longer than MAX_REP_LEN
 letters is a budget error, never a wrong answer.
 """
@@ -262,46 +264,66 @@ def _stable_words(letters: Sequence[int], count: int) -> List[Word]:
     return words
 
 
-# The word list of each generator count, shared by every CodingTable.
-_WORDS: Dict[int, List[Word]] = {}
+# The list of (code, word) pairs of each generator count, shared by every
+# CodingTable, and the code ints 0, 3, 6, ... every list shares, as long
+# as the longest list.
+_PAIRS: Dict[int, List[Tuple[int, Word]]] = {}
+_CODES: List[int] = []
 
 
-def _shared_words(n: int, composites: int) -> List[Word]:
-    """The identity and at least the first composites stable words over
-    n generators, so index k holds the word of code 3k on every graph of
-    n vertices: the edges only pick the 22- and 26-letter relators, whose
-    Dehn steps need more than MAX_REP_LEN letters.  The list is built
-    again only when it is too short.  All lists hold at most MAX_ELEMENTS
-    words together, as a build that would pass that empties the store
-    first: what outlives every table is then at most one maximal table's
-    words, as much as one live table may already hold.
+def _shared_pairs(n: int, composites: int) -> List[Tuple[int, Word]]:
+    """The identity's pair and at least the first composites pairs of
+    stable words over n generators, so index k holds (3k, w) for the word
+    w of code 3k on every graph of n vertices: the edges only pick the
+    22- and 26-letter relators, whose Dehn steps need more than
+    MAX_REP_LEN letters.  The list grows only when it is too short.  A
+    list that already holds two thirds of the pairs asked keeps them and
+    has the rest unranked onto its end, so the pairs a process holds stay
+    where they are (rebuilding each time from ``_stable_words`` left
+    about 2 MB of freed words and pairs in the allocator's pools, which
+    the process never returned); a shorter list is built again.  All
+    lists hold at most MAX_ELEMENTS pairs together, as a build that would
+    pass that empties the store first: what outlives every table is then
+    at most one maximal table's pairs, as many as one live table may
+    already hold.
     """
-    words = _WORDS.get(n)
-    if words is not None and len(words) > composites:
-        return words
+    pairs = _PAIRS.get(n)
+    if pairs is not None and len(pairs) > composites:
+        return pairs
     # popped first, so the store never holds two lists of one n, and a
     # build that raises leaves none
-    _WORDS.pop(n, None)
-    if sum(map(len, _WORDS.values())) + composites + 1 > MAX_ELEMENTS:
-        _WORDS.clear()
-    words = [EMPTY]
-    words += _stable_words(_counts(n)[0], composites)
-    _WORDS[n] = words
-    return words
+    pairs = _PAIRS.pop(n, [])
+    count = composites + 1
+    if sum(map(len, _PAIRS.values())) + count > MAX_ELEMENTS:
+        _PAIRS.clear()
+    if 3 * len(pairs) >= 2 * count:
+        # unranking a word costs about 25 times a word of _stable_words,
+        # so only a tail of at most half the old list is unranked
+        words = [_unrank(n, r) for r in range(len(pairs) - 1, composites)]
+    else:
+        pairs = [(0, EMPTY)]
+        words = _stable_words(_counts(n)[0], composites)
+    del _CODES[max([count, *map(len, _PAIRS.values())]) :]
+    _CODES.extend(range(3 * len(_CODES), 3 * count, 3))
+    pairs += zip(_CODES[len(pairs) : count], words)
+    _PAIRS[n] = pairs
+    return pairs
 
 
 class CodingTable:
     """The coding of G_T: a word's code by one walk of the stable-word
     automaton, a code's word by unrank, and a memo of the second.
 
-    ``code_to_word`` is a list indexed by rank: index k holds the word of
-    code 3k, so index 0 the identity and index r + 1 the stable word of
-    rank r.  It holds the composites of the largest table ``enumerate_to`` has
-    returned (at first the identity alone), and only ``enumerate_to``
-    writes it: tables are prefixes of one another, so one with more
-    composites copies its prefix of the shared word list.
+    ``code_to_word`` is a list indexed by rank: index k holds the pair
+    (3k, word of code 3k), so index 0 the identity's and index r + 1 that
+    of the stable word of rank r.  It holds the composites of the largest
+    table ``enumerate_to`` has returned (at first the identity alone),
+    and only ``enumerate_to`` writes it: tables are prefixes of one
+    another, so one with more composites copies its prefix of the shared
+    pair list, references only.
     ``word_of`` reads a generator's word from a tuple indexed by code and
-    a multiple of 3 from the memo, and otherwise unranks, never stores.
+    a multiple of 3 from the memo's pair, and otherwise unranks, never
+    stores.
     ``code_of`` needs no memo: it walks a stable word of at most
     MAX_REP_LEN int letters straight to its code and Dehn-reduces any
     other word first.
@@ -322,7 +344,7 @@ class CodingTable:
         for c in letters:
             singles[_letter_code(c)] = (c,)
         self._singles = tuple(singles)
-        self.code_to_word: List[Word] = [EMPTY]
+        self.code_to_word: List[Tuple[int, Word]] = [(0, EMPTY)]
 
     def _reach_error(self, code: int) -> CodingBudgetError:
         """In an infinite group, a composite code past the last
@@ -365,7 +387,7 @@ class CodingTable:
     def word_of(self, code: int) -> Word:
         if type(code) is int and code >= 0:  # 4.0 and True never hit
             try:
-                return self._singles[code] if code % 3 else self.code_to_word[code // 3]
+                return self._singles[code] if code % 3 else self.code_to_word[code // 3][1]
             except IndexError:  # past the generators or past the memo
                 pass
         if not self.registrable(code):
@@ -392,12 +414,14 @@ class CodingTable:
         MAX_ELEMENTS, and its reach against MAX_REP_LEN, before anything
         is built.
 
-        The table is laid out in code order, never sorted, from the word
-        list every table on n vertices shares (``_shared_words``):
-        composite 3(i + 1) follows v_i and v_i^{-1} for i < n, and the
-        composites past 3n take the rest of the list in turn.  A table
-        with more composites than the memo holds copies that prefix of
-        the list into the memo.
+        The table is laid out in code order, never sorted, from the pair
+        list every table on n vertices shares (``_shared_pairs``): only
+        its head of at most 3n + 1 pairs is built, where composite
+        3(i + 1) follows v_i and v_i^{-1} for i < n, and the composites
+        past 3n are a slice of the shared list, so no pair or code int is
+        made for them.  The list is the caller's; the pairs in it are
+        shared.  A table with more composites than the memo holds copies
+        that prefix of the shared list into the memo.
         """
         if type(max_code) is not int:
             raise InputError(f"table bound {max_code!r} is not an int")
@@ -418,17 +442,16 @@ class CodingTable:
             )
         if composites > self._reach:
             raise self._reach_error(3 * (self._reach + 1))
-        words = _shared_words(n, composites)
+        pairs = _shared_pairs(n, composites)
         head = min(n, composites)
-        table = [(0, EMPTY)]
+        table = [pairs[0]]
         for i in range(head):
             table += singles[2 * i : 2 * i + 2]
-            table.append((3 * (i + 1), words[i + 1]))
+            table.append(pairs[i + 1])
         table += singles[2 * head :]
-        rest = range(3 * (head + 1), 3 * composites + 1, 3)
-        table += zip(rest, itertools.islice(words, head + 1, composites + 1))
+        table += pairs[head + 1 : composites + 1]
         if composites >= len(self.code_to_word):
-            self.code_to_word = words[: composites + 1]
+            self.code_to_word = pairs[: composites + 1]
         return table
 
 

@@ -166,13 +166,14 @@ def canonical_witness(
     theta0 is applied only to the words w, so it depends on rho only
     through rho|S, rho on the vertices S those words use.  Each rho|S is
     tried once, in lexicographic order of (rho(s) : s in S ascending), by
-    its least rho: ``vertex_maps`` walks a copy of T numbered S first, cut
-    after |S| vertices.  rho and eps are read off the values of the pairs
-    whose w is one positive generator, each generator once
-    (``read_off_letters``; with none both signs are tried).  The ball of
-    conjugators is walked lazily, afresh for each (rho, eps), and past
-    MAX_CONJUGATORS conjugators in all a SearchBudgetError is raised.  A
-    negative bound is a ValueError.
+    its least rho: ``vertex_maps`` walks T numbered S first, cut after |S|
+    vertices; a copy is built only when S is not 0 .. |S| - 1 already.
+    rho and eps are read off the values of the pairs whose w is one
+    positive generator, each generator once (``read_off_letters``; with
+    none both signs are tried).  The ball of conjugators is walked
+    lazily, afresh for each (rho, eps), and past MAX_CONJUGATORS
+    conjugators in all a SearchBudgetError is raised.  A negative bound
+    is a ValueError.
     """
     if bound < 0:
         raise ValueError(f"conjugator bound must be at least 0, not {bound}")
@@ -185,13 +186,17 @@ def canonical_witness(
     t = pres.graph
     support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
     k = len(support)
-    # vertex pos[i] of the copy is vertex i of t; the rest keep their
-    # order, so both numberings have the same least rho for each rho|S
-    order = support + sorted(set(range(t.n)).difference(support))
-    pos = sorted(range(t.n), key=order.__getitem__)
-    first = graph(t.n, ((pos[i], pos[j]) for i, j in t.edges))
-    maps = vertex_maps(first, t, {pos[i]: j for i, j in partial.items()}, prefix=k)
-    rhos = (tuple(map(f.__getitem__, pos)) for f in maps)
+    if support == list(range(k)):
+        # S is numbered first already: the copy would be t itself
+        rhos = vertex_maps(t, t, partial, prefix=k)
+    else:
+        # vertex pos[i] of the copy is vertex i of t; the rest keep their
+        # order, so both numberings have the same least rho for each rho|S
+        order = support + sorted(set(range(t.n)).difference(support))
+        pos = sorted(range(t.n), key=order.__getitem__)
+        first = graph(t.n, ((pos[i], pos[j]) for i, j in t.edges))
+        maps = vertex_maps(first, t, {pos[i]: j for i, j in partial.items()}, prefix=k)
+        rhos = (tuple(map(f.__getitem__, pos)) for f in maps)
     # conj m conj^-1 = v iff conj m conj^-1 v^-1 = 1: one Dehn call, whose
     # packing reduces the word freely
     wanted = [(w, invert_word(v)) for w, v in pairs]

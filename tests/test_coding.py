@@ -180,14 +180,17 @@ def test_enumerated_word_of_matches_a_fresh_table_at_every_cut(n):
 
 
 def _store():
-    """The shared word lists as they stand: each list and a copy of it."""
-    return {n: (w, list(w)) for n, w in coding._WORDS.items()}
+    """The shared pair lists as they stand, each list and a copy of it,
+    and a copy of the shared code list."""
+    return {n: (p, list(p)) for n, p in coding._PAIRS.items()}, list(coding._CODES)
 
 
 def _assert_store_is(before):
-    assert coding._WORDS.keys() == before.keys()
-    for n, (w, copy) in before.items():
-        assert coding._WORDS[n] is w and w == copy, n
+    pairs, codes = before
+    assert coding._PAIRS.keys() == pairs.keys()
+    for n, (p, copy) in pairs.items():
+        assert coding._PAIRS[n] is p and p == copy, n
+    assert coding._CODES == codes
 
 
 @pytest.mark.parametrize("bound", [True, 4.5, 7.0, "5", None])
@@ -197,7 +200,7 @@ def test_enumerate_to_refuses_a_bound_that_is_no_int(bound):
     ct = CodingTable(K2)
     with pytest.raises(InputError, match=re.escape(repr(bound))):
         ct.enumerate_to(bound)
-    assert ct.code_to_word == [EMPTY]
+    assert ct.code_to_word == [(0, EMPTY)]
     _assert_store_is(before)
 
 
@@ -521,8 +524,10 @@ def test_stable_words_match_the_oracle_at_every_length_boundary(n):
 
 def _memo_table(ct: CodingTable, max_code: int) -> dict:
     """The code -> word mapping the memo stands for: index k of the memo
-    holds code 3k, and the generator codes up to max_code add their words."""
-    table = {3 * k: w for k, w in enumerate(ct.code_to_word)}
+    holds the pair of code 3k, and the generator codes up to max_code add
+    their words."""
+    table = dict(ct.code_to_word)
+    assert list(table) == list(range(0, 3 * len(ct.code_to_word), 3))
     for i in range(ct.graph.n):
         for code, sign in ((3 * i + 1, 1), (3 * i + 2, -1)):
             if code <= max_code:
@@ -837,12 +842,21 @@ def _assert_answers_as_the_oracle(ct: CodingTable, max_code: int, table) -> None
                 ct.word_of(code)
 
 
+def _empty_store(monkeypatch):
+    monkeypatch.setattr(coding, "_PAIRS", {})
+    monkeypatch.setattr(coding, "_CODES", [])
+
+
+def _composites(table):
+    return [p for p in table if p[0] and p[0] % 3 == 0]
+
+
 def test_tables_on_one_vertex_count_share_their_words(monkeypatch):
     # fresh tables on the empty and the complete graph of each n = 0..4,
     # the bounds rising and then falling and the vertex counts
     # interleaved: each table, its memo and word_of answer as the oracle,
     # and a long-lived table per graph keeps the memo of its largest table
-    monkeypatch.setattr(coding, "_WORDS", {})
+    _empty_store(monkeypatch)
     kept = {t: CodingTable(t) for n in range(5) for t in _two_graphs(n)}
     largest = {t: -1 for t in kept}
     for max_code in (0, 7, 30, 300, 3000, 300, 31, 8, 0):
@@ -851,61 +865,67 @@ def test_tables_on_one_vertex_count_share_their_words(monkeypatch):
                 ct = CodingTable(t)
                 table = ct.enumerate_to(max_code)
                 _assert_answers_as_the_oracle(ct, max_code, table)
-                assert ct.code_to_word == [w for c, w in table if c % 3 == 0]
+                assert ct.code_to_word == [p for p in table if p[0] % 3 == 0]
                 assert kept[t].enumerate_to(max_code) == table
                 largest[t] = max(largest[t], max_code)
-                memo = dict(enumerate(kept[t].code_to_word))
                 want = _oracle_table(n, largest[t])
-                assert memo == {c // 3: w for c, w in want.items() if c % 3 == 0}
-    # one list per vertex count, as long as the longest table asked
-    assert {n: len(w) for n, w in coding._WORDS.items()} == {
+                assert dict(kept[t].code_to_word) == {
+                    c: w for c, w in want.items() if c % 3 == 0
+                }
+    # one list per vertex count, as long as the longest table asked, and
+    # one code list as long as the longest of them
+    assert {n: len(p) for n, p in coding._PAIRS.items()} == {
         0: 1,
         1: 5,
         2: 1001,
         3: 1001,
         4: 1001,
     }
+    assert coding._CODES == list(range(0, 3003, 3))
 
 
 def test_a_second_table_reads_the_first_ones_words(monkeypatch):
-    # the composites as the same tuple objects, not equal ones built
-    # again; a longer table rebuilds the list, and tables after it share
-    # the new one
-    monkeypatch.setattr(coding, "_WORDS", {})
-
-    def composites(table):
-        return [w for c, w in table if c and c % 3 == 0]
-
+    # the composites as the same pair objects, not equal ones built
+    # again; a table of more than half as many composites again rebuilds
+    # the list, a shorter step keeps its pairs and adds the rest, and
+    # tables after either share the new list
+    _empty_store(monkeypatch)
     for n in (2, 3, 4):
         first, second = _two_graphs(n)
-        a = composites(CodingTable(first).enumerate_to(3000))
-        b = composites(CodingTable(second).enumerate_to(1500))
+        a = _composites(CodingTable(first).enumerate_to(3000))
+        b = _composites(CodingTable(second).enumerate_to(1500))
         assert len(a) == 1000 and len(b) == 500
         assert all(x is y for x, y in zip(a, b))
-        c = composites(CodingTable(second).enumerate_to(6000))
+        c = _composites(CodingTable(second).enumerate_to(6000))
         assert c[:1000] == a and not any(x is y for x, y in zip(a, c))
-        d = composites(CodingTable(first).enumerate_to(6000))
+        d = _composites(CodingTable(first).enumerate_to(6000))
         assert len(d) == 2000 and all(x is y for x, y in zip(c, d))
-        assert coding._WORDS[n] == [EMPTY] + d
+        assert coding._PAIRS[n] == [(0, EMPTY)] + d
+        e = _composites(CodingTable(second).enumerate_to(9000))
+        assert len(e) == 3000 and all(x is y for x, y in zip(d, e))
+        assert e == _composites(sorted(_oracle_table(n, 9000).items()))
+        assert coding._PAIRS[n] == [(0, EMPTY)] + e
 
 
 def test_the_shared_words_stay_within_max_elements(monkeypatch):
     # with the element budget patched small, the lists of all vertex
     # counts never hold more than it, a build that would pass it empties
-    # the store, and every table still answers as the oracle
+    # the store, the code list is as long as the longest list, and every
+    # table still answers as the oracle
     monkeypatch.setattr(coding, "MAX_ELEMENTS", 120)
-    monkeypatch.setattr(coding, "_WORDS", {})
+    _empty_store(monkeypatch)
     rng = random.Random(35)
     cleared = 0
     for _ in range(120):
         n = rng.randint(0, 4)
         max_code = rng.randint(0, 3 * (coding.MAX_ELEMENTS - 1 - 2 * n))
-        held = sum(map(len, coding._WORDS.values()))
+        held = sum(map(len, coding._PAIRS.values()))
         ct = CodingTable(rng.choice(_two_graphs(n)))
         table = ct.enumerate_to(max_code)
         _assert_answers_as_the_oracle(ct, max_code, table)
-        total = sum(map(len, coding._WORDS.values()))
+        total = sum(map(len, coding._PAIRS.values()))
         assert total <= coding.MAX_ELEMENTS
+        assert len(coding._CODES) == max(map(len, coding._PAIRS.values()))
         cleared += total < held
     assert cleared > 5
     with pytest.raises(CodingBudgetError, match="MAX_ELEMENTS"):
@@ -915,7 +935,7 @@ def test_the_shared_words_stay_within_max_elements(monkeypatch):
 def test_a_failed_build_leaves_no_list(monkeypatch):
     # a build that raises pops the list of its vertex count first, so the
     # store holds no half-built or stale list, and the next table answers
-    monkeypatch.setattr(coding, "_WORDS", {})
+    _empty_store(monkeypatch)
     CodingTable(K2).enumerate_to(300)
     CodingTable(P3).enumerate_to(300)
     ct = CodingTable(K2)
@@ -929,12 +949,56 @@ def test_a_failed_build_leaves_no_list(monkeypatch):
         m.setattr(coding, "_stable_words", out_of_memory)
         with pytest.raises(MemoryError):
             ct.enumerate_to(3000)
-        assert 2 not in coding._WORDS and len(coding._WORDS[3]) == 101
+        assert 2 not in coding._PAIRS and len(coding._PAIRS[3]) == 101
+        assert len(coding._CODES) == 101
         assert ct.code_to_word == memo
         # a table the list still covers needs no build
         assert CodingTable(P3).enumerate_to(90) == sorted(_oracle_table(3, 90).items())
     _assert_answers_as_the_oracle(ct, 3000, ct.enumerate_to(3000))
-    assert len(coding._WORDS[2]) == 1001
+    assert len(coding._PAIRS[2]) == 1001
+    # so does a list that would keep its pairs and grow by unranking
+    with monkeypatch.context() as m:
+        m.setattr(coding, "_unrank", out_of_memory)
+        with pytest.raises(MemoryError):
+            ct.enumerate_to(4500)
+        assert 2 not in coding._PAIRS and len(coding._PAIRS[3]) == 101
+    _assert_answers_as_the_oracle(ct, 4500, ct.enumerate_to(4500))
+    assert len(coding._PAIRS[2]) == 1501
+
+
+def test_a_returned_table_belongs_to_the_caller(monkeypatch):
+    # appending to a table, assigning into it or emptying it changes
+    # neither a later table nor word_of; only the pairs in it are shared
+    _empty_store(monkeypatch)
+    ct = CodingTable(P3)
+    want = list(ct.enumerate_to(3000))
+    words = [ct.word_of(c) for c, _ in want]
+    spoilt = ct.enumerate_to(3000)
+    spoilt.append((3003, (1, 2, 3)))
+    assert ct.enumerate_to(3000) == want
+    spoilt = ct.enumerate_to(3000)
+    spoilt[0], spoilt[-1] = (0, (1,)), (3000, EMPTY)
+    assert ct.enumerate_to(3000) == want
+    spoilt = ct.enumerate_to(3000)
+    del spoilt[:]
+    for t in (ct, CodingTable(P3), CodingTable(graph(3))):
+        assert t.enumerate_to(3000) == want
+        assert [t.word_of(c) for c, _ in want] == words
+    # the pairs of two tables on one n are the same objects
+    a = _composites(CodingTable(P3).enumerate_to(3000))
+    b = _composites(CodingTable(graph(3)).enumerate_to(1500))
+    assert len(b) == 500 and all(x is y for x, y in zip(a, b))
+    # the code ints are shared across n, past the ints Python caches
+    c = _composites(CodingTable(K2).enumerate_to(6000))
+    assert [p[0] for p in c[:1000]] == [p[0] for p in a]
+    assert all(x[0] is y[0] for x, y in zip(a, c))
+    # the code list is as long as the longest pair list, and shrinks
+    # with the store
+    assert len(coding._CODES) == 2001
+    monkeypatch.setattr(coding, "MAX_ELEMENTS", 2100)
+    CodingTable(graph(4)).enumerate_to(300)
+    assert {n: len(p) for n, p in coding._PAIRS.items()} == {4: 101}
+    assert len(coding._CODES) == 101
 
 
 def test_codes_beyond_reach():
@@ -969,13 +1033,13 @@ def test_enumerate_to_checks_size_first():
     assert time.perf_counter() - start < 0.1
     # the identity, six generator codes and every multiple of 3 up to 10^12
     assert (err.value.budget, err.value.used) == (MAX_ELEMENTS, 7 + 10**12 // 3)
-    assert ct.code_to_word == [EMPTY]
+    assert ct.code_to_word == [(0, EMPTY)]
     _assert_store_is(before)
     # a bound past the reach of the coding is refused before building too
     ct = CodingTable(K2)
     with pytest.raises(CodingBudgetError, match="MAX_REP_LEN"):
         ct.enumerate_to(3 * _counts(2)[2][-1] + 3)
-    assert ct.code_to_word == [EMPTY]
+    assert ct.code_to_word == [(0, EMPTY)]
     _assert_store_is(before)
 
 

@@ -479,6 +479,45 @@ def test_one_rho_per_prefix_walks_what_every_rho_walks(monkeypatch):
     )
 
 
+def test_a_support_numbered_first_builds_no_copy(monkeypatch):
+    # the support-first copy of T is built only when the support S is not
+    # 0 .. |S| - 1 already; with or without it the witness is the same
+    copies = []
+
+    def counting(*args):
+        copies.append(args[0])
+        return graph(*args)
+
+    monkeypatch.setattr(reduction, "graph", counting)
+    rng = random.Random(39)
+    initial = relabelled = 0
+    for t in graphs_up_to(4):
+        if t.n < 2:
+            continue
+        pres = relators_from_graph(t)
+        auts = automorphisms(t)
+        for _ in range(10):
+            _, pairs = _pairs_on_part(rng, t, auts)
+            support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
+            numbered_first = support == list(range(len(support)))
+            # a map whose images read off no automorphism stops before
+            read = read_off_letters(pres, [v for w, v in pairs if len(w) == 1 and w[0] > 0])
+            for bound in (0, 1):
+                copies.clear()
+                got = canonical_witness(pres, pairs, bound)
+                assert got == canonical_witness_before(pres, pairs, bound), (t, pairs, bound)
+                built = read is not None and not numbered_first
+                assert copies == ([t.n] if built else []), (t, support)
+            initial += numbered_first
+            relabelled += not numbered_first
+        # every generator is in the domain of an aut check: S is all of T
+        copies.clear()
+        gm = induced_hom(t, t, auts[-1], -1, (1,))
+        assert aut_canonical_check(t, gm, bound=1) is not None
+        assert copies == []
+    assert initial > 20 and relabelled > 20, (initial, relabelled)
+
+
 def test_read_off_letters():
     pres = relators_from_graph(K2)
     g0, g1 = (1,), (2,)
