@@ -25,9 +25,10 @@ one walk of the automaton, one stored transition per letter, and
 count is shared by every table and learns a transition when a walk
 first takes it, up to MAX_TRANSITIONS.  So is the list of (code, word)
 pairs ``enumerate_to`` lays tables out from, the identity's in front, so
-index k holds (3k, the word of code 3k): grown only for a longer
-table, capped at MAX_ELEMENTS pairs over all generator counts, and its
-code ints taken from one list of 0, 3, 6, ... that every count shares.
+index k holds (3k, the word of code 3k): built again only for a
+longer table, capped at MAX_ELEMENTS pairs over all generator counts,
+and its code ints taken from one list of 0, 3, 6, ... that every count
+shares.
 A table builds only the pairs of its generator codes and slices the
 rest.  A CodingTable's one memo is its exact prefix up to the largest
 table that CodingTable has returned.  No lookup writes to either: they
@@ -276,36 +277,26 @@ def _shared_pairs(n: int, composites: int) -> List[Tuple[int, Word]]:
     stable words over n generators, so index k holds (3k, w) for the word
     w of code 3k on every graph of n vertices: the edges only pick the
     22- and 26-letter relators, whose Dehn steps need more than
-    MAX_REP_LEN letters.  The list grows only when it is too short.  A
-    list that already holds two thirds of the pairs asked keeps them and
-    has the rest unranked onto its end, so the pairs a process holds stay
-    where they are (rebuilding each time from ``_stable_words`` left
-    about 2 MB of freed words and pairs in the allocator's pools, which
-    the process never returned); a shorter list is built again.  All
-    lists hold at most MAX_ELEMENTS pairs together, as a build that would
-    pass that empties the store first: what outlives every table is then
-    at most one maximal table's pairs, as many as one live table may
-    already hold.
+    MAX_REP_LEN letters.  The list is built again only when it is too
+    short.  All lists hold at most MAX_ELEMENTS pairs together, as a
+    build that would pass that empties the store first: what outlives
+    every table is then at most one maximal table's pairs, as many as one
+    live table may already hold.
     """
     pairs = _PAIRS.get(n)
     if pairs is not None and len(pairs) > composites:
         return pairs
     # popped first, so the store never holds two lists of one n, and a
     # build that raises leaves none
-    pairs = _PAIRS.pop(n, [])
+    _PAIRS.pop(n, None)
     count = composites + 1
     if sum(map(len, _PAIRS.values())) + count > MAX_ELEMENTS:
         _PAIRS.clear()
-    if 3 * len(pairs) >= 2 * count:
-        # unranking a word costs about 25 times a word of _stable_words,
-        # so only a tail of at most half the old list is unranked
-        words = [_unrank(n, r) for r in range(len(pairs) - 1, composites)]
-    else:
-        pairs = [(0, EMPTY)]
-        words = _stable_words(_counts(n)[0], composites)
+    pairs = [(0, EMPTY)]
+    words = _stable_words(_counts(n)[0], composites)
     del _CODES[max([count, *map(len, _PAIRS.values())]) :]
     _CODES.extend(range(3 * len(_CODES), 3 * count, 3))
-    pairs += zip(_CODES[len(pairs) : count], words)
+    pairs += zip(_CODES[1:count], words)
     _PAIRS[n] = pairs
     return pairs
 

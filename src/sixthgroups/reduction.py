@@ -186,17 +186,17 @@ def canonical_witness(
     t = pres.graph
     support = sorted({abs(c) - 1 for w, _ in pairs for c in w})
     k = len(support)
+    # vertex pos[i] of the copy is vertex i of t; the rest keep their
+    # order, so both numberings have the same least rho for each rho|S
+    order = support + sorted(set(range(t.n)).difference(support))
+    pos = sorted(range(t.n), key=order.__getitem__)
+    # with S numbered first already pos is the identity: the copy is t
     if support == list(range(k)):
-        # S is numbered first already: the copy would be t itself
-        rhos = vertex_maps(t, t, partial, prefix=k)
+        first = t
     else:
-        # vertex pos[i] of the copy is vertex i of t; the rest keep their
-        # order, so both numberings have the same least rho for each rho|S
-        order = support + sorted(set(range(t.n)).difference(support))
-        pos = sorted(range(t.n), key=order.__getitem__)
         first = graph(t.n, ((pos[i], pos[j]) for i, j in t.edges))
-        maps = vertex_maps(first, t, {pos[i]: j for i, j in partial.items()}, prefix=k)
-        rhos = (tuple(map(f.__getitem__, pos)) for f in maps)
+    maps = vertex_maps(first, t, {pos[i]: j for i, j in partial.items()}, prefix=k)
+    rhos = (tuple(map(f.__getitem__, pos)) for f in maps)
     # conj m conj^-1 = v iff conj m conj^-1 v^-1 = 1: one Dehn call, whose
     # packing reduces the word freely
     wanted = [(w, invert_word(v)) for w, v in pairs]
