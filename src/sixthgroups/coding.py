@@ -25,10 +25,10 @@ one walk of the automaton, one stored transition per letter, and
 count is shared by every table and learns a transition when a walk
 first takes it, up to MAX_TRANSITIONS.  So is the list of (code, word)
 pairs ``enumerate_to`` lays tables out from, the identity's in front, so
-index k holds (3k, the word of code 3k): built again only for a
-longer table, capped at MAX_ELEMENTS pairs over all generator counts,
-and its code ints taken from one list of 0, 3, 6, ... that every count
-shares.
+index k holds (3k, the word of code 3k): grown in place only for a
+longer table, by a build that resumes after its last word, capped at
+MAX_ELEMENTS pairs over all generator counts, and its code ints taken
+from one list of 0, 3, 6, ... that every count shares.
 A table builds only the pairs of its generator codes and slices the
 rest.  A CodingTable's one memo is its exact prefix up to the largest
 table that CodingTable has returned.  No lookup writes to either: they
@@ -227,19 +227,34 @@ def _unrank(n: int, r: int) -> Word:
     return tuple(w)
 
 
-def _stable_words(letters: Sequence[int], count: int) -> List[Word]:
-    """The first count stable words of length >= 2, in shortlex order.
+def _stable_words(
+    letters: Sequence[int], count: int, pairs: Sequence[Tuple[int, Word]] = ((0, EMPTY),)
+) -> List[Word]:
+    """The stable words of ranks len(pairs) - 1 .. count - 1 among those
+    of length >= 2, in shortlex order: the words after those of
+    ``pairs[1:]``, which holds the (code, word) pairs of the first ranks,
+    so the default gives the first count words.  ``letters`` are those
+    of n generators in shortlex order, as ``_counts(n)`` gives them.
 
-    The words are built one length at a time, each with its state: the
-    position of its last letter in ``letters`` and the length (1..3) of its
-    last run.  A state indexes the one-letter tails a word in it may take,
-    in shortlex order, and the states they lead to, so no word is read
-    back.  Every stable word has at least 2n - 2 tails (every letter but
-    its last and that letter's inverse), so need // (2n - 2) + 1 words of
-    one length give the next length's first need words; on one vertex
-    every length has at most two words, which need + 1 covers.  The
+    The words are made one length at a time from their parents, the
+    words one letter shorter, each with its state: the position of its
+    last letter in ``letters`` and the length (1..3) of its last run.  A
+    state indexes the one-letter tails a word in it may take, in shortlex
+    order, and the states they lead to, so no word made here is read
+    back; the state of a parent held in pairs is read from its last
+    letters.  The build resumes after the last word w of pairs: the
+    first length is w's, its parents are the letters or the words of w's
+    prefix onward, and the tails of that prefix up to w's are dropped.
+    Each later length takes its parents from the first word of the
+    length before, held in pairs or made here.  Every stable word has at
+    least 2n - 2 tails (every letter but its last and that letter's
+    inverse), so need // (2n - 2) + 2 parents give the next need words
+    of a length, one parent to spare for the prefix of w; on one vertex
+    every length has at most two words, which need + 2 covers.  The
     length that covers count is cut to what is needed and gets no states.
     """
+    n = len(letters) // 2
+    first = _counts(n)[2]
     tails: List[Tuple[Word, ...]] = []
     succ: List[Tuple[int, ...]] = []
     for c in letters:
@@ -248,20 +263,47 @@ def _stable_words(letters: Sequence[int], count: int) -> List[Word]:
             ok = [(j, d) for j, d in enumerate(letters) if d != -c and (d != c or run < 3)]
             tails.append(tuple((d,) for _, d in ok))
             succ.append(tuple(3 * j + (run if d == c else 0) for j, d in ok))
+
+    def state(u: Word) -> int:
+        c = u[-1]
+        return 3 * letter_key(c) + (u[-2:] == (c, c)) + (u[-3:] == (c, c, c))
+
     fan = max(len(letters) - 2, 1)
-    words: List[Word] = []
+    held = len(pairs) - 1
+    length, start, skip = 2, 0, 0
+    # the words one letter shorter made last, from rank start, and their
+    # states: at first the letters
     layer = [(c,) for c in letters]
-    states = list(range(0, 3 * len(letters), 3))
-    while len(words) < count and layer:
-        need = count - len(words)
-        del layer[need // fan + 1 :], states[need // fan + 1 :]
-        layer = [w + t for w, r in zip(layer, states) for t in tails[r]]
-        if len(layer) >= need:
-            # the last length built: its first need words, and no states
-            del layer[need:]
+    if held:
+        w = pairs[-1][1]
+        length, prefix = len(w), w[:-1]
+        if length == 2:
+            del layer[: letter_key(w[0])]
+        else:
+            layer = []
+            start = _code(_automaton(n), prefix) // 3 - 1
+        skip = tails[state(prefix)].index(w[-1:]) + 1
+    states = [state(u) for u in layer]
+    words: List[Word] = []
+    while len(words) < count - held and length <= MAX_REP_LEN:
+        need = count - held - len(words)
+        top = need // fan + 2
+        # parents of ranks start .. start + top - 1: first those held in
+        # pairs at index rank + 1, then those made last
+        parents = [u for _, u in pairs[start + 1 : min(start + top, first[length]) + 1]]
+        states = [state(u) for u in parents] + states[: top - len(parents)]
+        parents += layer[: top - len(parents)]
+        layer = [u + t for u, r in zip(parents, states) for t in tails[r]]
+        if len(layer) - skip >= need:
+            # the last length made: its first need words, and no states
+            del layer[skip + need :]
         else:
             states = [s for r in states for s in succ[r]]
+            del states[:skip]
+        del layer[:skip]
         words += layer
+        start, skip = first[length], 0
+        length += 1
     return words
 
 
@@ -277,26 +319,26 @@ def _shared_pairs(n: int, composites: int) -> List[Tuple[int, Word]]:
     stable words over n generators, so index k holds (3k, w) for the word
     w of code 3k on every graph of n vertices: the edges only pick the
     22- and 26-letter relators, whose Dehn steps need more than
-    MAX_REP_LEN letters.  The list is built again only when it is too
-    short.  All lists hold at most MAX_ELEMENTS pairs together, as a
-    build that would pass that empties the store first: what outlives
-    every table is then at most one maximal table's pairs, as many as one
-    live table may already hold.
+    MAX_REP_LEN letters.  A list too short is grown in place: the build
+    resumes after its last word, and the pairs are appended only once
+    all their words are made, so a growth that raises leaves the list as
+    it was.  Tables and memos hold copies of slices, never the list.
+    All lists hold at most MAX_ELEMENTS pairs together, as a growth that
+    would pass that empties the store first and builds from empty: what
+    outlives every table is then at most one maximal table's pairs, as
+    many as one live table may already hold.
     """
     pairs = _PAIRS.get(n)
     if pairs is not None and len(pairs) > composites:
         return pairs
-    # popped first, so the store never holds two lists of one n, and a
-    # build that raises leaves none
-    _PAIRS.pop(n, None)
     count = composites + 1
-    if sum(map(len, _PAIRS.values())) + count > MAX_ELEMENTS:
+    if sum(len(p) for m, p in _PAIRS.items() if m != n) + count > MAX_ELEMENTS:
         _PAIRS.clear()
-    pairs = [(0, EMPTY)]
-    words = _stable_words(_counts(n)[0], composites)
+    pairs = _PAIRS.get(n, [(0, EMPTY)])
+    words = _stable_words(_counts(n)[0], composites, pairs)
     del _CODES[max([count, *map(len, _PAIRS.values())]) :]
     _CODES.extend(range(3 * len(_CODES), 3 * count, 3))
-    pairs += zip(_CODES[1:count], words)
+    pairs += zip(_CODES[len(pairs) : count], words)
     _PAIRS[n] = pairs
     return pairs
 
@@ -311,7 +353,8 @@ class CodingTable:
     table ``enumerate_to`` has returned (at first the identity alone),
     and only ``enumerate_to`` writes it: tables are prefixes of one
     another, so one with more composites copies its prefix of the shared
-    pair list, references only.
+    pair list, references only.  A copy, never the list itself, so a
+    later growth of the list, which appends in place, changes no memo.
     ``word_of`` reads a generator's word from a tuple indexed by code and
     a multiple of 3 from the memo's pair, and otherwise unranks, never
     stores.
@@ -411,8 +454,10 @@ class CodingTable:
         3(i + 1) follows v_i and v_i^{-1} for i < n, and the composites
         past 3n are a slice of the shared list, so no pair or code int is
         made for them.  The list is the caller's; the pairs in it are
-        shared.  A table with more composites than the memo holds copies
-        that prefix of the shared list into the memo.
+        shared.  A table the shared list is too short for first grows it
+        in place, making only the pairs it lacks.  A table with more
+        composites than the memo holds copies that prefix of the shared
+        list into the memo.
         """
         if type(max_code) is not int:
             raise InputError(f"table bound {max_code!r} is not an int")

@@ -522,6 +522,43 @@ def test_stable_words_match_the_oracle_at_every_length_boundary(n):
         assert _stable_words(letters, count) == oracle[:count], count
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_a_grown_list_equals_a_fresh_build(n, monkeypatch):
+    # one list grown through seeded sequences of bounds, rising and
+    # falling: every length boundary +-1, counts whose last word is the
+    # last tail of its parent, and on one vertex the whole reach.  After
+    # each step the list is a fresh one-shot build and the unranked word
+    # at every index, and the pairs it held before are the same objects.
+    letters, _, first = _counts(n)
+    # every length that starts within 34 000 words: up to 10 letters on
+    # two vertices
+    cap = min(first[-1], 34_000)
+    words = [_unrank(n, r) for r in range(cap)]
+    rng = random.Random(40 + n)
+    # the word of rank c - 1 is its parent's last tail where the next
+    # word has another parent: the first ten such counts and 20 more
+    last_tails = [c for c in range(1, cap) if words[c - 1][:-1] != words[c][:-1]]
+    bounds = set(last_tails[:10] + rng.sample(last_tails[10:], min(20, len(last_tails[10:]))))
+    bounds |= {c for f in first[2:] for c in (f - 1, f, f + 1) if 0 <= c <= cap}
+    if n == 1:
+        bounds |= set(range(8))  # past the 4 composites of Z/7 too
+    bounds = sorted(bounds)
+    sequences = [bounds] + [rng.choices(bounds, k=rng.randint(2, 6)) for _ in range(12)]
+    for sequence in sequences:
+        _empty_store(monkeypatch)
+        held = coding._shared_pairs(n, 0)
+        for count in sequence:
+            before = list(held)
+            assert coding._shared_pairs(n, count) is held
+            assert len(held) == 1 + max(len(before) - 1, min(count, first[-1]))
+            assert all(x is y for x, y in zip(before, held)), (sequence, count)
+            if len(held) == len(before):
+                continue
+            got = [w for _, w in held[1:]]
+            assert got == _stable_words(letters, len(got)) == words[: len(got)], (sequence, count)
+            assert [c for c, _ in held] == list(range(0, 3 * len(held), 3))
+
+
 def _memo_table(ct: CodingTable, max_code: int) -> dict:
     """The code -> word mapping the memo stands for: index k of the memo
     holds the pair of code 3k, and the generator codes up to max_code add
@@ -886,8 +923,8 @@ def test_tables_on_one_vertex_count_share_their_words(monkeypatch):
 
 def test_a_second_table_reads_the_first_ones_words(monkeypatch):
     # the composites as the same pair objects, not equal ones built
-    # again; a longer table rebuilds the list, and tables after it share
-    # the new one
+    # again; a longer table grows the list in place, so its first pairs
+    # stay the same objects, and tables after it share the grown list
     _empty_store(monkeypatch)
     for n in (2, 3, 4):
         first, second = _two_graphs(n)
@@ -895,8 +932,10 @@ def test_a_second_table_reads_the_first_ones_words(monkeypatch):
         b = _composites(CodingTable(second).enumerate_to(1500))
         assert len(a) == 1000 and len(b) == 500
         assert all(x is y for x, y in zip(a, b))
+        held = coding._PAIRS[n]
         c = _composites(CodingTable(second).enumerate_to(6000))
-        assert c[:1000] == a and not any(x is y for x, y in zip(a, c))
+        assert len(c) == 2000 and all(x is y for x, y in zip(a, c))
+        assert coding._PAIRS[n] is held
         d = _composites(CodingTable(first).enumerate_to(6000))
         assert len(d) == 2000 and all(x is y for x, y in zip(c, d))
         assert coding._PAIRS[n] == [(0, EMPTY)] + d
@@ -927,30 +966,66 @@ def test_the_shared_words_stay_within_max_elements(monkeypatch):
         CodingTable(K2).enumerate_to(3 * coding.MAX_ELEMENTS)
 
 
-def test_a_failed_build_leaves_no_list(monkeypatch):
-    # a build that raises pops the list of its vertex count first, so the
-    # store holds no half-built or stale list, and the next table answers
+def test_a_growth_past_max_elements_empties_the_store(monkeypatch):
+    # with the element budget patched small, lists on three vertex
+    # counts grow in rising steps, 10, 20 and 40 times a base: while the
+    # store has room a list grows in place; a growth that would pass the
+    # budget empties the store and builds its list from empty, so the
+    # lists never hold more than the budget together
+    monkeypatch.setattr(coding, "MAX_ELEMENTS", 400)
+    _empty_store(monkeypatch)
+    cleared = 0
+    for step in (10, 20, 40):
+        for n in (3, 2, 4):
+            held = coding._PAIRS.get(n)
+            before = list(held or ())
+            others = sum(len(p) for m, p in coding._PAIRS.items() if m != n)
+            ct = CodingTable(_two_graphs(n)[1])
+            table = ct.enumerate_to(3 * 5 * step)
+            _assert_answers_as_the_oracle(ct, 3 * 5 * step, table)
+            pairs = coding._PAIRS[n]
+            assert len(pairs) == 5 * step + 1
+            if others + len(pairs) > coding.MAX_ELEMENTS:
+                cleared += 1
+                assert list(coding._PAIRS) == [n] and pairs is not held
+                assert not any(x is y for x, y in zip(before[1:], pairs[1:]))
+            elif held is not None:
+                assert pairs is held and all(x is y for x, y in zip(before, pairs))
+            assert sum(map(len, coding._PAIRS.values())) <= coding.MAX_ELEMENTS
+            assert coding._CODES == list(range(0, 3 * max(map(len, coding._PAIRS.values())), 3))
+    assert cleared == 3
+
+
+def test_a_failed_growth_leaves_the_list_as_it_was(monkeypatch):
+    # pairs are appended only once all their words are made: a growth
+    # that raises leaves the list with its length and its pair objects,
+    # and the code list, as they were, and the next table answers
     _empty_store(monkeypatch)
     CodingTable(K2).enumerate_to(300)
     CodingTable(P3).enumerate_to(300)
     ct = CodingTable(K2)
     ct.enumerate_to(30)
     memo = list(ct.code_to_word)
+    held = coding._PAIRS[2]
+    before, codes = list(held), list(coding._CODES)
 
-    def out_of_memory(letters, count):
+    def out_of_memory(letters, count, pairs):
         raise MemoryError
 
     with monkeypatch.context() as m:
         m.setattr(coding, "_stable_words", out_of_memory)
         with pytest.raises(MemoryError):
             ct.enumerate_to(3000)
-        assert 2 not in coding._PAIRS and len(coding._PAIRS[3]) == 101
-        assert len(coding._CODES) == 101
+        assert coding._PAIRS[2] is held and len(held) == 101
+        assert all(x is y for x, y in zip(held, before))
+        assert len(coding._PAIRS[3]) == 101
+        assert coding._CODES == codes
         assert ct.code_to_word == memo
         # a table the list still covers needs no build
         assert CodingTable(P3).enumerate_to(90) == sorted(_oracle_table(3, 90).items())
     _assert_answers_as_the_oracle(ct, 3000, ct.enumerate_to(3000))
-    assert len(coding._PAIRS[2]) == 1001
+    assert coding._PAIRS[2] is held and len(held) == 1001
+    assert all(x is y for x, y in zip(held, before))
 
 
 def test_a_returned_table_belongs_to_the_caller(monkeypatch):
