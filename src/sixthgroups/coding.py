@@ -332,7 +332,7 @@ def _shared_pairs(n: int, composites: int) -> List[Tuple[int, Word]]:
     if pairs is not None and len(pairs) > composites:
         return pairs
     count = composites + 1
-    if sum(len(p) for m, p in _PAIRS.items() if m != n) + count > MAX_ELEMENTS:
+    if sum(map(len, _PAIRS.values())) - len(_PAIRS.get(n, ())) + count > MAX_ELEMENTS:
         _PAIRS.clear()
     pairs = _PAIRS.get(n, [(0, EMPTY)])
     words = _stable_words(_counts(n)[0], composites, pairs)
